@@ -148,6 +148,7 @@ def cmd_optimize(rc: RunConfig) -> int:
         "iter_seconds": result.iter_seconds,
         "termination": result.termination,
         "iterations": result.iterations,
+        "rejected_trials": result.rejected_trials,
         "final_J": result.J_history[-1],
         "final_kkt": result.kkt_history[-1],
         "runtime_seconds": runtime,

@@ -116,6 +116,18 @@ def _require(cond: bool, path: str, condition: str, value) -> None:
             "%s: requires %s, got %r" % (path, condition, value))
 
 
+def _integer(value, path: str) -> int:
+    """A whole number, or ValidationError naming the key.
+
+    Booleans, strings and fractional numbers are refused rather than
+    truncated; floats with an integral value are accepted.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer():
+        raise ValidationError("%s: requires an integer, got %r" % (path, value))
+    return int(value)
+
+
 def _load_field_value(value, grid, base, cfg_dir, path):
     """Scalar or CSV path to a single field."""
     if isinstance(value, str):
@@ -160,16 +172,21 @@ def parse_config(path: str) -> RunConfig:
     cfg_dir = os.path.dirname(os.path.abspath(path))
 
     dom = merged["domain"]
-    _require(isinstance(dom["dim"], int), "domain.dim", "an integer dim",
-             dom["dim"])
+    dim = _integer(dom["dim"], "domain.dim")
+    n = dom["n"]
+    if isinstance(n, list):
+        n = [_integer(v, "domain.n[%d]" % i) for i, v in enumerate(n)]
+    else:
+        n = _integer(n, "domain.n")
     # out-of-scope dim surfaces as UnsupportedDimension from the grid
-    grid = make_grid(int(dom["dim"]), dom["n"], dom["length"])
+    grid = make_grid(dim, n, dom["length"])
 
     tim = merged["time"]
     _require(isinstance(tim["T"], (int, float)) and tim["T"] > 0,
              "time.T", "T > 0", tim["T"])
-    _require(int(tim["N"]) >= 1, "time.N", "N >= 1", tim["N"])
-    tgrid = make_time_grid(float(tim["T"]), int(tim["N"]))
+    N = _integer(tim["N"], "time.N")
+    _require(N >= 1, "time.N", "N >= 1", N)
+    tgrid = make_time_grid(float(tim["T"]), N)
 
     par = merged["params"]
     _require(par["epsilon"] > 0, "params.epsilon", "epsilon > 0", par["epsilon"])
@@ -223,12 +240,14 @@ def parse_config(path: str) -> RunConfig:
     sol = merged["solver"]
     _require(sol["newton_tol"] > 0, "solver.newton_tol", "newton_tol > 0",
              sol["newton_tol"])
-    _require(int(sol["newton_max"]) >= 1, "solver.newton_max",
-             "newton_max >= 1", sol["newton_max"])
+    newton_max = _integer(sol["newton_max"], "solver.newton_max")
+    _require(newton_max >= 1, "solver.newton_max", "newton_max >= 1",
+             newton_max)
     _require(0.0 < sol["boundary_margin"] < 1.0, "solver.boundary_margin",
              "0 < boundary_margin < 1", sol["boundary_margin"])
-    _require(int(sol["coupling_iters"]) >= 1, "solver.coupling_iters",
-             "coupling_iters >= 1", sol["coupling_iters"])
+    coupling_iters = _integer(sol["coupling_iters"], "solver.coupling_iters")
+    _require(coupling_iters >= 1, "solver.coupling_iters",
+             "coupling_iters >= 1", coupling_iters)
     _require(sol["linear_tol"] > 0, "solver.linear_tol", "linear_tol > 0",
              sol["linear_tol"])
     _require(sol["bound_tol"] >= 0, "solver.bound_tol", "bound_tol >= 0",
@@ -236,14 +255,15 @@ def parse_config(path: str) -> RunConfig:
     _require(sol["adjoint_mode"] in ADJOINT_MODES, "solver.adjoint_mode",
              "adjoint_mode in {discrete, pde}", sol["adjoint_mode"])
     solver = SolverConfig(
-        newton_tol=float(sol["newton_tol"]), newton_max=int(sol["newton_max"]),
+        newton_tol=float(sol["newton_tol"]), newton_max=newton_max,
         boundary_margin=float(sol["boundary_margin"]),
-        coupling_iters=int(sol["coupling_iters"]),
+        coupling_iters=coupling_iters,
         linear_tol=float(sol["linear_tol"]), bound_tol=float(sol["bound_tol"]))
 
     opt = merged["optimizer"]
-    _require(int(opt["max_iters"]) >= 0, "optimizer.max_iters",
-             "max_iters >= 0", opt["max_iters"])
+    max_iters = _integer(opt["max_iters"], "optimizer.max_iters")
+    _require(max_iters >= 0, "optimizer.max_iters", "max_iters >= 0",
+             max_iters)
     _require(0.0 < opt["armijo_c"] < 1.0, "optimizer.armijo_c",
              "0 < armijo_c < 1", opt["armijo_c"])
     _require(0.0 < opt["armijo_shrink"] < 1.0, "optimizer.armijo_shrink",
@@ -254,17 +274,18 @@ def parse_config(path: str) -> RunConfig:
     _require(opt["min_step"] > 0, "optimizer.min_step", "min_step > 0",
              opt["min_step"])
     optimizer = OptimizerConfig(
-        max_iters=int(opt["max_iters"]), armijo_c=float(opt["armijo_c"]),
+        max_iters=max_iters, armijo_c=float(opt["armijo_c"]),
         armijo_shrink=float(opt["armijo_shrink"]), step0=float(opt["step0"]),
         stat_tol=float(opt["stat_tol"]), min_step=float(opt["min_step"]))
 
     out = merged["output"]
-    _require(int(out["snapshot_stride"]) >= 1, "output.snapshot_stride",
-             "snapshot_stride >= 1", out["snapshot_stride"])
+    stride = _integer(out["snapshot_stride"], "output.snapshot_stride")
+    _require(stride >= 1, "output.snapshot_stride", "snapshot_stride >= 1",
+             stride)
     output = OutputConfig(
-        directory=str(out["directory"]),
-        snapshot_stride=int(out["snapshot_stride"]),
-        seed=int(out["seed"]), iter_snapshots=bool(out["iter_snapshots"]))
+        directory=str(out["directory"]), snapshot_stride=stride,
+        seed=_integer(out["seed"], "output.seed"),
+        iter_snapshots=bool(out["iter_snapshots"]))
 
     return RunConfig(
         grid=grid, tgrid=tgrid, epsilon=float(par["epsilon"]),

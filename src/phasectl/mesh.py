@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import LinearSolveFailure, ShapeMismatch, UnsupportedDimension
 
@@ -30,7 +29,7 @@ class Grid:
     dim: int
     n: tuple
     length: tuple
-    _lap: object = field(default=None, init=False, repr=False)
+    _dct_eig: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -79,27 +78,16 @@ class Grid:
                 "field has shape %r, expected (%d,)" % (v.shape, self.num_cells))
         return v
 
-    def laplacian_matrix(self) -> scipy.sparse.csr_matrix:
-        """Sparse matrix of the zero-flux Laplacian acting on flat fields."""
-        if self._lap is None:
-            ops = [_lap_1d(m, hh) for m, hh in zip(self.n, self.h)]
-            if self.dim == 1:
-                mat = ops[0]
-            else:
-                ix = scipy.sparse.identity(self.n[0], format="csr")
-                iy = scipy.sparse.identity(self.n[1], format="csr")
-                mat = scipy.sparse.kron(ops[0], iy) + scipy.sparse.kron(ix, ops[1])
-            self._lap = mat.tocsr()
-        return self._lap
+    def _dct_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of -L on the type-II DCT basis, shape ``n``.
 
-
-def _lap_1d(m: int, h: float) -> scipy.sparse.csr_matrix:
-    # Mirrored ghost cells give zero flux through the end faces.
-    main = np.full(m, -2.0)
-    main[0] = main[-1] = -1.0
-    off = np.ones(m - 1)
-    return scipy.sparse.diags(
-        [off, main, off], [-1, 0, 1], format="csr") / h**2
+        Per axis they are 4 sin^2(pi k / 2m) / h^2, summed over the axes.
+        """
+        if self._dct_eig is None:
+            axes = [4.0 * np.sin(np.pi * np.arange(m) / (2.0 * m)) ** 2 / hh**2
+                    for m, hh in zip(self.n, self.h)]
+            self._dct_eig = sum(np.meshgrid(*axes, indexing="ij"))
+        return self._dct_eig
 
 
 def make_grid(dim: int, n, length) -> Grid:
@@ -116,8 +104,11 @@ def make_grid(dim: int, n, length) -> Grid:
 
 def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Apply the zero-flux Laplacian to a flat field without assembly."""
-    v = grid.check_field(v)
-    a = grid.reshape(v)
+    return _laplacian(grid, grid.reshape(grid.check_field(v))).ravel()
+
+
+def _laplacian(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """Zero-flux Laplacian of a field already shaped ``grid.n``."""
     out = np.zeros_like(a)
     for axis in range(grid.dim):
         h2 = grid.h[axis] ** 2
@@ -127,7 +118,7 @@ def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
         lo = _take(p, axis, 0, n)
         hi = _take(p, axis, 2, n + 2)
         out += (lo - 2.0 * a + hi) / h2
-    return out.ravel()
+    return out
 
 
 def _slab(a, axis, idx):
@@ -146,29 +137,31 @@ def solve_shifted(grid: Grid, shift: np.ndarray, rhs: np.ndarray,
                   tol: float | None = None) -> np.ndarray:
     """Solve (diag(shift) - L) x = rhs for the zero-flux Laplacian L.
 
-    Uses a banded direct solve in 1D and a sparse direct solve in 2D.
+    Uses a banded direct solve in 1D.  In 2D it runs conjugate gradients
+    preconditioned by the exact DCT solve at the mean shift, which is
+    already the solution when the shift is constant; the 2D operator
+    must be positive definite, or LinearSolveFailure is raised.
     With ``tol`` set, the residual is verified against
     tol * (1 + |rhs|) in the cell norm and LinearSolveFailure is raised
     on excess.
     """
     shift = grid.check_field(shift)
     rhs = grid.check_field(rhs)
-    try:
-        if grid.dim == 1:
-            m = grid.num_cells
-            h2 = grid.h[0] ** 2
-            ab = np.zeros((3, m))
-            ab[0, 1:] = -1.0 / h2
-            ab[2, :-1] = -1.0 / h2
-            ab[1, :] = shift + 2.0 / h2
-            ab[1, 0] -= 1.0 / h2
-            ab[1, -1] -= 1.0 / h2
+    if grid.dim == 1:
+        m = grid.num_cells
+        h2 = grid.h[0] ** 2
+        ab = np.zeros((3, m))
+        ab[0, 1:] = -1.0 / h2
+        ab[2, :-1] = -1.0 / h2
+        ab[1, :] = shift + 2.0 / h2
+        ab[1, 0] -= 1.0 / h2
+        ab[1, -1] -= 1.0 / h2
+        try:
             x = scipy.linalg.solve_banded((1, 1), ab, rhs)
-        else:
-            mat = scipy.sparse.diags(shift) - grid.laplacian_matrix()
-            x = scipy.sparse.linalg.spsolve(mat.tocsc(), rhs)
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
-        raise LinearSolveFailure("shifted Laplacian solve failed: %s" % exc)
+        except (np.linalg.LinAlgError, RuntimeError) as exc:
+            raise LinearSolveFailure("shifted Laplacian solve failed: %s" % exc)
+    else:
+        x = _pcg(grid, grid.reshape(shift), grid.reshape(rhs)).ravel()
     if not np.all(np.isfinite(x)):
         raise LinearSolveFailure("shifted Laplacian solve returned non-finite values")
     if tol is not None:
@@ -176,6 +169,68 @@ def solve_shifted(grid: Grid, shift: np.ndarray, rhs: np.ndarray,
         if res > tol * (1.0 + norm_h(grid, rhs)):
             raise LinearSolveFailure(
                 "linear residual %.3e exceeds tolerance %.3e" % (res, tol))
+    return x
+
+
+# Relative residual |rhs - A x| / |rhs| at which CG stops, well below the
+# 1e-8 discrete duality gate, and the iteration budget before it gives up.
+_CG_RTOL = 1e-14
+_CG_MAXITER = 500
+
+
+def _dct_solve(grid: Grid, shift: float, rhs: np.ndarray) -> np.ndarray:
+    """Exact solve of (shift - L) x = rhs for a constant shift > 0.
+
+    The type-II DCT diagonalizes the zero-flux Laplacian on this grid.
+    """
+    coef = scipy.fft.dctn(rhs, type=2, norm="ortho")
+    coef /= shift + grid._dct_eigenvalues()
+    return scipy.fft.idctn(coef, type=2, norm="ortho")
+
+
+def _pcg(grid: Grid, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (diag(shift) - L) x = rhs on fields shaped ``grid.n``.
+
+    Conjugate gradients preconditioned by the DCT solve at the mean
+    shift, started from that solve.  Raises LinearSolveFailure when the
+    mean shift is not positive, on a curvature breakdown (the operator
+    is not positive definite) or when the iteration budget runs out;
+    an unconverged iterate is never returned.
+    """
+    mean = float(np.mean(shift))
+
+    def fail(reason, it, rel):
+        raise LinearSolveFailure(
+            "2D shifted solve: %s after %d CG iterations, relative residual "
+            "%.3e, shift min %.3e mean %.3e"
+            % (reason, it, rel, float(np.min(shift)), mean))
+
+    if not mean > 0.0:
+        fail("mean shift is not positive", 0, 1.0)
+    x = _dct_solve(grid, mean, rhs)
+    if np.ptp(shift) == 0.0:
+        return x
+    r = rhs - (shift * x - _laplacian(grid, x))
+    scale = np.linalg.norm(rhs)
+    rel = np.linalg.norm(r) / scale if scale > 0.0 else 0.0
+    it = 0
+    while rel > _CG_RTOL:
+        if it == _CG_MAXITER:
+            fail("no convergence", it, rel)
+        z = _dct_solve(grid, mean, r)
+        rz_new = np.vdot(r, z)
+        p = z if it == 0 else z + (rz_new / rz) * p
+        rz = rz_new
+        ap = shift * p - _laplacian(grid, p)
+        pap = np.vdot(p, ap)
+        if not pap > 0.0:
+            fail("curvature p.Ap = %.3e, operator not positive definite"
+                 % pap, it, rel)
+        alpha = rz / pap
+        x = x + alpha * p
+        r = r - alpha * ap
+        it += 1
+        rel = np.linalg.norm(r) / scale
     return x
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import mesh
-from .errors import InfeasibleControl
+from .errors import DomainViolation, InfeasibleControl, SolverStepError
 from .fields import as_trajectory
 from .forward import ProblemData, SolverConfig, StateTrajectory, solve_state
 from .sensitivity import AdjointTrajectory, solve_adjoint
@@ -50,6 +50,7 @@ class OptimizeResult:
     iter_seconds: list
     termination: str
     iterations: int
+    rejected_trials: int
 
 
 def cost_parts(problem: ProblemData, state: StateTrajectory, u) -> dict:
@@ -132,11 +133,13 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
     Each iteration prices the gradient with one adjoint solve, then
     backtracks from step0 along the projection arc until the accepted
     point decreases the cost by at least
-    armijo_c / step * |u - u_new|_Q^2.  Terminates when the
-    stationarity measure falls to stat_tol (Stationary), the iteration
-    budget is spent (MaxIters), or no step above min_step is acceptable
-    (Stalled).  The returned adjoint, gradient and stationarity history
-    always correspond to the returned control.
+    armijo_c / step * |u - u_new|_Q^2.  A trial whose forward solve
+    fails (SolverStepError or DomainViolation) is rejected like one that
+    misses the decrease, and counted in ``rejected_trials``.  Terminates
+    when the stationarity measure falls to stat_tol (Stationary), the
+    iteration budget is spent (MaxIters), or no step above min_step is
+    acceptable (Stalled).  The returned adjoint, gradient and
+    stationarity history always correspond to the returned control.
     """
     grid, tg = problem.grid, problem.tgrid
     u = project_control(problem, as_trajectory(tg, grid, u0))
@@ -147,6 +150,7 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
     step_history = []
     iter_seconds = []
     iterations = 0
+    rejected_trials = 0
     termination = TERMINATION_MAX_ITERS
     while True:
         tic = time.perf_counter()
@@ -169,11 +173,15 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
             diff = u - u_try
             decrease = mesh.inner_q(tg, grid, diff, diff)
             if decrease > 0.0:
-                state_try = solve_state(problem, u_try, cfg)
-                J_try = cost(problem, state_try, u_try)
-                if J_try <= J - opt.armijo_c * decrease / step:
-                    accepted = True
-                    break
+                try:
+                    state_try = solve_state(problem, u_try, cfg)
+                except (SolverStepError, DomainViolation):
+                    rejected_trials += 1
+                else:
+                    J_try = cost(problem, state_try, u_try)
+                    if J_try <= J - opt.armijo_c * decrease / step:
+                        accepted = True
+                        break
             step *= opt.armijo_shrink
         if not accepted:
             termination = TERMINATION_STALLED
@@ -186,4 +194,5 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
     return OptimizeResult(u=u, state=state, adjoint=adjoint, gradient=gradient,
                           J_history=J_history, kkt_history=kkt_history,
                           step_history=step_history, iter_seconds=iter_seconds,
-                          termination=termination, iterations=iterations)
+                          termination=termination, iterations=iterations,
+                          rejected_trials=rejected_trials)

@@ -66,6 +66,34 @@ def test_nonpositive_epsilon_rejected(tmp_path):
         config.parse_config(write(tmp_path, txt))
 
 
+@pytest.mark.parametrize("text, key", [
+    (MINIMAL.replace("N: 8", "N: 1.5"), "time.N"),
+    (MINIMAL.replace("N: 8", "N: abc"), "time.N"),
+    (MINIMAL.replace("N: 8", "N: [3]"), "time.N"),
+    (MINIMAL.replace("N: 8", "N: true"), "time.N"),
+    (MINIMAL.replace("dim: 1", "dim: 1.5"), "domain.dim"),
+    (MINIMAL.replace("n: 16", "n: abc"), "domain.n"),
+    (MINIMAL.replace("dim: 1, n: 16, length: 1.0",
+                     "dim: 2, n: [8, 4.5], length: [1.0, 1.0]"), "domain.n[1]"),
+    (MINIMAL + "solver: {newton_max: 2.5}\n", "solver.newton_max"),
+    (MINIMAL + "solver: {coupling_iters: '1'}\n", "solver.coupling_iters"),
+], ids=["N-fraction", "N-string", "N-list", "N-bool", "dim-fraction",
+        "n-string", "n-entry", "newton_max", "coupling_iters"])
+def test_integer_keys_strict(tmp_path, capsys, text, key):
+    path = write(tmp_path, text)
+    with pytest.raises(ValidationError, match=r"^%s: requires an integer"
+                       % key.replace("[", r"\[")):
+        config.parse_config(path)
+    assert cli.main(["forward", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "error: %s: requires an integer" % key in capsys.readouterr().err
+
+
+def test_integral_float_accepted(tmp_path):
+    rc = config.parse_config(write(tmp_path, MINIMAL.replace("N: 8", "N: 8.0")))
+    assert rc.tgrid.N == 8 and isinstance(rc.tgrid.N, int)
+
+
 def test_field_csv_loading(tmp_path):
     grid = pc.make_grid(1, 16, 1.0)
     rho = 0.3 + 0.4 * np.random.default_rng(0).random(16)
@@ -125,6 +153,7 @@ def test_cli_optimize_manufactured(tmp_path, capsys):
     J = summary["J_history"]
     assert all(b <= a for a, b in zip(J, J[1:]))
     assert summary["termination"] in ("Stationary", "MaxIters", "Stalled")
+    assert summary["rejected_trials"] == 0
     assert os.path.exists(os.path.join(out, "u_0000.csv"))
 
 

@@ -3,7 +3,21 @@ import pytest
 
 import phasectl as pc
 from phasectl import mesh
-from phasectl.errors import ShapeMismatch, UnsupportedDimension
+from phasectl.errors import (LinearSolveFailure, ShapeMismatch,
+                             UnsupportedDimension)
+
+
+def dense_laplacian(g):
+    """Dense zero-flux Laplacian on flat fields, the oracle for the solvers."""
+    ops = []
+    for m, h in zip(g.n, g.h):
+        # Mirrored ghost cells give zero flux through the end faces.
+        op = np.diag(np.full(m, -2.0)) + np.eye(m, k=1) + np.eye(m, k=-1)
+        op[0, 0] = op[-1, -1] = -1.0
+        ops.append(op / h**2)
+    if g.dim == 1:
+        return ops[0]
+    return np.kron(ops[0], np.eye(g.n[1])) + np.kron(np.eye(g.n[0]), ops[1])
 
 
 def test_grid_1d_layout():
@@ -47,7 +61,7 @@ def test_laplacian_symmetric_dense_oracle():
     lw = mesh.laplacian_apply(g, w)
     assert mesh.inner_h(g, lv, w) == pytest.approx(mesh.inner_h(g, v, lw),
                                                   rel=1e-13, abs=1e-14)
-    dense = g.laplacian_matrix().toarray()
+    dense = dense_laplacian(g)
     np.testing.assert_allclose(dense, dense.T, atol=1e-14)
     np.testing.assert_allclose(dense @ v, lv, atol=1e-12)
 
@@ -81,13 +95,49 @@ def test_trapezoid_weights():
 
 def test_solve_shifted_dense_oracle():
     rng = np.random.default_rng(3)
-    for g in (pc.make_grid(1, 9, 1.0), pc.make_grid(2, (4, 3), (1.0, 1.5))):
-        shift = 0.5 + rng.random(g.num_cells)
+    aniso = pc.make_grid(2, (12, 7), (1.0, 2.5))
+    cases = [
+        (pc.make_grid(1, 9, 1.0), 0.5 + rng.random(9)),
+        (pc.make_grid(2, (4, 3), (1.0, 1.5)), 0.5 + rng.random(12)),
+        (aniso, 0.5 + rng.random(aniso.num_cells)),
+        # two decades of variation, far from the mean-shift preconditioner
+        (aniso, np.exp(rng.uniform(np.log(0.1), np.log(50.0),
+                                   aniso.num_cells))),
+        # constant shift: the DCT solve is exact and no CG step is taken
+        (aniso, np.full(aniso.num_cells, 3.7)),
+    ]
+    for g, shift in cases:
         rhs = rng.standard_normal(g.num_cells)
         x = mesh.solve_shifted(g, shift, rhs)
-        dense = np.diag(shift) - g.laplacian_matrix().toarray()
+        dense = np.diag(shift) - dense_laplacian(g)
         np.testing.assert_allclose(x, np.linalg.solve(dense, rhs),
                                    rtol=1e-10, atol=1e-12)
+
+
+def test_solve_shifted_2d_rejects_indefinite():
+    rng = np.random.default_rng(4)
+    g = pc.make_grid(2, (12, 7), (1.0, 2.5))
+    rhs = rng.standard_normal(g.num_cells)
+    shift = -50.0 + rng.standard_normal(g.num_cells)
+    with pytest.raises(LinearSolveFailure, match="mean shift is not positive"):
+        mesh.solve_shifted(g, shift, rhs)
+    # positive mean, but one cell pulls the operator below zero
+    g = pc.make_grid(2, (16, 16), (16.0, 16.0))
+    shift = np.ones(g.num_cells)
+    shift[37] = -100.0
+    with pytest.raises(LinearSolveFailure, match="not positive definite"):
+        mesh.solve_shifted(g, shift, rng.standard_normal(g.num_cells))
+
+
+def test_solve_shifted_2d_budget_exhausted(monkeypatch):
+    rng = np.random.default_rng(5)
+    g = pc.make_grid(2, (12, 7), (1.0, 2.5))
+    shift = np.exp(rng.uniform(np.log(0.1), np.log(50.0), g.num_cells))
+    monkeypatch.setattr(mesh, "_CG_MAXITER", 1)
+    with pytest.raises(LinearSolveFailure,
+                       match=r"no convergence after 1 CG iterations, "
+                             r"relative residual .* shift min .* mean "):
+        mesh.solve_shifted(g, shift, rng.standard_normal(g.num_cells))
 
 
 def test_norm_w_is_literal_sum():

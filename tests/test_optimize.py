@@ -3,7 +3,8 @@ import pytest
 
 import phasectl as pc
 from phasectl import checks, optimize, sensitivity
-from phasectl.errors import InfeasibleControl
+from phasectl.errors import (DomainViolation, InfeasibleControl,
+                             NewtonDivergence)
 from phasectl.mesh import inner_q, norm_q
 from conftest import build_problem, manufactured, traj
 
@@ -177,4 +178,26 @@ def test_descent_runs_without_regularization(cfg):
     prob, _ = manufactured(u_dag=0.5, beta2=0.0)
     opt = pc.OptimizerConfig(max_iters=3, stat_tol=0.0, step0=10.0)
     res = pc.projected_gradient_descent(prob, 0.25, opt, cfg)
+    assert np.all(np.diff(res.J_history) <= 0.0)
+
+
+@pytest.mark.parametrize("failure", [NewtonDivergence, DomainViolation])
+def test_descent_backtracks_past_failed_trial(cfg, monkeypatch, failure):
+    prob, _ = manufactured(u_dag=0.5)
+    opt = pc.OptimizerConfig(max_iters=3, stat_tol=0.0, step0=2e3)
+    ref = pc.projected_gradient_descent(prob, 0.0, opt, cfg)
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:  # the first line-search trial
+            raise failure("injected failure")
+        return pc.solve_state(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "solve_state", flaky)
+    res = pc.projected_gradient_descent(prob, 0.0, opt, cfg)
+    assert ref.rejected_trials == 0 and res.rejected_trials == 1
+    assert ref.step_history[0] == opt.step0
+    assert res.iterations == 3
+    assert res.step_history[0] == opt.step0 * opt.armijo_shrink
     assert np.all(np.diff(res.J_history) <= 0.0)

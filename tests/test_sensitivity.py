@@ -91,6 +91,17 @@ def test_duality_discrete_exact(cfg):
     assert rep["metrics"]["rel_gap"] <= 1e-8
 
 
+def test_duality_discrete_exact_2d(cfg):
+    """The identity holds to the same precision with the 2D CG solves."""
+    grid = pc.make_grid(2, 32, 1.0)
+    x, y = grid.cell_centers().T
+    rho0 = 0.45 + 0.2 * np.cos(np.pi * x) * np.cos(2.0 * np.pi * y)
+    prob = build_problem(dim=2, n=32, N=16, T=0.25, rho0=rho0, mu0=0.1)
+    rep = checks.duality_gap_check(prob, cfg, seed=0, mode="discrete")
+    assert rep["pass"], rep["metrics"]
+    assert rep["metrics"]["rel_gap"] <= 1e-8
+
+
 def test_duality_pde_shrinks_under_refinement(cfg):
     prob = build_problem(n=16, N=16, T=0.2)
     rep = checks.duality_gap_check(prob, cfg, seed=0, mode="pde",

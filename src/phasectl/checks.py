@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import scipy.integrate
@@ -45,15 +46,13 @@ def problem_hash(problem: ProblemData, cfg: SolverConfig) -> str:
         "delta": problem.delta,
         "beta1": problem.beta1,
         "beta2": problem.beta2,
-        "c_log": problem.potential.c_log,
-        "c_quad": problem.potential.c_quad,
+        **asdict(problem.potential),
         "rho0": digest(problem.rho0),
         "mu0": digest(problem.mu0),
         "u_max": digest(problem.u_max),
         "rho_target": digest(problem.rho_target),
         "mu_target": digest(problem.mu_target),
-        "solver": [cfg.newton_tol, cfg.newton_max, cfg.boundary_margin,
-                   cfg.coupling_iters, cfg.linear_tol, cfg.bound_tol],
+        "solver": asdict(cfg),
     }
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
@@ -252,13 +251,11 @@ def refine_problem(problem: ProblemData) -> ProblemData:
     grid2 = make_grid(problem.grid.dim, tuple(2 * m for m in problem.grid.n),
                       problem.grid.length)
     tg2 = make_time_grid(problem.tgrid.T, 2 * problem.tgrid.N)
-    return ProblemData(
-        grid=grid2, tgrid=tg2, epsilon=problem.epsilon, delta=problem.delta,
-        potential=problem.potential,
+    return replace(
+        problem, grid=grid2, tgrid=tg2,
         rho0=prolong_field(problem.grid, problem.rho0),
         mu0=prolong_field(problem.grid, problem.mu0),
         u_max=prolong_trajectory(problem.grid, problem.tgrid, problem.u_max),
-        beta1=problem.beta1, beta2=problem.beta2,
         rho_target=prolong_field(problem.grid, problem.rho_target),
         mu_target=prolong_trajectory(problem.grid, problem.tgrid,
                                      problem.mu_target))

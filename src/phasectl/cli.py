@@ -16,15 +16,16 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import checks as checks_mod
 from .config import RunConfig, build_problem, parse_config
 from .errors import PhasectlError
-from .fields import atomic_write_text, write_json, write_snapshots
+from .fields import write_json, write_snapshots
 from .forward import residual_norms, solve_state
-from .optimize import OptimizerConfig, projected_gradient_descent
+from .optimize import projected_gradient_descent
 from .sensitivity import solve_adjoint, solve_tangent
 
 CHECK_NAMES = ("grad", "tangent", "duality", "stability", "oracle", "bounds")
@@ -71,18 +72,11 @@ def _apply_overrides(rc: RunConfig, args) -> RunConfig:
     return rc
 
 
-def write_trajectory_csv(path: str, tg, grid, traj) -> None:
-    """Space-time CSV with a leading time column, one row per cell."""
-    header = "t," + ("x,value" if grid.dim == 1 else "x,y,value")
-    coords = grid.cell_centers()
-    times = tg.times
-    lines = [header]
-    for k in range(tg.N + 1):
-        for row, val in zip(coords, traj[k]):
-            cols = ["%.17g" % times[k]] + ["%.17g" % c for c in row] \
-                + ["%.17g" % val]
-            lines.append(",".join(cols))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def _write_fields(rc: RunConfig, **trajectories) -> None:
+    """Snapshot each named trajectory at the configured stride."""
+    for base, traj in trajectories.items():
+        write_snapshots(rc.output.directory, base, rc.tgrid, rc.grid, traj,
+                        rc.output.snapshot_stride)
 
 
 def cmd_forward(rc: RunConfig) -> int:
@@ -90,20 +84,16 @@ def cmd_forward(rc: RunConfig) -> int:
     tic = time.perf_counter()
     state = solve_state(problem, rc.u_init, rc.solver)
     runtime = time.perf_counter() - tic
-    out = rc.output.directory
-    write_snapshots(out, "rho", rc.tgrid, rc.grid, state.rho,
-                    rc.output.snapshot_stride)
-    write_snapshots(out, "mu", rc.tgrid, rc.grid, state.mu,
-                    rc.output.snapshot_stride)
+    _write_fields(rc, rho=state.rho, mu=state.mu)
     residuals = residual_norms(problem, rc.u_init, state)
-    payload = state.diagnostics.to_dict()
+    payload = asdict(state.diagnostics)
     payload.update({
         "runtime_seconds": runtime,
         "max_rho_residual": float(np.max(residuals["rho"])),
         "max_mu_residual": float(np.max(residuals["mu"])),
         "config_hash": checks_mod.problem_hash(problem, rc.solver),
     })
-    write_json(os.path.join(out, "diagnostics.json"), payload)
+    write_json(os.path.join(rc.output.directory, "diagnostics.json"), payload)
     print("forward: %d steps, rho in [%.6g, %.6g], mu in [%.6g, %.6g]"
           % (rc.tgrid.N, min(payload["rho_min"]), max(payload["rho_max"]),
              min(payload["mu_min"]), max(payload["mu_max"])))
@@ -117,30 +107,21 @@ def cmd_optimize(rc: RunConfig) -> int:
         print("warning: beta2 = 0 leaves the step rule without a curvature "
               "scale; capping iterations at %d" % _BETA2_ZERO_CAP,
               file=sys.stderr)
-        opt = OptimizerConfig(
-            max_iters=_BETA2_ZERO_CAP, armijo_c=opt.armijo_c,
-            armijo_shrink=opt.armijo_shrink, step0=opt.step0,
-            stat_tol=opt.stat_tol, min_step=opt.min_step)
+        opt = replace(opt, max_iters=_BETA2_ZERO_CAP)
     out = rc.output.directory
     callback = None
     if rc.output.iter_snapshots:
-        os.makedirs(out, exist_ok=True)
-
+        # Every level, so control.u_init can read an iterate back.
         def callback(it, u, J, kkt):
-            path = os.path.join(out, "u_iter_%04d.csv" % it)
-            write_trajectory_csv(path, rc.tgrid, rc.grid, u)
+            write_snapshots(os.path.join(out, "u_iter_%04d" % it), "u",
+                            rc.tgrid, rc.grid, u)
 
     tic = time.perf_counter()
     result = projected_gradient_descent(problem, rc.u_init, opt, rc.solver,
                                         adjoint_mode=rc.adjoint_mode,
                                         callback=callback)
     runtime = time.perf_counter() - tic
-    write_snapshots(out, "u", rc.tgrid, rc.grid, result.u,
-                    rc.output.snapshot_stride)
-    write_snapshots(out, "rho", rc.tgrid, rc.grid, result.state.rho,
-                    rc.output.snapshot_stride)
-    write_snapshots(out, "mu", rc.tgrid, rc.grid, result.state.mu,
-                    rc.output.snapshot_stride)
+    _write_fields(rc, u=result.u, rho=result.state.rho, mu=result.state.mu)
     summary = {
         "J_history": result.J_history,
         "kkt_history": result.kkt_history,
@@ -169,13 +150,8 @@ def _dump_sensitivity(rc: RunConfig, problem, seed: int) -> None:
     state = solve_state(problem, u, rc.solver)
     tangent = solve_tangent(problem, state, h, rc.solver)
     adjoint = solve_adjoint(problem, state, rc.solver, mode=rc.adjoint_mode)
-    out, stride = rc.output.directory, rc.output.snapshot_stride
-    write_snapshots(out, "rho", rc.tgrid, rc.grid, state.rho, stride)
-    write_snapshots(out, "mu", rc.tgrid, rc.grid, state.mu, stride)
-    write_snapshots(out, "xi", rc.tgrid, rc.grid, tangent.xi, stride)
-    write_snapshots(out, "eta", rc.tgrid, rc.grid, tangent.eta, stride)
-    write_snapshots(out, "p", rc.tgrid, rc.grid, adjoint.p, stride)
-    write_snapshots(out, "q", rc.tgrid, rc.grid, adjoint.q, stride)
+    _write_fields(rc, rho=state.rho, mu=state.mu, xi=tangent.xi,
+                  eta=tangent.eta, p=adjoint.p, q=adjoint.q)
 
 
 def cmd_check(rc: RunConfig, which: str, dump_fields: bool) -> int:
@@ -221,7 +197,9 @@ def main(argv=None) -> int:
             return cmd_optimize(rc)
         return cmd_check(rc, args.which, args.dump_fields)
     except PhasectlError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        step = getattr(exc, "step", None)
+        where = "step %s of %s: " % (step, exc.steps) if step else ""
+        print("error: %s%s" % (where, exc), file=sys.stderr)
         return 2
 
 

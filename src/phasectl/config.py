@@ -15,8 +15,9 @@ condition.
 from __future__ import annotations
 
 import copy
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -31,24 +32,6 @@ from .sensitivity import ADJOINT_MODES
 
 _MANDATORY = object()
 
-_SCHEMA = {
-    "domain": {"dim": _MANDATORY, "n": _MANDATORY, "length": _MANDATORY},
-    "time": {"T": _MANDATORY, "N": _MANDATORY},
-    "params": {"epsilon": _MANDATORY, "delta": _MANDATORY,
-               "beta1": 1.0, "beta2": 1e-4},
-    "potential": {"c_log": 0.5, "c_quad": 2.0},
-    "init": {"rho0": 0.5, "mu0": 0.0},
-    "control": {"u_max": 1.0, "u_init": 0.0},
-    "targets": {"rho_T": 0.5, "mu_T": 0.0, "from_state": None},
-    "solver": {"newton_tol": 1e-10, "newton_max": 30, "boundary_margin": 0.1,
-               "coupling_iters": 1, "linear_tol": 1e-8, "bound_tol": 1e-10,
-               "adjoint_mode": "discrete"},
-    "optimizer": {"max_iters": 200, "armijo_c": 1e-4, "armijo_shrink": 0.5,
-                  "step0": 1.0, "stat_tol": 1e-6, "min_step": 1e-12},
-    "output": {"directory": "out", "snapshot_stride": 1, "seed": 0,
-               "iter_snapshots": False},
-}
-
 
 @dataclass
 class OutputConfig:
@@ -56,6 +39,26 @@ class OutputConfig:
     snapshot_stride: int = 1
     seed: int = 0
     iter_snapshots: bool = False
+
+
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
+
+
+# Sections backed by a dataclass take its fields and defaults.
+_SCHEMA = {
+    "domain": {"dim": _MANDATORY, "n": _MANDATORY, "length": _MANDATORY},
+    "time": {"T": _MANDATORY, "N": _MANDATORY},
+    "params": {"epsilon": _MANDATORY, "delta": _MANDATORY,
+               "beta1": 1.0, "beta2": 1e-4},
+    "potential": _defaults(Potential),
+    "init": {"rho0": 0.5, "mu0": 0.0},
+    "control": {"u_max": 1.0, "u_init": 0.0},
+    "targets": {"rho_T": 0.5, "mu_T": 0.0, "from_state": None},
+    "solver": {**_defaults(SolverConfig), "adjoint_mode": ADJOINT_MODES[0]},
+    "optimizer": _defaults(OptimizerConfig),
+    "output": _defaults(OutputConfig),
+}
 
 
 @dataclass
@@ -80,7 +83,6 @@ class RunConfig:
     adjoint_mode: str
     optimizer: OptimizerConfig
     output: OutputConfig
-    raw: dict
 
 
 def _merge_defaults(data: dict) -> dict:
@@ -128,7 +130,42 @@ def _integer(value, path: str) -> int:
     return int(value)
 
 
-def _load_field_value(value, grid, base, cfg_dir, path):
+def _number(value, path: str) -> float:
+    """A finite real number, not a bool or string, or ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ValidationError(
+            "%s: requires a finite number, got %r" % (path, value))
+    return float(value)
+
+
+def _boolean(value, path: str) -> bool:
+    """true or false, or ValidationError naming the key."""
+    if not isinstance(value, bool):
+        raise ValidationError(
+            "%s: requires true or false, got %r" % (path, value))
+    return value
+
+
+_PARSERS = {"int": _integer, "float": _number, "bool": _boolean,
+            "str": lambda value, path: str(value)}
+
+
+def _typed(merged: dict, section: str, cls) -> dict:
+    """The section's entries for the fields of cls, typed by their fields."""
+    return {f.name: _PARSERS[f.type](merged[section][f.name],
+                                     "%s.%s" % (section, f.name))
+            for f in fields(cls)}
+
+
+def _per_axis(value, path: str, parse):
+    """A scalar, or a list parsed entry by entry."""
+    if isinstance(value, list):
+        return [parse(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
+    return parse(value, path)
+
+
+def _load_field_value(value, grid, cfg_dir, path):
     """Scalar or CSV path to a single field."""
     if isinstance(value, str):
         full = os.path.join(cfg_dir, value)
@@ -173,36 +210,33 @@ def parse_config(path: str) -> RunConfig:
 
     dom = merged["domain"]
     dim = _integer(dom["dim"], "domain.dim")
-    n = dom["n"]
-    if isinstance(n, list):
-        n = [_integer(v, "domain.n[%d]" % i) for i, v in enumerate(n)]
-    else:
-        n = _integer(n, "domain.n")
+    n = _per_axis(dom["n"], "domain.n", _integer)
+    length = _per_axis(dom["length"], "domain.length", _number)
     # out-of-scope dim surfaces as UnsupportedDimension from the grid
-    grid = make_grid(dim, n, dom["length"])
+    grid = make_grid(dim, n, length)
 
     tim = merged["time"]
-    _require(isinstance(tim["T"], (int, float)) and tim["T"] > 0,
-             "time.T", "T > 0", tim["T"])
+    T = _number(tim["T"], "time.T")
+    _require(T > 0, "time.T", "T > 0", T)
     N = _integer(tim["N"], "time.N")
     _require(N >= 1, "time.N", "N >= 1", N)
-    tgrid = make_time_grid(float(tim["T"]), N)
+    tgrid = make_time_grid(T, N)
 
-    par = merged["params"]
+    par = {key: _number(value, "params." + key)
+           for key, value in merged["params"].items()}
     _require(par["epsilon"] > 0, "params.epsilon", "epsilon > 0", par["epsilon"])
     _require(par["delta"] > 0, "params.delta", "delta > 0", par["delta"])
     _require(par["beta1"] >= 0, "params.beta1", "beta1 >= 0", par["beta1"])
     _require(par["beta2"] >= 0, "params.beta2", "beta2 >= 0", par["beta2"])
 
-    pot = merged["potential"]
+    pot = _typed(merged, "potential", Potential)
     _require(pot["c_log"] > 0, "potential.c_log", "c_log > 0", pot["c_log"])
     _require(pot["c_quad"] >= 0, "potential.c_quad", "c_quad >= 0",
              pot["c_quad"])
-    potential = Potential(c_log=float(pot["c_log"]), c_quad=float(pot["c_quad"]))
 
     ini = merged["init"]
-    rho0 = _load_field_value(ini["rho0"], grid, "rho", cfg_dir, "init.rho0")
-    mu0 = _load_field_value(ini["mu0"], grid, "mu", cfg_dir, "init.mu0")
+    rho0 = _load_field_value(ini["rho0"], grid, cfg_dir, "init.rho0")
+    mu0 = _load_field_value(ini["mu0"], grid, cfg_dir, "init.mu0")
     _require(float(np.min(rho0)) > 0.0, "init.rho0", "inf rho0 > 0",
              float(np.min(rho0)))
     _require(float(np.max(rho0)) < 1.0, "init.rho0", "sup rho0 < 1",
@@ -232,38 +266,29 @@ def parse_config(path: str) -> RunConfig:
                     "targets.from_state.%s: unknown key" % key)
         from_state_control = _load_spacetime_value(
             fs["u"], tgrid, grid, "u", cfg_dir, "targets.from_state.u")
-    rho_target = _load_field_value(tar["rho_T"], grid, "rho", cfg_dir,
+    rho_target = _load_field_value(tar["rho_T"], grid, cfg_dir,
                                    "targets.rho_T")
     mu_target = _load_spacetime_value(tar["mu_T"], tgrid, grid, "mu", cfg_dir,
                                       "targets.mu_T")
 
-    sol = merged["solver"]
+    sol = _typed(merged, "solver", SolverConfig)
     _require(sol["newton_tol"] > 0, "solver.newton_tol", "newton_tol > 0",
              sol["newton_tol"])
-    newton_max = _integer(sol["newton_max"], "solver.newton_max")
-    _require(newton_max >= 1, "solver.newton_max", "newton_max >= 1",
-             newton_max)
+    _require(sol["newton_max"] >= 1, "solver.newton_max", "newton_max >= 1",
+             sol["newton_max"])
     _require(0.0 < sol["boundary_margin"] < 1.0, "solver.boundary_margin",
              "0 < boundary_margin < 1", sol["boundary_margin"])
-    coupling_iters = _integer(sol["coupling_iters"], "solver.coupling_iters")
-    _require(coupling_iters >= 1, "solver.coupling_iters",
-             "coupling_iters >= 1", coupling_iters)
     _require(sol["linear_tol"] > 0, "solver.linear_tol", "linear_tol > 0",
              sol["linear_tol"])
     _require(sol["bound_tol"] >= 0, "solver.bound_tol", "bound_tol >= 0",
              sol["bound_tol"])
-    _require(sol["adjoint_mode"] in ADJOINT_MODES, "solver.adjoint_mode",
-             "adjoint_mode in {discrete, pde}", sol["adjoint_mode"])
-    solver = SolverConfig(
-        newton_tol=float(sol["newton_tol"]), newton_max=newton_max,
-        boundary_margin=float(sol["boundary_margin"]),
-        coupling_iters=coupling_iters,
-        linear_tol=float(sol["linear_tol"]), bound_tol=float(sol["bound_tol"]))
+    adjoint_mode = merged["solver"]["adjoint_mode"]
+    _require(adjoint_mode in ADJOINT_MODES, "solver.adjoint_mode",
+             "adjoint_mode in {discrete, pde}", adjoint_mode)
 
-    opt = merged["optimizer"]
-    max_iters = _integer(opt["max_iters"], "optimizer.max_iters")
-    _require(max_iters >= 0, "optimizer.max_iters", "max_iters >= 0",
-             max_iters)
+    opt = _typed(merged, "optimizer", OptimizerConfig)
+    _require(opt["max_iters"] >= 0, "optimizer.max_iters", "max_iters >= 0",
+             opt["max_iters"])
     _require(0.0 < opt["armijo_c"] < 1.0, "optimizer.armijo_c",
              "0 < armijo_c < 1", opt["armijo_c"])
     _require(0.0 < opt["armijo_shrink"] < 1.0, "optimizer.armijo_shrink",
@@ -273,28 +298,19 @@ def parse_config(path: str) -> RunConfig:
              opt["stat_tol"])
     _require(opt["min_step"] > 0, "optimizer.min_step", "min_step > 0",
              opt["min_step"])
-    optimizer = OptimizerConfig(
-        max_iters=max_iters, armijo_c=float(opt["armijo_c"]),
-        armijo_shrink=float(opt["armijo_shrink"]), step0=float(opt["step0"]),
-        stat_tol=float(opt["stat_tol"]), min_step=float(opt["min_step"]))
 
-    out = merged["output"]
-    stride = _integer(out["snapshot_stride"], "output.snapshot_stride")
-    _require(stride >= 1, "output.snapshot_stride", "snapshot_stride >= 1",
-             stride)
-    output = OutputConfig(
-        directory=str(out["directory"]), snapshot_stride=stride,
-        seed=_integer(out["seed"], "output.seed"),
-        iter_snapshots=bool(out["iter_snapshots"]))
+    out = _typed(merged, "output", OutputConfig)
+    _require(out["snapshot_stride"] >= 1, "output.snapshot_stride",
+             "snapshot_stride >= 1", out["snapshot_stride"])
 
     return RunConfig(
-        grid=grid, tgrid=tgrid, epsilon=float(par["epsilon"]),
-        delta=float(par["delta"]), beta1=float(par["beta1"]),
-        beta2=float(par["beta2"]), potential=potential, rho0=rho0, mu0=mu0,
-        u_max=u_max, u_init=u_init, rho_target=rho_target,
-        mu_target=mu_target, from_state_control=from_state_control,
-        solver=solver, adjoint_mode=str(sol["adjoint_mode"]),
-        optimizer=optimizer, output=output, raw=merged)
+        grid=grid, tgrid=tgrid, epsilon=par["epsilon"], delta=par["delta"],
+        beta1=par["beta1"], beta2=par["beta2"], potential=Potential(**pot),
+        rho0=rho0, mu0=mu0, u_max=u_max, u_init=u_init,
+        rho_target=rho_target, mu_target=mu_target,
+        from_state_control=from_state_control, solver=SolverConfig(**sol),
+        adjoint_mode=adjoint_mode, optimizer=OptimizerConfig(**opt),
+        output=OutputConfig(**out))
 
 
 def build_problem(rc: RunConfig) -> ProblemData:
@@ -304,17 +320,13 @@ def build_problem(rc: RunConfig) -> ProblemData:
     and its terminal order parameter and full potential trajectory
     become the targets, so the optimum is known reachable.
     """
-    rho_target, mu_target = rc.rho_target, rc.mu_target
-    if rc.from_state_control is not None:
-        generator = ProblemData(
-            grid=rc.grid, tgrid=rc.tgrid, epsilon=rc.epsilon, delta=rc.delta,
-            potential=rc.potential, rho0=rc.rho0, mu0=rc.mu0, u_max=rc.u_max,
-            beta1=rc.beta1, beta2=rc.beta2)
-        state = solve_state(generator, rc.from_state_control, rc.solver)
-        rho_target = state.rho[rc.tgrid.N]
-        mu_target = state.mu
-    return ProblemData(
+    problem = ProblemData(
         grid=rc.grid, tgrid=rc.tgrid, epsilon=rc.epsilon, delta=rc.delta,
         potential=rc.potential, rho0=rc.rho0, mu0=rc.mu0, u_max=rc.u_max,
-        beta1=rc.beta1, beta2=rc.beta2, rho_target=rho_target,
-        mu_target=mu_target)
+        beta1=rc.beta1, beta2=rc.beta2, rho_target=rc.rho_target,
+        mu_target=rc.mu_target)
+    if rc.from_state_control is not None:
+        state = solve_state(problem, rc.from_state_control, rc.solver)
+        problem = replace(problem, rho_target=state.rho[rc.tgrid.N],
+                          mu_target=state.mu)
+    return problem

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Solver failures raised inside a time loop carry the failing step index in
-the ``step`` attribute so callers can report where a run died.
+the ``step`` attribute, and the number of steps in ``steps``, so callers
+can report where a run died.
 """
 
 
@@ -24,9 +25,10 @@ class DomainViolation(PhasectlError, ValueError):
 class SolverStepError(PhasectlError, RuntimeError):
     """Failure inside a time step; ``step`` is the failing step index."""
 
-    def __init__(self, message, step=None):
+    def __init__(self, message, step=None, steps=None):
         super().__init__(message)
         self.step = step
+        self.steps = steps
 
 
 class NewtonDivergence(SolverStepError):

@@ -77,7 +77,6 @@ class SolverConfig:
     newton_tol: float = 1e-10
     newton_max: int = 30
     boundary_margin: float = 0.1
-    coupling_iters: int = 1
     linear_tol: float = 1e-8
     bound_tol: float = 1e-10
 
@@ -105,25 +104,34 @@ class Diagnostics:
             np.count_nonzero(rho <= 0.0) + np.count_nonzero(rho >= 1.0)
             + np.count_nonzero(mu < -bound_tol))
 
-    def to_dict(self) -> dict:
-        return {
-            "newton_iters": list(self.newton_iters),
-            "newton_residuals": list(self.newton_residuals),
-            "min_coefficient": list(self.min_coefficient),
-            "m_matrix_ok": list(self.m_matrix_ok),
-            "rho_min": list(self.rho_min),
-            "rho_max": list(self.rho_max),
-            "mu_min": list(self.mu_min),
-            "mu_max": list(self.mu_max),
-            "bound_violations": self.bound_violations,
-        }
-
 
 @dataclass
 class StateTrajectory:
     rho: np.ndarray
     mu: np.ndarray
     diagnostics: Diagnostics
+
+
+def newton_shift(pot: Potential, delta: float, tau: float,
+                 rho: np.ndarray) -> np.ndarray:
+    """Diagonal of the order-parameter step Jacobian, delta/tau + f''(rho)."""
+    return delta / tau + pot.d2(rho)
+
+
+def mu_diagonal(epsilon: float, tau: float, rho_prev: np.ndarray,
+                rho_new: np.ndarray) -> np.ndarray:
+    """Diagonal of the potential step; it must stay positive."""
+    return (epsilon + 3.0 * rho_new - rho_prev) / tau
+
+
+def mu_carry(epsilon: float, tau: float, rho_new: np.ndarray) -> np.ndarray:
+    """Weight of the previous potential on the right of the potential step."""
+    return (epsilon + 2.0 * rho_new) / tau
+
+
+def _rho_residual(grid, pot, delta, tau, rho_prev, rho, mu_prev):
+    return (delta / tau) * (rho - rho_prev) - mesh.laplacian_apply(grid, rho) \
+        + pot.d1(rho) - mu_prev
 
 
 def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
@@ -142,14 +150,12 @@ def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
     rho = rho_prev.copy()
     history = []
     for _ in range(cfg.newton_max + 1):
-        res = (delta / tau) * (rho - rho_prev) - mesh.laplacian_apply(grid, rho) \
-            + pot.d1(rho) - mu_prev
+        res = _rho_residual(grid, pot, delta, tau, rho_prev, rho, mu_prev)
         rnorm = mesh.norm_h(grid, res)
         history.append(rnorm)
         if rnorm <= cfg.newton_tol:
             return (rho, history) if return_history else rho
-        shift = delta / tau + pot.d2(rho)
-        step = mesh.solve_shifted(grid, shift, -res)
+        step = mesh.solve_shifted(grid, newton_shift(pot, delta, tau, rho), -res)
         lam = 1.0
         down = step < 0.0
         if np.any(down):
@@ -163,32 +169,25 @@ def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
         % (history[-1], cfg.newton_tol, cfg.newton_max))
 
 
-def mu_step_coefficient(epsilon: float, rho_prev: np.ndarray,
-                        rho_new: np.ndarray) -> np.ndarray:
-    """Diagonal coefficient of the potential step, must stay positive."""
-    return epsilon + 3.0 * rho_new - rho_prev
-
-
 def step_mu(grid: Grid, epsilon: float, tau: float, rho_prev: np.ndarray,
             rho_new: np.ndarray, mu_prev: np.ndarray, u_new: np.ndarray,
             cfg: SolverConfig) -> np.ndarray:
     """Advance the chemical potential by one linear implicit step."""
-    coeff = mu_step_coefficient(epsilon, rho_prev, rho_new)
-    if np.min(coeff) <= 0.0:
+    diag = mu_diagonal(epsilon, tau, rho_prev, rho_new)
+    if np.min(diag) <= 0.0:
         raise NonpositiveCoefficient(
-            "potential step coefficient min %.3e is nonpositive" % np.min(coeff))
-    rhs = u_new + (epsilon + 2.0 * rho_new) * mu_prev / tau
-    return mesh.solve_shifted(grid, coeff / tau, rhs, tol=cfg.linear_tol)
+            "potential step diagonal min %.3e is nonpositive" % np.min(diag))
+    rhs = u_new + mu_carry(epsilon, tau, rho_new) * mu_prev
+    return mesh.solve_shifted(grid, diag, rhs, tol=cfg.linear_tol)
 
 
 def solve_state(problem: ProblemData, u, cfg: SolverConfig = SolverConfig()
                 ) -> StateTrajectory:
     """March the coupled system from the initial data under control u.
 
-    Per step: coupling_iters sweeps of (order-parameter step against the
-    latest potential iterate standing in for the previous level, then
-    potential step).  One sweep is the plain staggered scheme.  Errors
-    raised inside a step carry that step's index.
+    Per step: the order-parameter step against the previous potential,
+    then the potential step.  Errors raised inside a step carry that
+    step's index and the number of steps.
     """
     grid, tg = problem.grid, problem.tgrid
     u = as_trajectory(tg, grid, u)
@@ -199,26 +198,23 @@ def solve_state(problem: ProblemData, u, cfg: SolverConfig = SolverConfig()
     mu[0] = problem.mu0
     diag = Diagnostics()
     diag.record_level(rho[0], mu[0], cfg.bound_tol)
-    sweeps = max(int(cfg.coupling_iters), 1)
     for n in range(tg.N):
         try:
-            mu_guess = mu[n]
-            for _ in range(sweeps):
-                rho_new, hist = step_rho(grid, problem.potential, problem.delta,
-                                         tau, rho[n], mu_guess, cfg,
-                                         return_history=True)
-                mu_guess = step_mu(grid, problem.epsilon, tau, rho[n], rho_new,
-                                   mu[n], u[n + 1], cfg)
+            rho[n + 1], hist = step_rho(grid, problem.potential, problem.delta,
+                                        tau, rho[n], mu[n], cfg,
+                                        return_history=True)
+            mu[n + 1] = step_mu(grid, problem.epsilon, tau, rho[n], rho[n + 1],
+                                mu[n], u[n + 1], cfg)
         except SolverStepError as exc:
-            exc.step = n + 1
+            exc.step, exc.steps = n + 1, tg.N
             raise
-        rho[n + 1] = rho_new
-        mu[n + 1] = mu_guess
         diag.newton_iters.append(len(hist) - 1)
         diag.newton_residuals.append(hist[-1])
-        coeff = mu_step_coefficient(problem.epsilon, rho[n], rho_new)
-        diag.min_coefficient.append(float(np.min(coeff)))
-        diag.m_matrix_ok.append(bool(np.min(coeff) > 0.0))
+        # Recorded in the units of epsilon: the diagonal times tau.
+        coeff = tau * float(np.min(
+            mu_diagonal(problem.epsilon, tau, rho[n], rho[n + 1])))
+        diag.min_coefficient.append(coeff)
+        diag.m_matrix_ok.append(coeff > 0.0)
         diag.record_level(rho[n + 1], mu[n + 1], cfg.bound_tol)
     return StateTrajectory(rho=rho, mu=mu, diagnostics=diag)
 
@@ -226,24 +222,66 @@ def solve_state(problem: ProblemData, u, cfg: SolverConfig = SolverConfig()
 def residual_norms(problem: ProblemData, u, state: StateTrajectory) -> dict:
     """Cell-norm residuals of both discrete equations on a trajectory.
 
-    Uses the same stencils and the same one-sweep staggering as the
-    solver, so a freshly solved trajectory scores at the Newton and
-    linear tolerances.  Returns arrays indexed by step 1..N.
+    Uses the same stencils and the same staggering as the solver, so a
+    freshly solved trajectory scores at the Newton and linear
+    tolerances.  Returns arrays indexed by step 1..N.
     """
     grid, tg = problem.grid, problem.tgrid
     u = as_trajectory(tg, grid, u)
-    tau = tg.tau
+    tau, eps = tg.tau, problem.epsilon
     rho, mu = state.rho, state.mu
     rho_res = np.zeros(tg.N)
     mu_res = np.zeros(tg.N)
     for n in range(tg.N):
-        r_new, r_old = rho[n + 1], rho[n]
-        res1 = (problem.delta / tau) * (r_new - r_old) \
-            - mesh.laplacian_apply(grid, r_new) \
-            + problem.potential.d1(r_new) - mu[n]
-        coeff = mu_step_coefficient(problem.epsilon, r_old, r_new)
-        res2 = coeff * mu[n + 1] / tau - mesh.laplacian_apply(grid, mu[n + 1]) \
-            - u[n + 1] - (problem.epsilon + 2.0 * r_new) * mu[n] / tau
+        res1 = _rho_residual(grid, problem.potential, problem.delta, tau,
+                             rho[n], rho[n + 1], mu[n])
+        res2 = mu_diagonal(eps, tau, rho[n], rho[n + 1]) * mu[n + 1] \
+            - mesh.laplacian_apply(grid, mu[n + 1]) - u[n + 1] \
+            - mu_carry(eps, tau, rho[n + 1]) * mu[n]
         rho_res[n] = mesh.norm_h(grid, res1)
         mu_res[n] = mesh.norm_h(grid, res2)
     return {"rho": rho_res, "mu": mu_res}
+
+
+@dataclass(frozen=True)
+class StepOperators:
+    """The forward march linearized about a state, one step at a time.
+
+    Step n maps level n to level n+1.  Its tangent reads
+
+        (S - L) xi[n+1]  = d xi[n] + eta[n]
+        (D - L) eta[n+1] = h[n+1] + a xi[n+1] + b xi[n] + C eta[n]
+
+    with d = delta/tau, S the Newton shift at rho[n+1], D the potential
+    diagonal, C its carry, a = (2 mu[n] - 3 mu[n+1])/tau and
+    b = mu[n+1]/tau.  A step's coefficients are formed from the state
+    when asked for, so no per-level copies are kept.
+    """
+
+    problem: ProblemData
+    state: StateTrajectory
+
+    def solved(self, n: int) -> tuple:
+        """(S, D, a): the diagonals step n inverts and their coupling."""
+        p, tau = self.problem, self.problem.tgrid.tau
+        rho, mu = self.state.rho, self.state.mu
+        return (newton_shift(p.potential, p.delta, tau, rho[n + 1]),
+                mu_diagonal(p.epsilon, tau, rho[n], rho[n + 1]),
+                (2.0 * mu[n] - 3.0 * mu[n + 1]) / tau)
+
+    def carried(self, n: int) -> tuple:
+        """(d, C, b): the weights of level n on the right of step n."""
+        tau = self.problem.tgrid.tau
+        return (self.problem.delta / tau,
+                mu_carry(self.problem.epsilon, tau, self.state.rho[n + 1]),
+                self.state.mu[n + 1] / tau)
+
+    def tangent_step(self, n: int, xi: np.ndarray, eta: np.ndarray,
+                     h_new: np.ndarray, tol: float) -> tuple:
+        """Level n+1 of the tangent from level n and the direction."""
+        shift, diag, a = self.solved(n)
+        d, carry, b = self.carried(n)
+        grid = self.problem.grid
+        xi_new = mesh.solve_shifted(grid, shift, d * xi + eta, tol=tol)
+        rhs = h_new + a * xi_new + b * xi + carry * eta
+        return xi_new, mesh.solve_shifted(grid, diag, rhs, tol=tol)

@@ -137,10 +137,11 @@ def solve_shifted(grid: Grid, shift: np.ndarray, rhs: np.ndarray,
                   tol: float | None = None) -> np.ndarray:
     """Solve (diag(shift) - L) x = rhs for the zero-flux Laplacian L.
 
-    Uses a banded direct solve in 1D.  In 2D it runs conjugate gradients
-    preconditioned by the exact DCT solve at the mean shift, which is
-    already the solution when the shift is constant; the 2D operator
-    must be positive definite, or LinearSolveFailure is raised.
+    Uses a banded Cholesky solve in 1D.  In 2D it runs conjugate
+    gradients preconditioned by the exact DCT solve at the mean shift,
+    which is already the solution when the shift is constant.  In either
+    dimension the operator must be positive definite, or
+    LinearSolveFailure is raised.
     With ``tol`` set, the residual is verified against
     tol * (1 + |rhs|) in the cell norm and LinearSolveFailure is raised
     on excess.
@@ -150,14 +151,13 @@ def solve_shifted(grid: Grid, shift: np.ndarray, rhs: np.ndarray,
     if grid.dim == 1:
         m = grid.num_cells
         h2 = grid.h[0] ** 2
-        ab = np.zeros((3, m))
+        ab = np.zeros((2, m))
         ab[0, 1:] = -1.0 / h2
-        ab[2, :-1] = -1.0 / h2
         ab[1, :] = shift + 2.0 / h2
         ab[1, 0] -= 1.0 / h2
         ab[1, -1] -= 1.0 / h2
         try:
-            x = scipy.linalg.solve_banded((1, 1), ab, rhs)
+            x = scipy.linalg.solveh_banded(ab, rhs)
         except (np.linalg.LinAlgError, RuntimeError) as exc:
             raise LinearSolveFailure("shifted Laplacian solve failed: %s" % exc)
     else:

@@ -57,10 +57,3 @@ class Potential:
         """Third derivative c_log*(2r-1)/(r^2 (1-r)^2)."""
         r = self._check(r)
         return self.c_log * (2.0 * r - 1.0) / (r * (1.0 - r)) ** 2
-
-    def derivative(self, r, order: int):
-        """Evaluate the potential or one of its first three derivatives."""
-        table = {0: self.value, 1: self.d1, 2: self.d2, 3: self.d3}
-        if order not in table:
-            raise ValueError("derivative order must be 0..3, got %r" % order)
-        return table[order](r)

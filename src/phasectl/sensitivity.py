@@ -24,8 +24,7 @@ Two adjoint constructions are provided.
     and delta * p equals the terminal tracking misfit there.
 
 Both modes agree up to O(tau + h^2); the verification module measures
-exactly that.  Either mode requires a state produced with a single
-coupling sweep per step, the default.
+exactly that.
 """
 
 from __future__ import annotations
@@ -35,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh
-from .errors import ValidationError
 from .fields import as_trajectory
-from .forward import ProblemData, SolverConfig, StateTrajectory
+from .forward import (ProblemData, SolverConfig, StateTrajectory,
+                      StepOperators, mu_carry, newton_shift)
 
 ADJOINT_MODES = ("discrete", "pde")
 
@@ -59,34 +58,16 @@ class AdjointTrajectory:
     mode: str
 
 
-def _require_single_sweep(cfg: SolverConfig):
-    if cfg.coupling_iters != 1:
-        raise ValidationError(
-            "sensitivity solves linearize the single-sweep scheme; "
-            "got coupling_iters=%d" % cfg.coupling_iters)
-
-
 def solve_tangent(problem: ProblemData, state: StateTrajectory, h,
                   cfg: SolverConfig = SolverConfig()) -> TangentTrajectory:
     """Differentiate the forward march along control direction h."""
-    _require_single_sweep(cfg)
-    grid, tg = problem.grid, problem.tgrid
-    h = as_trajectory(tg, grid, h)
-    tau = tg.tau
-    eps, delta = problem.epsilon, problem.delta
-    rho, mu = state.rho, state.mu
-    xi = np.zeros((tg.N + 1, grid.num_cells))
-    eta = np.zeros_like(xi)
-    for n in range(tg.N):
-        shift_rho = delta / tau + problem.potential.d2(rho[n + 1])
-        xi[n + 1] = mesh.solve_shifted(
-            grid, shift_rho, (delta / tau) * xi[n] + eta[n], tol=cfg.linear_tol)
-        coeff = (eps + 3.0 * rho[n + 1] - rho[n]) / tau
-        rhs = (h[n + 1]
-               + ((2.0 * mu[n] - 3.0 * mu[n + 1]) / tau) * xi[n + 1]
-               + (mu[n + 1] / tau) * xi[n]
-               + ((eps + 2.0 * rho[n + 1]) / tau) * eta[n])
-        eta[n + 1] = mesh.solve_shifted(grid, coeff, rhs, tol=cfg.linear_tol)
+    h = as_trajectory(problem.tgrid, problem.grid, h)
+    ops = StepOperators(problem, state)
+    xi = np.zeros_like(h)
+    eta = np.zeros_like(h)
+    for n in range(problem.tgrid.N):
+        xi[n + 1], eta[n + 1] = ops.tangent_step(n, xi[n], eta[n], h[n + 1],
+                                                 cfg.linear_tol)
     return TangentTrajectory(xi=xi, eta=eta)
 
 
@@ -97,39 +78,35 @@ def solve_adjoint(problem: ProblemData, state: StateTrajectory,
     if mode not in ADJOINT_MODES:
         raise ValueError("adjoint mode must be one of %r, got %r"
                          % (ADJOINT_MODES, mode))
-    _require_single_sweep(cfg)
     if mode == "discrete":
         return _adjoint_discrete(problem, state, cfg)
     return _adjoint_pde(problem, state, cfg)
 
 
 def _adjoint_discrete(problem, state, cfg):
-    # Backward substitution through the transposed tangent steps.  All
-    # step operators are symmetric, so each backward solve reuses the
-    # forward-step operator at its level.
+    # Backward substitution through the transposed tangent steps.  x and
+    # y are the multipliers of the two equations of each step, indexed
+    # by the level that step solves for.  Both diagonal blocks are
+    # symmetric, so each transposed solve reuses the forward operator.
     grid, tg = problem.grid, problem.tgrid
     tau = tg.tau
-    eps, delta = problem.epsilon, problem.delta
-    rho, mu = state.rho, state.mu
+    ops = StepOperators(problem, state)
     c = tg.trap_weights()
-    terminal = rho[tg.N] - problem.rho_target
-    y = np.zeros((tg.N + 1, grid.num_cells))
+    mu = state.mu
+    y = np.zeros_like(mu)
     x = np.zeros_like(y)
     for k in range(tg.N, 0, -1):
         rhs_y = problem.beta1 * tau * c[k] * (mu[k] - problem.mu_target[k])
-        if k < tg.N:
-            rhs_y = rhs_y + x[k + 1] + ((eps + 2.0 * rho[k + 1]) / tau) * y[k + 1]
-        y[k] = mesh.solve_shifted(
-            grid, (eps + 3.0 * rho[k] - rho[k - 1]) / tau, rhs_y,
-            tol=cfg.linear_tol)
-        rhs_x = ((2.0 * mu[k - 1] - 3.0 * mu[k]) / tau) * y[k]
         if k == tg.N:
-            rhs_x = rhs_x + terminal
+            rhs_x = state.rho[k] - problem.rho_target
         else:
-            rhs_x = rhs_x + (delta / tau) * x[k + 1] + (mu[k + 1] / tau) * y[k + 1]
-        x[k] = mesh.solve_shifted(
-            grid, delta / tau + problem.potential.d2(rho[k]), rhs_x,
-            tol=cfg.linear_tol)
+            d, carry, b = ops.carried(k)
+            rhs_y = rhs_y + x[k + 1] + carry * y[k + 1]
+            rhs_x = d * x[k + 1] + b * y[k + 1]
+        shift, diag, a = ops.solved(k - 1)
+        y[k] = mesh.solve_shifted(grid, diag, rhs_y, tol=cfg.linear_tol)
+        x[k] = mesh.solve_shifted(grid, shift, a * y[k] + rhs_x,
+                                  tol=cfg.linear_tol)
     q = np.zeros_like(y)
     q[1:] = y[1:] / (tau * c[1:, None])
     p = np.zeros_like(x)
@@ -142,7 +119,7 @@ def _adjoint_discrete(problem, state, cfg):
 def _adjoint_pde(problem, state, cfg):
     grid, tg = problem.grid, problem.tgrid
     tau = tg.tau
-    eps, delta = problem.epsilon, problem.delta
+    delta = problem.delta
     rho, mu = state.rho, state.mu
     q = np.zeros((tg.N + 1, grid.num_cells))
     p = np.zeros_like(q)
@@ -150,15 +127,15 @@ def _adjoint_pde(problem, state, cfg):
     for n in range(tg.N - 1, -1, -1):
         rho_t = (rho[n + 1] - rho[n]) / tau
         mu_t = (mu[n + 1] - mu[n]) / tau
-        weight = eps + 2.0 * rho[n]
-        rhs_q = (weight / tau) * q[n + 1] + (1.0 + rho_t) * q[n + 1] \
+        carry = mu_carry(problem.epsilon, tau, rho[n])
+        rhs_q = carry * q[n + 1] + (1.0 + rho_t) * q[n + 1] \
             + p[n + 1] + problem.beta1 * (mu[n] - problem.mu_target[n])
-        q[n] = mesh.solve_shifted(grid, weight / tau + 1.0, rhs_q,
+        q[n] = mesh.solve_shifted(grid, carry + 1.0, rhs_q,
                                   tol=cfg.linear_tol)
         rhs_p = (delta / tau) * p[n + 1] + mu[n] * (q[n + 1] - q[n]) / tau \
             - mu_t * q[n]
         p[n] = mesh.solve_shifted(
-            grid, delta / tau + problem.potential.d2(rho[n]), rhs_p,
+            grid, newton_shift(problem.potential, delta, tau, rho[n]), rhs_p,
             tol=cfg.linear_tol)
     return AdjointTrajectory(p=p, q=q, mode="pde")
 

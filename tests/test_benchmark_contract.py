@@ -1,0 +1,77 @@
+"""The names the benchmark tracer wraps must keep resolving.
+
+perfbench/tracer.py patches phasectl functions by module and attribute
+name from outside the package, so renaming or deleting one of them
+breaks ``perfbench/run.py --trace 1``.  The tracer source is compiled
+here without importing it as a module, so nothing is written under
+perfbench/.
+"""
+
+import os
+import sys
+import types
+
+import numpy as np
+
+import phasectl as pc
+import phasectl.cli  # noqa: F401  (traced, and not imported by phasectl)
+from conftest import build_problem
+
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                      "tracer.py")
+
+
+def load_tracer():
+    with open(TRACER) as f:
+        source = f.read()
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(source, TRACER, "exec"), module.__dict__)
+    return module
+
+
+def resolve(module, attr):
+    owner = sys.modules["phasectl." + module]
+    if "." in attr:
+        cls_name, attr = attr.split(".")
+        return getattr(owner, cls_name).__dict__[attr]
+    return getattr(owner, attr)
+
+
+def package_bindings():
+    return {(name, key): value
+            for name, module in sys.modules.items()
+            if name == "phasectl" or name.startswith("phasectl.")
+            for key, value in vars(module).items() if callable(value)}
+
+
+def test_traced_names_resolve():
+    tracer = load_tracer()
+    missing = []
+    for module, attr, _, _ in tracer.TRACED:
+        try:
+            resolve(module, attr)
+        except (KeyError, AttributeError):
+            missing.append("%s.%s" % (module, attr))
+    assert not missing
+
+
+def test_tracer_install_round_trip(cfg):
+    tracer = load_tracer()
+    before = package_bindings()
+    originals = {(m, a): resolve(m, a) for m, a, _, _ in tracer.TRACED}
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert pc.forward.solve_state is not originals["forward",
+                                                       "solve_state"]
+        prob = build_problem(N=4)
+        h = np.full((5, prob.grid.num_cells), 0.1)
+        state = pc.forward.solve_state(prob, 0.2, cfg)
+        pc.sensitivity.solve_tangent(prob, state, h, cfg)
+        pc.sensitivity.solve_adjoint(prob, state, cfg, "discrete")
+    finally:
+        t.uninstall()
+    for name, (got, expected) in tracer.identities(t.take()).items():
+        assert got == expected, name
+    assert {k: resolve(*k) for k in originals} == originals
+    assert package_bindings() == before

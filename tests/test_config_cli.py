@@ -76,9 +76,9 @@ def test_nonpositive_epsilon_rejected(tmp_path):
     (MINIMAL.replace("dim: 1, n: 16, length: 1.0",
                      "dim: 2, n: [8, 4.5], length: [1.0, 1.0]"), "domain.n[1]"),
     (MINIMAL + "solver: {newton_max: 2.5}\n", "solver.newton_max"),
-    (MINIMAL + "solver: {coupling_iters: '1'}\n", "solver.coupling_iters"),
+    (MINIMAL + "optimizer: {max_iters: '1'}\n", "optimizer.max_iters"),
 ], ids=["N-fraction", "N-string", "N-list", "N-bool", "dim-fraction",
-        "n-string", "n-entry", "newton_max", "coupling_iters"])
+        "n-string", "n-entry", "newton_max", "max_iters"])
 def test_integer_keys_strict(tmp_path, capsys, text, key):
     path = write(tmp_path, text)
     with pytest.raises(ValidationError, match=r"^%s: requires an integer"
@@ -87,6 +87,41 @@ def test_integer_keys_strict(tmp_path, capsys, text, key):
     assert cli.main(["forward", "--config", path,
                      "--out", str(tmp_path / "out")]) == 2
     assert "error: %s: requires an integer" % key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, key, condition", [
+    (MINIMAL.replace("delta: 1.0", "delta: '1.0'"), "params.delta",
+     "a finite number"),
+    (MINIMAL.replace("epsilon: 0.5", "epsilon: .nan"), "params.epsilon",
+     "a finite number"),
+    (MINIMAL.replace("length: 1.0", "length: abc"), "domain.length",
+     "a finite number"),
+    (MINIMAL.replace("dim: 1, n: 16, length: 1.0",
+                     "dim: 2, n: [8, 4], length: [1.0, abc]"),
+     "domain.length[1]", "a finite number"),
+    (MINIMAL.replace("T: 0.1", "T: true"), "time.T", "a finite number"),
+    (MINIMAL + "potential: {c_log: [0.5]}\n", "potential.c_log",
+     "a finite number"),
+    (MINIMAL + "solver: {newton_tol: '1e-10'}\n", "solver.newton_tol",
+     "a finite number"),
+    (MINIMAL + "optimizer: {step0: .inf}\n", "optimizer.step0",
+     "a finite number"),
+    (MINIMAL + "output: {iter_snapshots: 'false'}\n", "output.iter_snapshots",
+     "true or false"),
+    (MINIMAL + "output: {iter_snapshots: 1}\n", "output.iter_snapshots",
+     "true or false"),
+], ids=["delta-string", "epsilon-nan", "length-string", "length-entry",
+        "T-bool", "c_log-list", "newton_tol-string", "step0-inf",
+        "iter_snapshots-string", "iter_snapshots-int"])
+def test_float_and_boolean_keys_strict(tmp_path, capsys, text, key, condition):
+    path = write(tmp_path, text)
+    with pytest.raises(ValidationError, match=r"^%s: requires %s"
+                       % (key.replace("[", r"\["), condition)):
+        config.parse_config(path)
+    assert cli.main(["forward", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "error: %s: requires %s" % (key, condition) \
+        in capsys.readouterr().err
 
 
 def test_integral_float_accepted(tmp_path):
@@ -157,6 +192,32 @@ def test_cli_optimize_manufactured(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "u_0000.csv"))
 
 
+def test_cli_optimize_iter_snapshots_read_back(tmp_path):
+    """Each iterate lands in u_iter_<k>/, which control.u_init reads."""
+    text = MINIMAL + (
+        "control: {u_init: 0.2}\n"
+        "targets: {from_state: {u: 0.3}}\n"
+        "optimizer: {max_iters: 2, step0: 100.0}\n"
+        "output: {iter_snapshots: true}\n")
+    out = tmp_path / "iters"
+    assert run_cli(["optimize", "--config", write(tmp_path, text),
+                    "--out", str(out)]) == 0
+    summary = json.load(open(out / "optimize_summary.json"))
+    iters = sorted(n for n in os.listdir(out) if n.startswith("u_iter_"))
+    assert iters == ["u_iter_%04d" % k
+                     for k in range(summary["iterations"] + 1)]
+    rc = config.parse_config(write(
+        tmp_path, MINIMAL + "control: {u_init: iters/u_iter_0000}\n",
+        "again.yaml"))
+    np.testing.assert_array_equal(rc.u_init, 0.2)
+    last = config.parse_config(write(
+        tmp_path, MINIMAL + "control: {u_init: iters/%s}\n" % iters[-1],
+        "last.yaml"))
+    final = config.parse_config(write(
+        tmp_path, MINIMAL + "control: {u_init: iters}\n", "final.yaml"))
+    np.testing.assert_array_equal(last.u_init, final.u_init)
+
+
 def test_cli_optimize_beta2_zero_caps_iterations(tmp_path, capsys):
     text = MINIMAL.replace(
         "params: {epsilon: 0.5, delta: 1.0}",
@@ -210,6 +271,20 @@ def test_cli_bad_config_exits_two(tmp_path, capsys):
     bad = write(tmp_path, MINIMAL + "init: {rho0: 0.0}\n")
     assert run_cli(["forward", "--config", bad]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_solver_error_names_step(tmp_path, capsys):
+    """A step whose Newton system is indefinite fails with its index."""
+    grid = pc.make_grid(1, 16, 1.0)
+    x = grid.cell_centers()[:, 0]
+    fields.write_field_csv(str(tmp_path / "rho0.csv"), grid,
+                           0.5 + 0.05 * np.cos(np.pi * x))
+    text = MINIMAL.replace("T: 0.1, N: 8", "T: 1.0, N: 1") + (
+        "init: {rho0: rho0.csv}\ncontrol: {u_init: 0.3}\n")
+    cfg = write(tmp_path, text)
+    assert run_cli(["forward", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+    assert "error: step 1 of 1: " in capsys.readouterr().err
 
 
 def test_cli_dump_fields(tmp_path):

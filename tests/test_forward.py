@@ -4,7 +4,8 @@ import scipy.optimize
 
 import phasectl as pc
 from phasectl import checks, forward
-from phasectl.errors import NonpositiveCoefficient, SolverStepError
+from phasectl.errors import (LinearSolveFailure, NonpositiveCoefficient,
+                             SolverStepError)
 from conftest import build_problem, traj
 
 
@@ -145,4 +146,17 @@ def test_step_error_carries_level(cfg):
     strict = pc.SolverConfig(newton_max=1)
     with pytest.raises(SolverStepError) as err:
         pc.solve_state(prob, 0.5, strict)
+    assert err.value.step == 1 and err.value.steps == 4
+
+
+def test_indefinite_newton_step_raises_1d(cfg):
+    """One step of length 1 leaves delta/tau below 2 c_quad - 4 c_log."""
+    g = pc.make_grid(1, 16, 1.0)
+    x = g.axis_centers(0)
+    prob = pc.ProblemData(grid=g, tgrid=pc.make_time_grid(1.0, 1),
+                          epsilon=0.5, delta=1.0, potential=pc.Potential(),
+                          rho0=0.5 + 0.05 * np.cos(np.pi * x), mu0=0.0,
+                          u_max=1.0)
+    with pytest.raises(LinearSolveFailure) as err:
+        pc.solve_state(prob, 0.3, cfg)
     assert err.value.step == 1

@@ -129,6 +129,15 @@ def test_solve_shifted_2d_rejects_indefinite():
         mesh.solve_shifted(g, shift, rng.standard_normal(g.num_cells))
 
 
+def test_solve_shifted_1d_rejects_indefinite():
+    rng = np.random.default_rng(6)
+    g = pc.make_grid(1, 16, 1.0)
+    shift = np.ones(g.num_cells)
+    shift[5] = -1000.0
+    with pytest.raises(LinearSolveFailure, match="not positive definite"):
+        mesh.solve_shifted(g, shift, rng.standard_normal(g.num_cells))
+
+
 def test_solve_shifted_2d_budget_exhausted(monkeypatch):
     rng = np.random.default_rng(5)
     g = pc.make_grid(2, (12, 7), (1.0, 2.5))

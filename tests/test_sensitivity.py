@@ -1,9 +1,7 @@
 import numpy as np
-import pytest
 
 import phasectl as pc
 from phasectl import checks, sensitivity
-from phasectl.errors import ValidationError
 from phasectl.mesh import norm_h
 from conftest import build_problem, manufactured, traj
 
@@ -108,12 +106,3 @@ def test_duality_pde_shrinks_under_refinement(cfg):
                                    refinements=1)
     assert rep["pass"], rep["metrics"]
     assert all(r >= 1.5 for r in rep["metrics"]["ratios"])
-
-
-def test_sensitivity_rejects_multi_sweep(cfg, small):
-    st = pc.solve_state(small, 0.2, cfg)
-    multi = pc.SolverConfig(coupling_iters=2)
-    with pytest.raises(ValidationError):
-        pc.solve_tangent(small, st, 0.1, multi)
-    with pytest.raises(ValidationError):
-        pc.solve_adjoint(small, st, multi)

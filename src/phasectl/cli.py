@@ -22,7 +22,7 @@ import numpy as np
 
 from . import checks as checks_mod
 from .config import RunConfig, build_problem, parse_config
-from .errors import PhasectlError
+from .errors import PhasectlError, SolverStepError
 from .fields import write_json, write_snapshots
 from .forward import residual_norms, solve_state
 from .optimize import projected_gradient_descent
@@ -81,8 +81,17 @@ def _write_fields(rc: RunConfig, **trajectories) -> None:
 
 def cmd_forward(rc: RunConfig) -> int:
     problem = build_problem(rc)
+    diagnostics_path = os.path.join(rc.output.directory, "diagnostics.json")
+    config_hash = checks_mod.problem_hash(problem, rc.solver)
     tic = time.perf_counter()
-    state = solve_state(problem, rc.u_init, rc.solver)
+    try:
+        state = solve_state(problem, rc.u_init, rc.solver)
+    except SolverStepError as exc:
+        # The records of the levels solved before the failing step.
+        write_json(diagnostics_path, dict(
+            asdict(exc.diagnostics), failed_step=exc.step, error=str(exc),
+            config_hash=config_hash))
+        raise
     runtime = time.perf_counter() - tic
     _write_fields(rc, rho=state.rho, mu=state.mu)
     residuals = residual_norms(problem, rc.u_init, state)
@@ -91,9 +100,9 @@ def cmd_forward(rc: RunConfig) -> int:
         "runtime_seconds": runtime,
         "max_rho_residual": float(np.max(residuals["rho"])),
         "max_mu_residual": float(np.max(residuals["mu"])),
-        "config_hash": checks_mod.problem_hash(problem, rc.solver),
+        "config_hash": config_hash,
     })
-    write_json(os.path.join(rc.output.directory, "diagnostics.json"), payload)
+    write_json(diagnostics_path, payload)
     print("forward: %d steps, rho in [%.6g, %.6g], mu in [%.6g, %.6g]"
           % (rc.tgrid.N, min(payload["rho_min"]), max(payload["rho_max"]),
              min(payload["mu_min"]), max(payload["mu_max"])))

@@ -174,10 +174,7 @@ def _load_field_value(value, grid, cfg_dir, path):
                 "%s: requires a scalar or field CSV path, got directory %r"
                 % (path, value))
         return read_field_csv(full, grid)
-    if isinstance(value, (int, float)):
-        return as_field(grid, float(value))
-    raise ValidationError(
-        "%s: requires a number or CSV path, got %r" % (path, value))
+    return as_field(grid, _number(value, path))
 
 
 def _load_spacetime_value(value, tg, grid, base, cfg_dir, path):
@@ -187,11 +184,7 @@ def _load_spacetime_value(value, tg, grid, base, cfg_dir, path):
         if os.path.isdir(full):
             return read_snapshot_dir(full, base, tg, grid)
         return as_trajectory(tg, grid, read_field_csv(full, grid))
-    if isinstance(value, (int, float)):
-        return as_trajectory(tg, grid, float(value))
-    raise ValidationError(
-        "%s: requires a number, CSV path or snapshot directory, got %r"
-        % (path, value))
+    return as_trajectory(tg, grid, _number(value, path))
 
 
 def parse_config(path: str) -> RunConfig:

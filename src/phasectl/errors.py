@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Solver failures raised inside a time loop carry the failing step index in
-the ``step`` attribute, and the number of steps in ``steps``, so callers
-can report where a run died.
+the ``step`` attribute, the number of steps in ``steps`` and the records of
+the levels solved before it in ``diagnostics``, so callers can report
+where and how a run died.
 """
 
 
@@ -29,6 +30,7 @@ class SolverStepError(PhasectlError, RuntimeError):
         super().__init__(message)
         self.step = step
         self.steps = steps
+        self.diagnostics = None
 
 
 class NewtonDivergence(SolverStepError):

@@ -16,7 +16,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ConfigError, ShapeMismatch, ValidationError
 from .mesh import Grid, TimeGrid
 
 # %.17g prints the shortest decimal that reproduces the exact float64.
@@ -88,17 +88,30 @@ def write_field_csv(path: str, grid: Grid, v: np.ndarray) -> None:
 
 
 def read_field_csv(path: str, grid: Grid) -> np.ndarray:
-    """Read a field CSV written for an identical grid."""
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != field_header(grid):
-            raise ShapeMismatch(
-                "%s: header %r does not match grid (expected %r)"
-                % (path, header, field_header(grid)))
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
+    """Read a field CSV written for an identical grid.
+
+    Every entry must be a finite number, or ValidationError names the
+    file and the first offending line.
+    """
+    try:
+        with open(path) as f:
+            header = f.readline().strip()
+            data = np.loadtxt(f, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("cannot read field CSV %s: %s" % (path, exc))
+    if header != field_header(grid):
+        raise ShapeMismatch(
+            "%s: header %r does not match grid (expected %r)"
+            % (path, header, field_header(grid)))
     if data.shape != (grid.num_cells, grid.dim + 1):
         raise ShapeMismatch(
             "%s: %d rows for a grid of %d cells" % (path, data.shape[0], grid.num_cells))
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        # Line 1 is the header.
+        raise ValidationError(
+            "%s: requires finite values, got %s on line %d"
+            % (path, ",".join(_FMT % v for v in data[bad[0]]), bad[0] + 2))
     coords = grid.cell_centers()
     scale = max(grid.h)
     if np.max(np.abs(data[:, : grid.dim] - coords)) > 1e-9 * scale:

@@ -187,7 +187,8 @@ def solve_state(problem: ProblemData, u, cfg: SolverConfig = SolverConfig()
 
     Per step: the order-parameter step against the previous potential,
     then the potential step.  Errors raised inside a step carry that
-    step's index and the number of steps.
+    step's index, the number of steps and the Diagnostics of the levels
+    already solved.
     """
     grid, tg = problem.grid, problem.tgrid
     u = as_trajectory(tg, grid, u)
@@ -206,7 +207,7 @@ def solve_state(problem: ProblemData, u, cfg: SolverConfig = SolverConfig()
             mu[n + 1] = step_mu(grid, problem.epsilon, tau, rho[n], rho[n + 1],
                                 mu[n], u[n + 1], cfg)
         except SolverStepError as exc:
-            exc.step, exc.steps = n + 1, tg.N
+            exc.step, exc.steps, exc.diagnostics = n + 1, tg.N, diag
             raise
         diag.newton_iters.append(len(hist) - 1)
         diag.newton_residuals.append(hist[-1])

@@ -14,21 +14,29 @@ share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 import scipy.fft
-import scipy.linalg
+from scipy.linalg.lapack import dptsv
 
 from .errors import LinearSolveFailure, ShapeMismatch, UnsupportedDimension
 
 
 @dataclass(eq=False)
 class Grid:
-    """Uniform cell-centered grid on a box of the given per-axis lengths."""
+    """Uniform cell-centered grid on a box of the given per-axis lengths.
+
+    The spacings ``h``, ``num_cells`` and the cell measure ``weight``
+    are set once on construction.
+    """
 
     dim: int
     n: tuple
     length: tuple
+    h: tuple = field(init=False)
+    num_cells: int = field(init=False)
+    weight: float = field(init=False)
     _dct_eig: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -44,19 +52,9 @@ class Grid:
             raise ShapeMismatch("cell counts must be positive")
         if any(v <= 0.0 for v in self.length):
             raise ShapeMismatch("axis lengths must be positive")
-
-    @property
-    def h(self) -> tuple:
-        return tuple(L / m for L, m in zip(self.length, self.n))
-
-    @property
-    def num_cells(self) -> int:
-        return int(np.prod(self.n))
-
-    @property
-    def weight(self) -> float:
-        """Cell measure, the product of the per-axis spacings."""
-        return float(np.prod(self.h))
+        self.h = tuple(L / m for L, m in zip(self.length, self.n))
+        self.num_cells = prod(self.n)
+        self.weight = prod(self.h)
 
     def axis_centers(self, axis: int) -> np.ndarray:
         h = self.h[axis]
@@ -108,61 +106,57 @@ def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
 
 
 def _laplacian(grid: Grid, a: np.ndarray) -> np.ndarray:
-    """Zero-flux Laplacian of a field already shaped ``grid.n``."""
+    """Zero-flux Laplacian of a field already shaped ``grid.n``.
+
+    Per axis, the flux across each interior face leaves one cell and
+    enters its neighbour; the end faces carry none.
+    """
     out = np.zeros_like(a)
     for axis in range(grid.dim):
-        h2 = grid.h[axis] ** 2
-        p = np.concatenate(
-            [_slab(a, axis, 0), a, _slab(a, axis, -1)], axis=axis)
-        n = grid.n[axis]
-        lo = _take(p, axis, 0, n)
-        hi = _take(p, axis, 2, n + 2)
-        out += (lo - 2.0 * a + hi) / h2
+        o, s = out.swapaxes(0, axis), a.swapaxes(0, axis)
+        flux = (s[1:] - s[:-1]) / grid.h[axis] ** 2
+        o[:-1] += flux
+        o[1:] -= flux
     return out
-
-
-def _slab(a, axis, idx):
-    sl = [slice(None)] * a.ndim
-    sl[axis] = slice(idx, idx + 1) if idx >= 0 else slice(idx, None)
-    return a[tuple(sl)]
-
-
-def _take(a, axis, start, stop):
-    sl = [slice(None)] * a.ndim
-    sl[axis] = slice(start, stop)
-    return a[tuple(sl)]
 
 
 def solve_shifted(grid: Grid, shift: np.ndarray, rhs: np.ndarray,
                   tol: float | None = None) -> np.ndarray:
     """Solve (diag(shift) - L) x = rhs for the zero-flux Laplacian L.
 
-    Uses a banded Cholesky solve in 1D.  In 2D it runs conjugate
-    gradients preconditioned by the exact DCT solve at the mean shift,
-    which is already the solution when the shift is constant.  In either
-    dimension the operator must be positive definite, or
-    LinearSolveFailure is raised.
+    Uses the LAPACK ``ptsv`` (LDL^T) tridiagonal solve in 1D.  In 2D it
+    runs conjugate gradients preconditioned by the exact DCT solve at
+    the mean shift, which is already the solution when the shift is
+    constant.  In either dimension the operator must be positive
+    definite, or LinearSolveFailure is raised.
     With ``tol`` set, the residual is verified against
     tol * (1 + |rhs|) in the cell norm and LinearSolveFailure is raised
     on excess.
     """
     shift = grid.check_field(shift)
     rhs = grid.check_field(rhs)
-    if grid.dim == 1:
-        m = grid.num_cells
-        h2 = grid.h[0] ** 2
-        ab = np.zeros((2, m))
-        ab[0, 1:] = -1.0 / h2
-        ab[1, :] = shift + 2.0 / h2
-        ab[1, 0] -= 1.0 / h2
-        ab[1, -1] -= 1.0 / h2
-        try:
-            x = scipy.linalg.solveh_banded(ab, rhs)
-        except (np.linalg.LinAlgError, RuntimeError) as exc:
-            raise LinearSolveFailure("shifted Laplacian solve failed: %s" % exc)
-    else:
+    m = grid.num_cells
+    if grid.dim == 2:
         x = _pcg(grid, grid.reshape(shift), grid.reshape(rhs)).ravel()
-    if not np.all(np.isfinite(x)):
+    elif m == 1:
+        # L vanishes on one cell, and ptsv rejects an empty off-diagonal.
+        if not shift[0] > 0.0:
+            raise LinearSolveFailure(
+                "1D shifted solve: shift %.3e, not positive definite"
+                % shift[0])
+        x = rhs / shift
+    else:
+        h2 = grid.h[0] ** 2
+        diag = shift + 2.0 / h2
+        diag[0] -= 1.0 / h2
+        diag[-1] -= 1.0 / h2
+        _, _, x, info = dptsv(diag, np.full(m - 1, -1.0 / h2), rhs,
+                              overwrite_d=1, overwrite_e=1)
+        if info > 0:
+            raise LinearSolveFailure(
+                "1D shifted solve: leading minor %d not positive definite"
+                % info)
+    if not np.isfinite(x).all():
         raise LinearSolveFailure("shifted Laplacian solve returned non-finite values")
     if tol is not None:
         res = norm_h(grid, shift * x - laplacian_apply(grid, x) - rhs)

@@ -110,9 +110,22 @@ def test_integer_keys_strict(tmp_path, capsys, text, key):
      "true or false"),
     (MINIMAL + "output: {iter_snapshots: 1}\n", "output.iter_snapshots",
      "true or false"),
+    (MINIMAL + "control: {u_max: true}\n", "control.u_max",
+     "a finite number"),
+    (MINIMAL + "control: {u_init: true}\n", "control.u_init",
+     "a finite number"),
+    (MINIMAL + "init: {rho0: true}\n", "init.rho0", "a finite number"),
+    (MINIMAL + "init: {mu0: .nan}\n", "init.mu0", "a finite number"),
+    (MINIMAL + "targets: {mu_T: .inf}\n", "targets.mu_T", "a finite number"),
+    (MINIMAL + "targets: {from_state: {u: false}}\n", "targets.from_state.u",
+     "a finite number"),
+    (MINIMAL + "control: {u_init: [0.1]}\n", "control.u_init",
+     "a finite number"),
 ], ids=["delta-string", "epsilon-nan", "length-string", "length-entry",
         "T-bool", "c_log-list", "newton_tol-string", "step0-inf",
-        "iter_snapshots-string", "iter_snapshots-int"])
+        "iter_snapshots-string", "iter_snapshots-int", "u_max-bool",
+        "u_init-bool", "rho0-bool", "mu0-nan", "mu_T-inf", "from_state-bool",
+        "u_init-list"])
 def test_float_and_boolean_keys_strict(tmp_path, capsys, text, key, condition):
     path = write(tmp_path, text)
     with pytest.raises(ValidationError, match=r"^%s: requires %s"
@@ -122,6 +135,36 @@ def test_float_and_boolean_keys_strict(tmp_path, capsys, text, key, condition):
                      "--out", str(tmp_path / "out")]) == 2
     assert "error: %s: requires %s" % (key, condition) \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["rho0", "u_init"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_nonfinite_field_csv_rejected(tmp_path, capsys, key, bad):
+    grid = pc.make_grid(1, 16, 1.0)
+    values = np.full(16, 0.4)
+    values[5] = bad
+    csv = str(tmp_path / "field.csv")
+    fields.write_field_csv(csv, grid, values)
+    section = "init" if key == "rho0" else "control"
+    path = write(tmp_path, MINIMAL + "%s: {%s: field.csv}\n" % (section, key))
+    with pytest.raises(ValidationError,
+                       match=r"field\.csv: requires finite values, got .* "
+                             r"on line 7$"):
+        config.parse_config(path)
+    assert cli.main(["forward", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "field.csv: requires finite values" in capsys.readouterr().err
+
+
+def test_unreadable_field_csv_exits_two(tmp_path, capsys):
+    path = write(tmp_path, MINIMAL + "init: {rho0: missing.csv}\n")
+    assert cli.main(["forward", "--config", path]) == 2
+    assert "cannot read field CSV" in capsys.readouterr().err
+    (tmp_path / "bad.csv").write_text("x,value\n0.5,abc\n")
+    path = write(tmp_path, MINIMAL + "init: {rho0: bad.csv}\n")
+    assert cli.main(["forward", "--config", path]) == 2
+    assert "cannot read field CSV" in capsys.readouterr().err
 
 
 def test_integral_float_accepted(tmp_path):
@@ -274,7 +317,8 @@ def test_cli_bad_config_exits_two(tmp_path, capsys):
 
 
 def test_cli_solver_error_names_step(tmp_path, capsys):
-    """A step whose Newton system is indefinite fails with its index."""
+    """A step whose Newton system is indefinite fails with its index and
+    leaves the diagnostics of the levels solved before it."""
     grid = pc.make_grid(1, 16, 1.0)
     x = grid.cell_centers()[:, 0]
     fields.write_field_csv(str(tmp_path / "rho0.csv"), grid,
@@ -282,9 +326,34 @@ def test_cli_solver_error_names_step(tmp_path, capsys):
     text = MINIMAL.replace("T: 0.1, N: 8", "T: 1.0, N: 1") + (
         "init: {rho0: rho0.csv}\ncontrol: {u_init: 0.3}\n")
     cfg = write(tmp_path, text)
-    assert run_cli(["forward", "--config", cfg,
-                    "--out", str(tmp_path / "out")]) == 2
+    out = str(tmp_path / "out")
+    assert run_cli(["forward", "--config", cfg, "--out", out]) == 2
     assert "error: step 1 of 1: " in capsys.readouterr().err
+    diag = json.load(open(os.path.join(out, "diagnostics.json")))
+    assert diag["failed_step"] == 1
+    assert "not positive definite" in diag["error"]
+    assert diag["newton_iters"] == [] and len(diag["rho_min"]) == 1
+    assert diag["rho_min"][0] == pytest.approx(0.45, rel=1e-2)
+    assert "config_hash" in diag
+
+
+def test_cli_forward_one_cell(tmp_path):
+    """A one-cell grid has no Laplacian: both dimensions march one ODE."""
+    marches = []
+    for domain in ("dim: 1, n: 1, length: 1.0",
+                   "dim: 2, n: [1, 1], length: [1.0, 2.0]"):
+        text = MINIMAL.replace("dim: 1, n: 16, length: 1.0", domain) + (
+            "init: {rho0: 0.3, mu0: 0.1}\ncontrol: {u_init: 0.2}\n")
+        out = str(tmp_path / ("out%d" % len(marches)))
+        assert run_cli(["forward", "--config", write(tmp_path, text),
+                        "--out", out]) == 0
+        diag = json.load(open(os.path.join(out, "diagnostics.json")))
+        assert diag["max_rho_residual"] <= 1e-10
+        assert diag["max_mu_residual"] <= 1e-10
+        assert diag["m_matrix_ok"] == [True] * 8
+        assert diag["rho_max"][-1] != diag["rho_max"][0]
+        marches.append(diag["rho_max"] + diag["mu_max"])
+    np.testing.assert_allclose(marches[0], marches[1], rtol=1e-12)
 
 
 def test_cli_dump_fields(tmp_path):

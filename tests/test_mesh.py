@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phasectl as pc
 from phasectl import mesh
@@ -13,7 +15,8 @@ def dense_laplacian(g):
     for m, h in zip(g.n, g.h):
         # Mirrored ghost cells give zero flux through the end faces.
         op = np.diag(np.full(m, -2.0)) + np.eye(m, k=1) + np.eye(m, k=-1)
-        op[0, 0] = op[-1, -1] = -1.0
+        op[0, 0] += 1.0
+        op[-1, -1] += 1.0
         ops.append(op / h**2)
     if g.dim == 1:
         return ops[0]
@@ -105,6 +108,8 @@ def test_solve_shifted_dense_oracle():
                                    aniso.num_cells))),
         # constant shift: the DCT solve is exact and no CG step is taken
         (aniso, np.full(aniso.num_cells, 3.7)),
+        # one cell: L vanishes and the solve is a division
+        (pc.make_grid(1, 1, 0.7), np.array([2.5])),
     ]
     for g, shift in cases:
         rhs = rng.standard_normal(g.num_cells)
@@ -163,3 +168,49 @@ def test_field_shape_rejected():
     tg = pc.make_time_grid(1.0, 3)
     with pytest.raises(ShapeMismatch):
         mesh.check_trajectory(tg, g, np.zeros((3, 6)))
+
+
+# Random grids for the property tests: per-axis cell counts 1..12 and
+# independent axis lengths, with a seed for the fields drawn on them.
+GRIDS = st.integers(1, 2).flatmap(lambda dim: st.builds(
+    pc.make_grid, st.just(dim),
+    st.tuples(*[st.integers(1, 12)] * dim),
+    st.tuples(*[st.floats(0.5, 4.0)] * dim)))
+SEEDS = st.integers(0, 2**32 - 1)
+# Derandomized, so every run draws the same examples.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@PROPERTY
+@given(g=GRIDS, seed=SEEDS)
+def test_laplacian_property_dense_oracle(g, seed):
+    v = np.random.default_rng(seed).standard_normal(g.num_cells)
+    np.testing.assert_allclose(mesh.laplacian_apply(g, v),
+                               dense_laplacian(g) @ v, rtol=1e-10, atol=1e-12)
+
+
+@PROPERTY
+@given(g=GRIDS, seed=SEEDS, spread=st.tuples(st.floats(-1.0, 3.0),
+                                             st.floats(-1.0, 3.0)))
+def test_solve_shifted_property_dense_oracle(g, seed, spread):
+    # log-uniform shifts between two decades drawn from 0.1..1e3
+    rng = np.random.default_rng(seed)
+    shift = 10.0 ** rng.uniform(min(spread), max(spread), g.num_cells)
+    rhs = rng.standard_normal(g.num_cells)
+    dense = np.diag(shift) - dense_laplacian(g)
+    np.testing.assert_allclose(mesh.solve_shifted(g, shift, rhs),
+                               np.linalg.solve(dense, rhs),
+                               rtol=1e-10, atol=1e-12)
+
+
+@PROPERTY
+@given(n=st.integers(1, 12), length=st.floats(0.5, 4.0), seed=SEEDS)
+def test_solve_shifted_property_1d_rejects_indefinite(n, length, seed):
+    # The other cells sum to less than 1e3, so the constant field has
+    # negative energy and the operator is indefinite.
+    g = pc.make_grid(1, n, length)
+    rng = np.random.default_rng(seed)
+    shift = rng.uniform(0.1, 50.0, n)
+    shift[rng.integers(n)] = -1e3
+    with pytest.raises(LinearSolveFailure, match="not positive definite"):
+        mesh.solve_shifted(g, shift, rng.standard_normal(n))

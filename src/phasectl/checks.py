@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 import scipy.integrate
@@ -31,29 +31,24 @@ GRAD_LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4)
 TANGENT_LAMBDAS = (1e-1, 3e-2, 1e-2, 3e-3)
 
 
-def problem_hash(problem: ProblemData, cfg: SolverConfig) -> str:
-    """Short stable hash of the instance: parameters plus data digests."""
-    def digest(a):
-        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+def _encode(value):
+    """The init fields of a dataclass, nested ones too, with arrays digested.
 
-    payload = {
-        "dim": problem.grid.dim,
-        "n": list(problem.grid.n),
-        "length": list(problem.grid.length),
-        "T": problem.tgrid.T,
-        "N": problem.tgrid.N,
-        "epsilon": problem.epsilon,
-        "delta": problem.delta,
-        "beta1": problem.beta1,
-        "beta2": problem.beta2,
-        **asdict(problem.potential),
-        "rho0": digest(problem.rho0),
-        "mu0": digest(problem.mu0),
-        "u_max": digest(problem.u_max),
-        "rho_target": digest(problem.rho_target),
-        "mu_target": digest(problem.mu_target),
-        "solver": asdict(cfg),
-    }
+    Fields set after construction, such as cached solver data, are left
+    out so the encoding depends on the instance alone.
+    """
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name))
+                for f in fields(value) if f.init}
+    if isinstance(value, np.ndarray):
+        data = np.ascontiguousarray(value).tobytes()
+        return hashlib.sha256(data).hexdigest()[:16]
+    return value
+
+
+def problem_hash(problem: ProblemData, cfg: SolverConfig) -> str:
+    """Short stable hash of every ProblemData field plus the solver."""
+    payload = {"problem": _encode(problem), "solver": asdict(cfg)}
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -69,10 +64,12 @@ def make_report(name: str, passed: bool, metrics: dict, seed,
     }
 
 
-def smooth_field(grid, raw: np.ndarray, scale: float = None) -> np.ndarray:
-    """One implicit Laplacian step (I - scale * Lap) applied to a field."""
-    if scale is None:
-        scale = (min(grid.length) / 20.0) ** 2
+def smooth_field(grid, raw: np.ndarray) -> np.ndarray:
+    """One implicit Laplacian step (I - scale * Lap) applied to a field.
+
+    The scale is the squared twentieth of the shortest box side.
+    """
+    scale = (min(grid.length) / 20.0) ** 2
     shift = np.full(grid.num_cells, 1.0 / scale)
     return mesh.solve_shifted(grid, shift, raw / scale)
 
@@ -85,17 +82,26 @@ def random_control(problem: ProblemData, rng) -> np.ndarray:
     return np.clip(out, 0.0, problem.u_max)
 
 
-def random_direction(problem: ProblemData, rng, scale: float = 0.25
-                     ) -> np.ndarray:
-    """Smoothed sign-indefinite direction, scaled by the box bound."""
+def random_direction(problem: ProblemData, rng) -> np.ndarray:
+    """Smoothed sign-indefinite direction, a quarter of the box bound."""
     grid, tg = problem.grid, problem.tgrid
     raw = rng.uniform(-1.0, 1.0, (tg.N + 1, grid.num_cells))
     out = np.stack([smooth_field(grid, raw[k]) for k in range(tg.N + 1)])
-    return out * scale * problem.u_max
+    return out * 0.25 * problem.u_max
 
 
-def _midpoint_control(problem: ProblemData) -> np.ndarray:
-    return 0.5 * problem.u_max.copy()
+def check_instance(problem: ProblemData, seed: int, u=None, h=None) -> tuple:
+    """Base control and direction of the sensitivity checks.
+
+    Defaults: the midpoint of the box and a random direction drawn from
+    the seed; given values are broadcast to trajectories.
+    """
+    grid, tg = problem.grid, problem.tgrid
+    if u is None:
+        u = 0.5 * problem.u_max
+    if h is None:
+        h = random_direction(problem, np.random.default_rng(seed))
+    return as_trajectory(tg, grid, u), as_trajectory(tg, grid, h)
 
 
 def _check_box(problem, u, label):
@@ -115,10 +121,7 @@ def fd_gradient_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
     Passes when the log-log slope of the error against the step lies in
     [0.8, 1.2].  A zero direction is reported degenerate, not passed.
     """
-    rng = np.random.default_rng(seed)
-    grid, tg = problem.grid, problem.tgrid
-    u = _midpoint_control(problem) if u is None else as_trajectory(tg, grid, u)
-    h = random_direction(problem, rng) if h is None else as_trajectory(tg, grid, h)
+    u, h = check_instance(problem, seed, u, h)
     _check_box(problem, u, "base control")
     for lam in lambdas:
         _check_box(problem, u + lam * h, "perturbed control (lambda=%g)" % lam)
@@ -158,19 +161,14 @@ def _traj_diff_quot(tg: TimeGrid, a: np.ndarray) -> np.ndarray:
     return (a[1:] - a[:-1]) / tg.tau
 
 
-def _l2_time_sq(tg, grid, a, norm_fn) -> float:
-    c = tg.trap_weights()
-    vals = np.array([norm_fn(grid, a[k]) ** 2 for k in range(tg.N + 1)])
-    return tg.tau * float(np.dot(c, vals))
+def _level_norms_sq(grid, *terms) -> np.ndarray:
+    """Per level, the sum of the squared norms of the (stack, norm) terms.
 
-
-def _step_time_sq(tg, grid, d, norm_fn) -> float:
-    vals = np.array([norm_fn(grid, d[k]) ** 2 for k in range(d.shape[0])])
-    return tg.tau * float(np.sum(vals))
-
-
-def _max_norm(grid, a, norm_fn) -> float:
-    return max(norm_fn(grid, a[k]) for k in range(a.shape[0]))
+    The stacks share their number of levels; within a level the terms
+    are evaluated and added in the order given.
+    """
+    return np.array([sum(norm(grid, a[k]) ** 2 for a, norm in terms)
+                     for k in range(len(terms[0][0]))])
 
 
 def remainder_norm(problem: ProblemData, y: np.ndarray, z: np.ndarray) -> float:
@@ -182,12 +180,14 @@ def remainder_norm(problem: ProblemData, y: np.ndarray, z: np.ndarray) -> float:
     in the cell norm and L2 in time in the gradient norm.
     """
     grid, tg = problem.grid, problem.tgrid
-    total = _l2_time_sq(tg, grid, y, mesh.norm_h)
-    total += _step_time_sq(tg, grid, _traj_diff_quot(tg, y), mesh.norm_h)
-    total += _max_norm(grid, y, mesh.norm_v) ** 2
-    total += _l2_time_sq(tg, grid, y, mesh.norm_w)
-    total += _max_norm(grid, z, mesh.norm_h) ** 2
-    total += _l2_time_sq(tg, grid, z, mesh.norm_v)
+    tau, c = tg.tau, tg.trap_weights()
+    y_t = _traj_diff_quot(tg, y)
+    total = tau * float(np.dot(c, _level_norms_sq(grid, (y, mesh.norm_h))))
+    total += tau * float(np.sum(_level_norms_sq(grid, (y_t, mesh.norm_h))))
+    total += float(np.max(_level_norms_sq(grid, (y, mesh.norm_v))))
+    total += tau * float(np.dot(c, _level_norms_sq(grid, (y, mesh.norm_w))))
+    total += float(np.max(_level_norms_sq(grid, (z, mesh.norm_h))))
+    total += tau * float(np.dot(c, _level_norms_sq(grid, (z, mesh.norm_v))))
     return float(np.sqrt(total))
 
 
@@ -200,10 +200,7 @@ def tangent_remainder_check(problem: ProblemData,
     Passes when the log-log slope of the remainder against lambda lies
     in [1.7, 2.3].
     """
-    rng = np.random.default_rng(seed)
-    grid, tg = problem.grid, problem.tgrid
-    u = _midpoint_control(problem) if u is None else as_trajectory(tg, grid, u)
-    h = random_direction(problem, rng) if h is None else as_trajectory(tg, grid, h)
+    u, h = check_instance(problem, seed, u, h)
     _check_box(problem, u, "base control")
     state0 = solve_state(problem, u, cfg)
     tangent = solve_tangent(problem, state0, h, cfg)
@@ -272,10 +269,7 @@ def duality_gap_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
     ``refinements`` times and the check passes when every halving of
     (h, tau) shrinks the gap by at least 1.5.
     """
-    rng = np.random.default_rng(seed)
-    grid, tg = problem.grid, problem.tgrid
-    u = _midpoint_control(problem) if u is None else as_trajectory(tg, grid, u)
-    h = random_direction(problem, rng) if h is None else as_trajectory(tg, grid, h)
+    u, h = check_instance(problem, seed, u, h)
 
     def gap_on(prob, uu, hh):
         state = solve_state(prob, uu, cfg)
@@ -327,16 +321,17 @@ def stability_ratios(problem: ProblemData, u1, u2,
     denom = mesh.norm_q(tg, grid, ud) ** 2
     rd_t = _traj_diff_quot(tg, rd)
     md_t = _traj_diff_quot(tg, md)
-    energy = max(mesh.norm_h(grid, md[k]) ** 2 + mesh.norm_v(grid, rd[k]) ** 2
-                 for k in range(tg.N + 1))
-    energy += _l2_time_sq(tg, grid, md, mesh.norm_v)
-    energy += _step_time_sq(tg, grid, rd_t, mesh.norm_h)
-    strong = max(mesh.norm_v(grid, rd_t[k - 1]) ** 2
-                 + mesh.norm_v(grid, md[k]) ** 2
-                 + mesh.norm_w(grid, rd[k]) ** 2
-                 for k in range(1, tg.N + 1))
-    strong += _step_time_sq(tg, grid, md_t, mesh.norm_h)
-    strong += _step_time_sq(tg, grid, rd_t, mesh.norm_w)
+    tau = tg.tau
+    energy = float(np.max(_level_norms_sq(grid, (md, mesh.norm_h),
+                                          (rd, mesh.norm_v))))
+    energy += tau * float(np.dot(tg.trap_weights(),
+                                 _level_norms_sq(grid, (md, mesh.norm_v))))
+    energy += tau * float(np.sum(_level_norms_sq(grid, (rd_t, mesh.norm_h))))
+    strong = float(np.max(_level_norms_sq(
+        grid, (rd_t, mesh.norm_v), (md[1:], mesh.norm_v),
+        (rd[1:], mesh.norm_w))))
+    strong += tau * float(np.sum(_level_norms_sq(grid, (md_t, mesh.norm_h))))
+    strong += tau * float(np.sum(_level_norms_sq(grid, (rd_t, mesh.norm_w))))
     if denom == 0.0:
         return {"denominator": 0.0, "energy_ratio": 0.0, "strong_ratio": 0.0,
                 "degenerate": True}
@@ -368,14 +363,16 @@ def _uniform_value(name, v) -> float:
     return float(v.flat[0])
 
 
-def ode_oracle_solution(problem: ProblemData, u_levels: np.ndarray,
-                        rtol: float = 1e-10) -> np.ndarray:
+def ode_oracle_solution(problem: ProblemData, u_levels: np.ndarray
+                        ) -> np.ndarray:
     """Adaptive integration of the uniform-data reduction.
 
     With spatially uniform data the system collapses to two scalar
     ODEs.  The control is the right-continuous step function matching
-    the scheme's per-step sampling, integrated interval by interval.
-    Returns (N+1, 2) samples of (rho, mu) at the time levels.
+    the scheme's per-step sampling: step n carries u_levels[n + 1].
+    Each run of steps whose levels agree to 1e-13 is one integration,
+    sampled at the time levels it spans.  Returns (N+1, 2) samples of
+    (rho, mu) at the time levels.
     """
     eps, delta = problem.epsilon, problem.delta
     pot = problem.potential
@@ -391,25 +388,21 @@ def ode_oracle_solution(problem: ProblemData, u_levels: np.ndarray,
     out = np.zeros((tg.N + 1, 2))
     y = [_uniform_value("rho0", problem.rho0),
          _uniform_value("mu0", problem.mu0)]
-    out[0] = y
-    constant = np.ptp(u_levels[1:]) <= 1e-13
-    if constant:
+    start = 0
+    while start < tg.N:
+        level = u_levels[start + 1]
+        stop = start + 1
+        while stop < tg.N and abs(u_levels[stop + 1] - level) <= 1e-13:
+            stop += 1
         sol = scipy.integrate.solve_ivp(
-            rhs, (0.0, tg.T), y, method="Radau", t_eval=times,
-            rtol=rtol, atol=rtol * 1e-3, args=(float(u_levels[1]),))
+            rhs, (times[start], times[stop]), y, method="Radau",
+            t_eval=times[start:stop + 1], rtol=1e-10, atol=1e-13,
+            args=(float(level),))
         if not sol.success:
             raise RuntimeError("ode oracle failed: %s" % sol.message)
-        out[:, 0] = sol.y[0]
-        out[:, 1] = sol.y[1]
-        return out
-    for n in range(tg.N):
-        sol = scipy.integrate.solve_ivp(
-            rhs, (times[n], times[n + 1]), y, method="Radau",
-            rtol=rtol, atol=rtol * 1e-3, args=(float(u_levels[n + 1]),))
-        if not sol.success:
-            raise RuntimeError("ode oracle failed: %s" % sol.message)
-        y = [sol.y[0][-1], sol.y[1][-1]]
-        out[n + 1] = y
+        out[start:stop + 1] = sol.y.T
+        y = list(out[stop])
+        start = stop
     return out
 
 

@@ -75,8 +75,8 @@ def _apply_overrides(rc: RunConfig, args) -> RunConfig:
 def _write_fields(rc: RunConfig, **trajectories) -> None:
     """Snapshot each named trajectory at the configured stride."""
     for base, traj in trajectories.items():
-        write_snapshots(rc.output.directory, base, rc.tgrid, rc.grid, traj,
-                        rc.output.snapshot_stride)
+        write_snapshots(rc.output.directory, base, rc.problem.tgrid,
+                        rc.problem.grid, traj, rc.output.snapshot_stride)
 
 
 def cmd_forward(rc: RunConfig) -> int:
@@ -90,6 +90,7 @@ def cmd_forward(rc: RunConfig) -> int:
         # The records of the levels solved before the failing step.
         write_json(diagnostics_path, dict(
             asdict(exc.diagnostics), failed_step=exc.step, error=str(exc),
+            failed_newton_residuals=exc.newton_residuals,
             config_hash=config_hash))
         raise
     runtime = time.perf_counter() - tic
@@ -104,7 +105,7 @@ def cmd_forward(rc: RunConfig) -> int:
     })
     write_json(diagnostics_path, payload)
     print("forward: %d steps, rho in [%.6g, %.6g], mu in [%.6g, %.6g]"
-          % (rc.tgrid.N, min(payload["rho_min"]), max(payload["rho_max"]),
+          % (problem.tgrid.N, min(payload["rho_min"]), max(payload["rho_max"]),
              min(payload["mu_min"]), max(payload["mu_max"])))
     return 0
 
@@ -123,7 +124,7 @@ def cmd_optimize(rc: RunConfig) -> int:
         # Every level, so control.u_init can read an iterate back.
         def callback(it, u, J, kkt):
             write_snapshots(os.path.join(out, "u_iter_%04d" % it), "u",
-                            rc.tgrid, rc.grid, u)
+                            problem.tgrid, problem.grid, u)
 
     tic = time.perf_counter()
     result = projected_gradient_descent(problem, rc.u_init, opt, rc.solver,
@@ -153,9 +154,7 @@ def cmd_optimize(rc: RunConfig) -> int:
 
 def _dump_sensitivity(rc: RunConfig, problem, seed: int) -> None:
     """Write the sensitivity trajectories of the check instance."""
-    rng = np.random.default_rng(seed)
-    u = 0.5 * problem.u_max
-    h = checks_mod.random_direction(problem, rng)
+    u, h = checks_mod.check_instance(problem, seed)
     state = solve_state(problem, u, rc.solver)
     tangent = solve_tangent(problem, state, h, rc.solver)
     adjoint = solve_adjoint(problem, state, rc.solver, mode=rc.adjoint_mode)

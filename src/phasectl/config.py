@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -25,12 +25,13 @@ import yaml
 from .errors import ConfigError, MissingKey, ValidationError
 from .fields import as_field, as_trajectory, read_field_csv, read_snapshot_dir
 from .forward import ProblemData, SolverConfig, solve_state
-from .mesh import Grid, TimeGrid, make_grid, make_time_grid
+from .mesh import make_grid, make_time_grid
 from .optimize import OptimizerConfig
 from .potential import Potential
 from .sensitivity import ADJOINT_MODES
 
-_MANDATORY = object()
+# A field without a default is a mandatory key.
+_MANDATORY = MISSING
 
 
 @dataclass
@@ -41,20 +42,27 @@ class OutputConfig:
     iter_snapshots: bool = False
 
 
-def _defaults(cls) -> dict:
-    return {f.name: f.default for f in fields(cls)}
+def _defaults(cls, keys=None) -> dict:
+    """Field defaults of cls by config key; keys maps key -> field name."""
+    default = {f.name: f.default for f in fields(cls)}
+    if keys is None:
+        return default
+    return {key: default[name] for key, name in keys.items()}
 
 
-# Sections backed by a dataclass take its fields and defaults.
+# Sections backed by a dataclass take its fields and defaults; params and
+# targets take theirs from the ProblemData fields they fill.
 _SCHEMA = {
     "domain": {"dim": _MANDATORY, "n": _MANDATORY, "length": _MANDATORY},
     "time": {"T": _MANDATORY, "N": _MANDATORY},
-    "params": {"epsilon": _MANDATORY, "delta": _MANDATORY,
-               "beta1": 1.0, "beta2": 1e-4},
+    "params": _defaults(ProblemData, {k: k for k in
+                                      ("epsilon", "delta", "beta1", "beta2")}),
     "potential": _defaults(Potential),
     "init": {"rho0": 0.5, "mu0": 0.0},
     "control": {"u_max": 1.0, "u_init": 0.0},
-    "targets": {"rho_T": 0.5, "mu_T": 0.0, "from_state": None},
+    "targets": {**_defaults(ProblemData, {"rho_T": "rho_target",
+                                          "mu_T": "mu_target"}),
+                "from_state": None},
     "solver": {**_defaults(SolverConfig), "adjoint_mode": ADJOINT_MODES[0]},
     "optimizer": _defaults(OptimizerConfig),
     "output": _defaults(OutputConfig),
@@ -63,21 +71,10 @@ _SCHEMA = {
 
 @dataclass
 class RunConfig:
-    """Validated configuration with data loaded onto the grids."""
+    """Validated configuration: the problem instance and how to run it."""
 
-    grid: Grid
-    tgrid: TimeGrid
-    epsilon: float
-    delta: float
-    beta1: float
-    beta2: float
-    potential: Potential
-    rho0: np.ndarray
-    mu0: np.ndarray
-    u_max: np.ndarray
+    problem: ProblemData
     u_init: np.ndarray
-    rho_target: np.ndarray
-    mu_target: np.ndarray
     from_state_control: np.ndarray
     solver: SolverConfig
     adjoint_mode: str
@@ -296,30 +293,24 @@ def parse_config(path: str) -> RunConfig:
     _require(out["snapshot_stride"] >= 1, "output.snapshot_stride",
              "snapshot_stride >= 1", out["snapshot_stride"])
 
+    problem = ProblemData(
+        grid=grid, tgrid=tgrid, potential=Potential(**pot), rho0=rho0,
+        mu0=mu0, u_max=u_max, rho_target=rho_target, mu_target=mu_target,
+        **par)
     return RunConfig(
-        grid=grid, tgrid=tgrid, epsilon=par["epsilon"], delta=par["delta"],
-        beta1=par["beta1"], beta2=par["beta2"], potential=Potential(**pot),
-        rho0=rho0, mu0=mu0, u_max=u_max, u_init=u_init,
-        rho_target=rho_target, mu_target=mu_target,
-        from_state_control=from_state_control, solver=SolverConfig(**sol),
-        adjoint_mode=adjoint_mode, optimizer=OptimizerConfig(**opt),
-        output=OutputConfig(**out))
+        problem=problem, u_init=u_init, from_state_control=from_state_control,
+        solver=SolverConfig(**sol), adjoint_mode=adjoint_mode,
+        optimizer=OptimizerConfig(**opt), output=OutputConfig(**out))
 
 
 def build_problem(rc: RunConfig) -> ProblemData:
-    """Assemble the problem instance, generating targets if requested.
+    """The problem instance, with targets generated if requested.
 
     With targets.from_state set, the given control is forward-solved
     and its terminal order parameter and full potential trajectory
     become the targets, so the optimum is known reachable.
     """
-    problem = ProblemData(
-        grid=rc.grid, tgrid=rc.tgrid, epsilon=rc.epsilon, delta=rc.delta,
-        potential=rc.potential, rho0=rc.rho0, mu0=rc.mu0, u_max=rc.u_max,
-        beta1=rc.beta1, beta2=rc.beta2, rho_target=rc.rho_target,
-        mu_target=rc.mu_target)
-    if rc.from_state_control is not None:
-        state = solve_state(problem, rc.from_state_control, rc.solver)
-        problem = replace(problem, rho_target=state.rho[rc.tgrid.N],
-                          mu_target=state.mu)
-    return problem
+    if rc.from_state_control is None:
+        return rc.problem
+    state = solve_state(rc.problem, rc.from_state_control, rc.solver)
+    return replace(rc.problem, rho_target=state.rho[-1], mu_target=state.mu)

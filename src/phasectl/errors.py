@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 Solver failures raised inside a time loop carry the failing step index in
-the ``step`` attribute, the number of steps in ``steps`` and the records of
-the levels solved before it in ``diagnostics``, so callers can report
-where and how a run died.
+the ``step`` attribute, the number of steps in ``steps``, the records of
+the levels solved before it in ``diagnostics`` and, when the order-parameter
+Newton iteration failed, its residual norms in ``newton_residuals``, so
+callers can report where and how a run died.
 """
 
 
@@ -26,11 +27,10 @@ class DomainViolation(PhasectlError, ValueError):
 class SolverStepError(PhasectlError, RuntimeError):
     """Failure inside a time step; ``step`` is the failing step index."""
 
-    def __init__(self, message, step=None, steps=None):
-        super().__init__(message)
-        self.step = step
-        self.steps = steps
-        self.diagnostics = None
+    step = None
+    steps = None
+    diagnostics = None
+    newton_residuals = None
 
 
 class NewtonDivergence(SolverStepError):

@@ -47,8 +47,8 @@ class ProblemData:
     u_max: np.ndarray
     beta1: float = 1.0
     beta2: float = 1e-4
-    rho_target: np.ndarray = None
-    mu_target: np.ndarray = None
+    rho_target: np.ndarray = 0.5
+    mu_target: np.ndarray = 0.0
 
     def __post_init__(self):
         if self.epsilon <= 0.0 or self.delta <= 0.0:
@@ -64,11 +64,7 @@ class ProblemData:
                 % (np.min(self.rho0), np.max(self.rho0)))
         if np.min(self.u_max) < 0.0:
             raise ShapeMismatch("requires u_max >= 0")
-        if self.rho_target is None:
-            self.rho_target = np.full(self.grid.num_cells, 0.5)
         self.rho_target = as_field(self.grid, self.rho_target)
-        if self.mu_target is None:
-            self.mu_target = np.zeros((self.tgrid.N + 1, self.grid.num_cells))
         self.mu_target = as_trajectory(self.tgrid, self.grid, self.mu_target)
 
 
@@ -135,38 +131,46 @@ def _rho_residual(grid, pot, delta, tau, rho_prev, rho, mu_prev):
 
 
 def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
-             rho_prev: np.ndarray, mu_prev: np.ndarray, cfg: SolverConfig,
-             return_history: bool = False):
+             rho_prev: np.ndarray, mu_prev: np.ndarray, cfg: SolverConfig
+             ) -> tuple:
     """Advance the order parameter by one implicit step.
 
     Newton iteration warm-started at the previous level.  Steps are
     scaled by the largest factor in (0, 1] that keeps every cell at
     least boundary_margin times its current distance from each endpoint,
-    so iterates can approach 0 and 1 but never jump onto them.  Raises
+    so iterates can approach 0 and 1 but never jump onto them.  Returns
+    the new level and the residual norm of every iterate.  Raises
     NewtonDivergence if the residual norm fails to reach newton_tol
-    within newton_max iterations.
+    within newton_max iterations; any SolverStepError raised here
+    carries the residual norms so far in ``newton_residuals``.
     """
     theta = cfg.boundary_margin
     rho = rho_prev.copy()
     history = []
-    for _ in range(cfg.newton_max + 1):
-        res = _rho_residual(grid, pot, delta, tau, rho_prev, rho, mu_prev)
-        rnorm = mesh.norm_h(grid, res)
-        history.append(rnorm)
-        if rnorm <= cfg.newton_tol:
-            return (rho, history) if return_history else rho
-        step = mesh.solve_shifted(grid, newton_shift(pot, delta, tau, rho), -res)
-        lam = 1.0
-        down = step < 0.0
-        if np.any(down):
-            lam = min(lam, (1.0 - theta) * np.min(rho[down] / -step[down]))
-        up = step > 0.0
-        if np.any(up):
-            lam = min(lam, (1.0 - theta) * np.min((1.0 - rho[up]) / step[up]))
-        rho = rho + lam * step
-    raise NewtonDivergence(
-        "Newton residual %.3e above tolerance %.3e after %d iterations"
-        % (history[-1], cfg.newton_tol, cfg.newton_max))
+    try:
+        for _ in range(cfg.newton_max + 1):
+            res = _rho_residual(grid, pot, delta, tau, rho_prev, rho, mu_prev)
+            rnorm = mesh.norm_h(grid, res)
+            history.append(rnorm)
+            if rnorm <= cfg.newton_tol:
+                return rho, history
+            step = mesh.solve_shifted(grid, newton_shift(pot, delta, tau, rho),
+                                      -res)
+            lam = 1.0
+            down = step < 0.0
+            if np.any(down):
+                lam = min(lam, (1.0 - theta) * np.min(rho[down] / -step[down]))
+            up = step > 0.0
+            if np.any(up):
+                lam = min(lam,
+                          (1.0 - theta) * np.min((1.0 - rho[up]) / step[up]))
+            rho = rho + lam * step
+        raise NewtonDivergence(
+            "Newton residual %.3e above tolerance %.3e after %d iterations"
+            % (history[-1], cfg.newton_tol, cfg.newton_max))
+    except SolverStepError as exc:
+        exc.newton_residuals = history
+        raise
 
 
 def step_mu(grid: Grid, epsilon: float, tau: float, rho_prev: np.ndarray,
@@ -202,8 +206,7 @@ def solve_state(problem: ProblemData, u, cfg: SolverConfig = SolverConfig()
     for n in range(tg.N):
         try:
             rho[n + 1], hist = step_rho(grid, problem.potential, problem.delta,
-                                        tau, rho[n], mu[n], cfg,
-                                        return_history=True)
+                                        tau, rho[n], mu[n], cfg)
             mu[n + 1] = step_mu(grid, problem.epsilon, tau, rho[n], rho[n + 1],
                                 mu[n], u[n + 1], cfg)
         except SolverStepError as exc:

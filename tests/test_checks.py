@@ -1,10 +1,11 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import phasectl as pc
-from phasectl import checks, forward
+from phasectl import checks, forward, mesh
 from phasectl.mesh import inner_h, norm_h
 from conftest import build_problem, traj
 
@@ -82,6 +83,20 @@ def test_oracle_insensitive_to_newton_tol(cfg):
     assert abs(a - b) < 0.01 * max(a, b)
 
 
+def test_oracle_step_control_converges(cfg):
+    """A control stepping from 0.1 to 0.3 at T/2, on the criterion-3
+    instance, is integrated run by run and matched at first order."""
+    errs = []
+    for N in (128, 256):
+        prob = build_problem(n=64, N=N, T=1.0, rho0=0.4, mu0=0.2)
+        levels = np.where(prob.tgrid.times <= 0.5, 0.1, 0.3)
+        u = np.repeat(levels[:, None], 64, axis=1)
+        rep = checks.ode_oracle_check(prob, cfg, u=u, tol=5e-3)
+        assert rep["pass"], rep["metrics"]
+        errs.append(rep["metrics"]["max_err"])
+    assert 0.35 <= errs[1] / errs[0] <= 0.65
+
+
 def test_oracle_requires_uniform_data(cfg):
     g = pc.make_grid(1, 8, 1.0)
     x = g.axis_centers(0)
@@ -127,6 +142,49 @@ def test_problem_hash_tracks_instance(cfg, small):
     other = build_problem(epsilon=0.51)
     assert h1 == checks.problem_hash(build_problem(), cfg)
     assert h1 != checks.problem_hash(other, cfg)
+
+
+def test_problem_hash_covers_every_field(cfg):
+    """Changing any init field of the instance, nested ones included,
+    changes the hash; a filled solver cache does not."""
+    base = build_problem()
+    bumped = {name: getattr(base, name).copy()
+              for name in ("rho0", "mu0", "u_max", "rho_target", "mu_target")}
+    for a in bumped.values():
+        a.flat[3] += 1e-3
+    variants = {
+        "grid.n": build_problem(n=17),
+        "grid.length": replace(base, grid=pc.make_grid(1, 16, 2.0)),
+        "tgrid.T": replace(base, tgrid=pc.make_time_grid(0.2, 8)),
+        "tgrid.N": build_problem(N=9),
+        "epsilon": replace(base, epsilon=0.51),
+        "delta": replace(base, delta=1.01),
+        "beta1": replace(base, beta1=1.01),
+        "beta2": replace(base, beta2=2e-4),
+        "potential.c_log": replace(base, potential=pc.Potential(c_log=0.6)),
+        "potential.c_quad": replace(base, potential=pc.Potential(c_quad=2.1)),
+        **{name: replace(base, **{name: a}) for name, a in bumped.items()},
+    }
+    # grid.dim cannot change without grid.n; every other field can alone.
+    nested = {"grid": pc.Grid, "tgrid": pc.TimeGrid, "potential": pc.Potential}
+    expected = set()
+    for f in fields(pc.ProblemData):
+        if f.name in nested:
+            expected |= {"%s.%s" % (f.name, g.name)
+                         for g in fields(nested[f.name])
+                         if g.init and g.name != "dim"}
+        else:
+            expected.add(f.name)
+    assert set(variants) == expected
+    hashes = {name: checks.problem_hash(p, cfg) for name, p in variants.items()}
+    hashes["base"] = checks.problem_hash(base, cfg)
+    assert len(set(hashes.values())) == len(hashes)
+
+    square = build_problem(dim=2, n=(6, 5), N=2)
+    before = checks.problem_hash(square, cfg)
+    mesh.solve_shifted(square.grid, np.full(30, 2.0), np.ones(30))
+    assert square.grid._dct_eig is not None
+    assert checks.problem_hash(square, cfg) == before
 
 
 def test_random_control_feasible_and_seeded(small):

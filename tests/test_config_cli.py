@@ -24,12 +24,16 @@ def write(tmp_path, text, name="run.yaml"):
 
 def test_minimal_config_defaults(tmp_path):
     rc = config.parse_config(write(tmp_path, MINIMAL))
-    assert rc.potential.c_log == 0.5 and rc.potential.c_quad == 2.0
+    prob = rc.problem
+    assert prob.potential.c_log == 0.5 and prob.potential.c_quad == 2.0
     assert rc.solver.newton_tol == 1e-10
     assert rc.adjoint_mode == "discrete"
     assert np.all(rc.u_init == 0.0)
-    assert np.all(rc.u_max == 1.0)
-    assert np.all(rc.rho0 == 0.5) and np.all(rc.mu0 == 0.0)
+    assert np.all(prob.u_max == 1.0)
+    assert np.all(prob.rho0 == 0.5) and np.all(prob.mu0 == 0.0)
+    assert prob.beta1 == 1.0 and prob.beta2 == 1e-4
+    assert np.all(prob.rho_target == 0.5) and np.all(prob.mu_target == 0.0)
+    assert config.build_problem(rc) is prob
 
 
 def test_rho0_gate_quotes_condition(tmp_path):
@@ -169,7 +173,7 @@ def test_unreadable_field_csv_exits_two(tmp_path, capsys):
 
 def test_integral_float_accepted(tmp_path):
     rc = config.parse_config(write(tmp_path, MINIMAL.replace("N: 8", "N: 8.0")))
-    assert rc.tgrid.N == 8 and isinstance(rc.tgrid.N, int)
+    assert rc.problem.tgrid.N == 8 and isinstance(rc.problem.tgrid.N, int)
 
 
 def test_field_csv_loading(tmp_path):
@@ -177,18 +181,15 @@ def test_field_csv_loading(tmp_path):
     rho = 0.3 + 0.4 * np.random.default_rng(0).random(16)
     fields.write_field_csv(str(tmp_path / "rho0.csv"), grid, rho)
     rc = config.parse_config(write(tmp_path, MINIMAL + "init: {rho0: rho0.csv}\n"))
-    assert np.array_equal(rc.rho0, rho)
+    assert np.array_equal(rc.problem.rho0, rho)
 
 
 def test_from_state_targets(tmp_path):
     path = write(tmp_path, MINIMAL + "targets: {from_state: {u: 0.3}}\n")
     rc = config.parse_config(path)
     prob = config.build_problem(rc)
-    generator = pc.ProblemData(
-        grid=rc.grid, tgrid=rc.tgrid, epsilon=rc.epsilon, delta=rc.delta,
-        potential=rc.potential, rho0=rc.rho0, mu0=rc.mu0, u_max=rc.u_max)
-    st = pc.solve_state(generator, 0.3, rc.solver)
-    assert np.array_equal(prob.rho_target, st.rho[rc.tgrid.N])
+    st = pc.solve_state(rc.problem, 0.3, rc.solver)
+    assert np.array_equal(prob.rho_target, st.rho[rc.problem.tgrid.N])
     assert np.array_equal(prob.mu_target, st.mu)
 
 
@@ -333,6 +334,9 @@ def test_cli_solver_error_names_step(tmp_path, capsys):
     assert diag["failed_step"] == 1
     assert "not positive definite" in diag["error"]
     assert diag["newton_iters"] == [] and len(diag["rho_min"]) == 1
+    # The first Newton system was refused after one residual evaluation.
+    assert len(diag["failed_newton_residuals"]) == 1
+    assert diag["failed_newton_residuals"][0] > 0.0
     assert diag["rho_min"][0] == pytest.approx(0.45, rel=1e-2)
     assert "config_hash" in diag
 

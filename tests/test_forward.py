@@ -12,8 +12,10 @@ from conftest import build_problem, traj
 def test_step_rho_stationary(cfg):
     g = pc.make_grid(1, 8, 1.0)
     rho = np.full(8, 0.5)
-    out = forward.step_rho(g, pc.Potential(), 1.0, 0.01, rho, np.zeros(8), cfg)
+    out, hist = forward.step_rho(g, pc.Potential(), 1.0, 0.01, rho,
+                                 np.zeros(8), cfg)
     np.testing.assert_array_equal(out, rho)
+    assert hist == [0.0]
 
 
 def test_step_rho_matches_scalar_root(cfg):
@@ -21,8 +23,8 @@ def test_step_rho_matches_scalar_root(cfg):
     g = pc.make_grid(1, 8, 1.0)
     pot, delta, tau = pc.Potential(), 1.0, 0.02
     rho_prev, mu = 0.3, 0.1
-    out = forward.step_rho(g, pot, delta, tau,
-                           np.full(8, rho_prev), np.full(8, mu), cfg)
+    out, _ = forward.step_rho(g, pot, delta, tau,
+                              np.full(8, rho_prev), np.full(8, mu), cfg)
     def residual(r):
         return delta * (r - rho_prev) / tau + pot.d1(np.array([r]))[0] - mu
     root = scipy.optimize.brentq(residual, 1e-12, 1 - 1e-12,
@@ -34,8 +36,7 @@ def test_step_rho_matches_scalar_root(cfg):
 def test_newton_residuals_quadratic(cfg):
     g = pc.make_grid(1, 8, 1.0)
     _, hist = forward.step_rho(g, pc.Potential(), 1.0, 0.05,
-                               np.full(8, 0.35), np.full(8, 0.4), cfg,
-                               return_history=True)
+                               np.full(8, 0.35), np.full(8, 0.4), cfg)
     hist = [h for h in hist if h > 0.0]
     assert len(hist) >= 2
     ratios = [hist[i + 1] / hist[i] for i in range(len(hist) - 1)]
@@ -147,6 +148,7 @@ def test_step_error_carries_level(cfg):
     with pytest.raises(SolverStepError) as err:
         pc.solve_state(prob, 0.5, strict)
     assert err.value.step == 1 and err.value.steps == 4
+    assert len(err.value.newton_residuals) == strict.newton_max + 1
 
 
 def test_indefinite_newton_step_raises_1d(cfg):

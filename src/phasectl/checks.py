@@ -161,16 +161,6 @@ def _traj_diff_quot(tg: TimeGrid, a: np.ndarray) -> np.ndarray:
     return (a[1:] - a[:-1]) / tg.tau
 
 
-def _level_norms_sq(grid, *terms) -> np.ndarray:
-    """Per level, the sum of the squared norms of the (stack, norm) terms.
-
-    The stacks share their number of levels; within a level the terms
-    are evaluated and added in the order given.
-    """
-    return np.array([sum(norm(grid, a[k]) ** 2 for a, norm in terms)
-                     for k in range(len(terms[0][0]))])
-
-
 def remainder_norm(problem: ProblemData, y: np.ndarray, z: np.ndarray) -> float:
     """Combined strong norm of a state remainder pair.
 
@@ -182,12 +172,12 @@ def remainder_norm(problem: ProblemData, y: np.ndarray, z: np.ndarray) -> float:
     grid, tg = problem.grid, problem.tgrid
     tau, c = tg.tau, tg.trap_weights()
     y_t = _traj_diff_quot(tg, y)
-    total = tau * float(np.dot(c, _level_norms_sq(grid, (y, mesh.norm_h))))
-    total += tau * float(np.sum(_level_norms_sq(grid, (y_t, mesh.norm_h))))
-    total += float(np.max(_level_norms_sq(grid, (y, mesh.norm_v))))
-    total += tau * float(np.dot(c, _level_norms_sq(grid, (y, mesh.norm_w))))
-    total += float(np.max(_level_norms_sq(grid, (z, mesh.norm_h))))
-    total += tau * float(np.dot(c, _level_norms_sq(grid, (z, mesh.norm_v))))
+    total = tau * float(np.dot(c, mesh.norm_h(grid, y) ** 2))
+    total += tau * float(np.sum(mesh.norm_h(grid, y_t) ** 2))
+    total += float(np.max(mesh.norm_v(grid, y) ** 2))
+    total += tau * float(np.dot(c, mesh.norm_w(grid, y) ** 2))
+    total += float(np.max(mesh.norm_h(grid, z) ** 2))
+    total += tau * float(np.dot(c, mesh.norm_v(grid, z) ** 2))
     return float(np.sqrt(total))
 
 
@@ -224,11 +214,12 @@ def tangent_remainder_check(problem: ProblemData,
 
 
 def prolong_field(grid, v: np.ndarray) -> np.ndarray:
-    """Split every cell in two per axis, repeating its value."""
+    """Split every cell in two per axis, repeating its value; a stack
+    of fields is refined field by field."""
     a = grid.reshape(np.asarray(v, dtype=float))
-    for axis in range(grid.dim):
+    for axis in range(-grid.dim, 0):
         a = np.repeat(a, 2, axis=axis)
-    return a.ravel()
+    return a.reshape(a.shape[:-grid.dim] + (-1,))
 
 
 def prolong_trajectory(grid, tg: TimeGrid, a: np.ndarray) -> np.ndarray:
@@ -239,8 +230,7 @@ def prolong_trajectory(grid, tg: TimeGrid, a: np.ndarray) -> np.ndarray:
     """
     a = mesh.check_trajectory(tg, grid, a)
     idx = (np.arange(2 * tg.N + 1) + 1) // 2
-    rows = [prolong_field(grid, a[k]) for k in idx]
-    return np.stack(rows)
+    return prolong_field(grid, a[idx])
 
 
 def refine_problem(problem: ProblemData) -> ProblemData:
@@ -322,16 +312,16 @@ def stability_ratios(problem: ProblemData, u1, u2,
     rd_t = _traj_diff_quot(tg, rd)
     md_t = _traj_diff_quot(tg, md)
     tau = tg.tau
-    energy = float(np.max(_level_norms_sq(grid, (md, mesh.norm_h),
-                                          (rd, mesh.norm_v))))
+    energy = float(np.max(mesh.norm_h(grid, md) ** 2
+                          + mesh.norm_v(grid, rd) ** 2))
     energy += tau * float(np.dot(tg.trap_weights(),
-                                 _level_norms_sq(grid, (md, mesh.norm_v))))
-    energy += tau * float(np.sum(_level_norms_sq(grid, (rd_t, mesh.norm_h))))
-    strong = float(np.max(_level_norms_sq(
-        grid, (rd_t, mesh.norm_v), (md[1:], mesh.norm_v),
-        (rd[1:], mesh.norm_w))))
-    strong += tau * float(np.sum(_level_norms_sq(grid, (md_t, mesh.norm_h))))
-    strong += tau * float(np.sum(_level_norms_sq(grid, (rd_t, mesh.norm_w))))
+                                 mesh.norm_v(grid, md) ** 2))
+    energy += tau * float(np.sum(mesh.norm_h(grid, rd_t) ** 2))
+    strong = float(np.max(mesh.norm_v(grid, rd_t) ** 2
+                          + mesh.norm_v(grid, md[1:]) ** 2
+                          + mesh.norm_w(grid, rd[1:]) ** 2))
+    strong += tau * float(np.sum(mesh.norm_h(grid, md_t) ** 2))
+    strong += tau * float(np.sum(mesh.norm_w(grid, rd_t) ** 2))
     if denom == 0.0:
         return {"denominator": 0.0, "energy_ratio": 0.0, "strong_ratio": 0.0,
                 "degenerate": True}
@@ -354,13 +344,18 @@ def stability_ratio_check(problem: ProblemData,
     return make_report("stability", passed, metrics, seed, problem, cfg)
 
 
-def _uniform_value(name, v) -> float:
+def _uniform_value(name, v):
+    """The value of a uniform field, or of each field of a stack; the
+    error names the first level spread by more than 1e-13."""
     v = np.asarray(v, dtype=float)
-    if np.ptp(v) > 1e-13:
+    spread = np.ptp(v, axis=-1)
+    bad = np.flatnonzero(spread > 1e-13)
+    if bad.size:
+        where = " level %d" % bad[0] if v.ndim > 1 else ""
         raise ShapeMismatch(
-            "ode oracle requires spatially uniform %s, spread %.3e"
-            % (name, np.ptp(v)))
-    return float(v.flat[0])
+            "ode oracle requires spatially uniform %s%s, spread %.3e"
+            % (name, where, spread.flat[bad[0]]))
+    return v[..., 0]
 
 
 def ode_oracle_solution(problem: ProblemData, u_levels: np.ndarray
@@ -386,8 +381,8 @@ def ode_oracle_solution(problem: ProblemData, u_levels: np.ndarray
     tg = problem.tgrid
     times = tg.times
     out = np.zeros((tg.N + 1, 2))
-    y = [_uniform_value("rho0", problem.rho0),
-         _uniform_value("mu0", problem.mu0)]
+    y = [float(_uniform_value("rho0", problem.rho0)),
+         float(_uniform_value("mu0", problem.mu0))]
     start = 0
     while start < tg.N:
         level = u_levels[start + 1]
@@ -411,8 +406,7 @@ def ode_oracle_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
     """March the full scheme on uniform data against the ODE oracle."""
     grid, tg = problem.grid, problem.tgrid
     u = as_trajectory(tg, grid, 0.0 if u is None else u)
-    u_levels = np.array([_uniform_value("u level %d" % k, u[k])
-                         for k in range(tg.N + 1)])
+    u_levels = _uniform_value("u", u)
     state = solve_state(problem, u, cfg)
     oracle = ode_oracle_solution(problem, u_levels)
     err_rho = float(np.max(np.abs(state.rho[:, 0] - oracle[:, 0])))

@@ -64,6 +64,8 @@ def _apply_overrides(rc: RunConfig, args) -> RunConfig:
     if args.out is not None:
         rc.output.directory = args.out
     if args.seed is not None:
+        if args.seed < 0:
+            raise PhasectlError("seed must be >= 0")
         rc.output.seed = args.seed
     if args.snapshots is not None:
         if args.snapshots < 1:

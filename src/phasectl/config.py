@@ -292,6 +292,7 @@ def parse_config(path: str) -> RunConfig:
     out = _typed(merged, "output", OutputConfig)
     _require(out["snapshot_stride"] >= 1, "output.snapshot_stride",
              "snapshot_stride >= 1", out["snapshot_stride"])
+    _require(out["seed"] >= 0, "output.seed", "seed >= 0", out["seed"])
 
     problem = ProblemData(
         grid=grid, tgrid=tgrid, potential=Potential(**pot), rho0=rho0,

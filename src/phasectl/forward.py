@@ -16,7 +16,7 @@ nonnegative data and sources.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,24 +81,15 @@ class SolverConfig:
 class Diagnostics:
     """Per-step and per-level records from one forward solve."""
 
-    newton_iters: list = dc_field(default_factory=list)
-    newton_residuals: list = dc_field(default_factory=list)
-    min_coefficient: list = dc_field(default_factory=list)
-    m_matrix_ok: list = dc_field(default_factory=list)
-    rho_min: list = dc_field(default_factory=list)
-    rho_max: list = dc_field(default_factory=list)
-    mu_min: list = dc_field(default_factory=list)
-    mu_max: list = dc_field(default_factory=list)
-    bound_violations: int = 0
-
-    def record_level(self, rho, mu, bound_tol):
-        self.rho_min.append(float(np.min(rho)))
-        self.rho_max.append(float(np.max(rho)))
-        self.mu_min.append(float(np.min(mu)))
-        self.mu_max.append(float(np.max(mu)))
-        self.bound_violations += int(
-            np.count_nonzero(rho <= 0.0) + np.count_nonzero(rho >= 1.0)
-            + np.count_nonzero(mu < -bound_tol))
+    newton_iters: list
+    newton_residuals: list
+    min_coefficient: list
+    m_matrix_ok: list
+    rho_min: list
+    rho_max: list
+    mu_min: list
+    mu_max: list
+    bound_violations: int
 
 
 @dataclass
@@ -185,6 +176,23 @@ def step_mu(grid: Grid, epsilon: float, tau: float, rho_prev: np.ndarray,
     return mesh.solve_shifted(grid, diag, rhs, tol=cfg.linear_tol)
 
 
+def _diagnose(problem: ProblemData, rho: np.ndarray, mu: np.ndarray,
+             histories: list, bound_tol: float) -> Diagnostics:
+    """Diagnostics of the levels ``rho``, ``mu`` reached by the steps
+    whose Newton residual histories are given, one step per history."""
+    eps, tau = problem.epsilon, problem.tgrid.tau
+    # Recorded in the units of epsilon: the diagonal times tau.
+    coeff = tau * mu_diagonal(eps, tau, rho[:-1], rho[1:]).min(axis=1)
+    return Diagnostics(
+        newton_iters=[len(h) - 1 for h in histories],
+        newton_residuals=[h[-1] for h in histories],
+        min_coefficient=coeff.tolist(), m_matrix_ok=(coeff > 0.0).tolist(),
+        rho_min=rho.min(axis=1).tolist(), rho_max=rho.max(axis=1).tolist(),
+        mu_min=mu.min(axis=1).tolist(), mu_max=mu.max(axis=1).tolist(),
+        bound_violations=int(np.count_nonzero((rho <= 0.0) | (rho >= 1.0))
+                             + np.count_nonzero(mu < -bound_tol)))
+
+
 def solve_state(problem: ProblemData, u, cfg: SolverConfig = SolverConfig()
                 ) -> StateTrajectory:
     """March the coupled system from the initial data under control u.
@@ -201,8 +209,7 @@ def solve_state(problem: ProblemData, u, cfg: SolverConfig = SolverConfig()
     mu = np.zeros_like(rho)
     rho[0] = problem.rho0
     mu[0] = problem.mu0
-    diag = Diagnostics()
-    diag.record_level(rho[0], mu[0], cfg.bound_tol)
+    histories = []
     for n in range(tg.N):
         try:
             rho[n + 1], hist = step_rho(grid, problem.potential, problem.delta,
@@ -210,17 +217,13 @@ def solve_state(problem: ProblemData, u, cfg: SolverConfig = SolverConfig()
             mu[n + 1] = step_mu(grid, problem.epsilon, tau, rho[n], rho[n + 1],
                                 mu[n], u[n + 1], cfg)
         except SolverStepError as exc:
-            exc.step, exc.steps, exc.diagnostics = n + 1, tg.N, diag
+            exc.step, exc.steps = n + 1, tg.N
+            exc.diagnostics = _diagnose(problem, rho[:n + 1], mu[:n + 1],
+                                       histories, cfg.bound_tol)
             raise
-        diag.newton_iters.append(len(hist) - 1)
-        diag.newton_residuals.append(hist[-1])
-        # Recorded in the units of epsilon: the diagonal times tau.
-        coeff = tau * float(np.min(
-            mu_diagonal(problem.epsilon, tau, rho[n], rho[n + 1])))
-        diag.min_coefficient.append(coeff)
-        diag.m_matrix_ok.append(coeff > 0.0)
-        diag.record_level(rho[n + 1], mu[n + 1], cfg.bound_tol)
-    return StateTrajectory(rho=rho, mu=mu, diagnostics=diag)
+        histories.append(hist)
+    return StateTrajectory(rho=rho, mu=mu, diagnostics=_diagnose(
+        problem, rho, mu, histories, cfg.bound_tol))
 
 
 def residual_norms(problem: ProblemData, u, state: StateTrajectory) -> dict:
@@ -234,17 +237,12 @@ def residual_norms(problem: ProblemData, u, state: StateTrajectory) -> dict:
     u = as_trajectory(tg, grid, u)
     tau, eps = tg.tau, problem.epsilon
     rho, mu = state.rho, state.mu
-    rho_res = np.zeros(tg.N)
-    mu_res = np.zeros(tg.N)
-    for n in range(tg.N):
-        res1 = _rho_residual(grid, problem.potential, problem.delta, tau,
-                             rho[n], rho[n + 1], mu[n])
-        res2 = mu_diagonal(eps, tau, rho[n], rho[n + 1]) * mu[n + 1] \
-            - mesh.laplacian_apply(grid, mu[n + 1]) - u[n + 1] \
-            - mu_carry(eps, tau, rho[n + 1]) * mu[n]
-        rho_res[n] = mesh.norm_h(grid, res1)
-        mu_res[n] = mesh.norm_h(grid, res2)
-    return {"rho": rho_res, "mu": mu_res}
+    res1 = _rho_residual(grid, problem.potential, problem.delta, tau,
+                         rho[:-1], rho[1:], mu[:-1])
+    res2 = mu_diagonal(eps, tau, rho[:-1], rho[1:]) * mu[1:] \
+        - mesh.laplacian_apply(grid, mu[1:]) - u[1:] \
+        - mu_carry(eps, tau, rho[1:]) * mu[:-1]
+    return {"rho": mesh.norm_h(grid, res1), "mu": mesh.norm_h(grid, res2)}
 
 
 @dataclass(frozen=True)

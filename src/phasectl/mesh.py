@@ -1,11 +1,12 @@
 """Cell-centered finite volume discretization on a 1D or 2D box.
 
 Fields are flat numpy arrays over cells in lexicographic axis order (the
-x index varies slowest in 2D).  All spatial inner products share one
-uniform cell weight, the product of the per-axis spacings.  The discrete
-Laplacian uses mirrored zero-flux faces on the boundary, so constants lie
-in its kernel and the operator is symmetric with respect to the cell
-inner product.
+x index varies slowest in 2D).  The operators act on the last (cell) axis,
+so a stack of fields ``(..., cells)`` gives one value per field.  All
+spatial inner products share one uniform cell weight, the product of the
+per-axis spacings.  The discrete Laplacian uses mirrored zero-flux faces
+on the boundary, so constants lie in its kernel and the operator is
+symmetric with respect to the cell inner product.
 
 Grid and TimeGrid objects are read-only after construction and safe to
 share across threads.
@@ -67,7 +68,10 @@ class Grid:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def reshape(self, v: np.ndarray) -> np.ndarray:
-        return v.reshape(self.n)
+        if v.shape[-1:] != (self.num_cells,):
+            raise ShapeMismatch("field has shape %r, expected (..., %d)"
+                                % (v.shape, self.num_cells))
+        return v.reshape(v.shape[:-1] + self.n)
 
     def check_field(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -101,18 +105,19 @@ def make_grid(dim: int, n, length) -> Grid:
 
 
 def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Apply the zero-flux Laplacian to a flat field without assembly."""
-    return _laplacian(grid, grid.reshape(grid.check_field(v))).ravel()
+    """Apply the zero-flux Laplacian to each field without assembly."""
+    v = np.asarray(v, dtype=float)
+    return _laplacian(grid, grid.reshape(v)).reshape(v.shape)
 
 
 def _laplacian(grid: Grid, a: np.ndarray) -> np.ndarray:
-    """Zero-flux Laplacian of a field already shaped ``grid.n``.
+    """Zero-flux Laplacian over the trailing ``grid.n`` axes of ``a``.
 
     Per axis, the flux across each interior face leaves one cell and
     enters its neighbour; the end faces carry none.
     """
     out = np.zeros_like(a)
-    for axis in range(grid.dim):
+    for axis in range(-grid.dim, 0):
         o, s = out.swapaxes(0, axis), a.swapaxes(0, axis)
         flux = (s[1:] - s[:-1]) / grid.h[axis] ** 2
         o[:-1] += flux
@@ -228,37 +233,37 @@ def _pcg(grid: Grid, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def inner_h(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
+def inner_h(grid: Grid, a: np.ndarray, b: np.ndarray):
     """Cell inner product, the discrete analogue of the L2 pairing."""
-    return grid.weight * float(np.dot(a, b))
+    return grid.weight * np.vecdot(a, b)
 
 
-def norm_h(grid: Grid, a: np.ndarray) -> float:
-    return float(np.sqrt(max(inner_h(grid, a, a), 0.0)))
+def norm_h(grid: Grid, a: np.ndarray):
+    return np.sqrt(inner_h(grid, a, a))
 
 
-def grad_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
+def grad_inner(grid: Grid, a: np.ndarray, b: np.ndarray):
     """Pairing of face-difference gradients, one face volume per face."""
     ar = grid.reshape(np.asarray(a, dtype=float))
     br = grid.reshape(np.asarray(b, dtype=float))
+    axes = tuple(range(-grid.dim, 0))
     total = 0.0
-    for axis in range(grid.dim):
-        da = np.diff(ar, axis=axis)
-        db = np.diff(br, axis=axis)
-        total += float(np.sum(da * db)) / grid.h[axis] ** 2
+    for axis, h in zip(axes, grid.h):
+        dd = np.diff(ar, axis=axis) * np.diff(br, axis=axis)
+        total += np.sum(dd, axis=axes) / h ** 2
     return grid.weight * total
 
 
-def inner_v(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
+def inner_v(grid: Grid, a: np.ndarray, b: np.ndarray):
     """Discrete H1 inner product: cell pairing plus gradient pairing."""
     return inner_h(grid, a, b) + grad_inner(grid, a, b)
 
 
-def norm_v(grid: Grid, a: np.ndarray) -> float:
-    return float(np.sqrt(max(inner_v(grid, a, a), 0.0)))
+def norm_v(grid: Grid, a: np.ndarray):
+    return np.sqrt(inner_v(grid, a, a))
 
 
-def norm_w(grid: Grid, a: np.ndarray) -> float:
+def norm_w(grid: Grid, a: np.ndarray):
     """Second-order norm: cell norm plus cell norm of the Laplacian."""
     return norm_h(grid, a) + norm_h(grid, laplacian_apply(grid, a))
 
@@ -310,10 +315,8 @@ def inner_q(tg: TimeGrid, grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
     """Space-time inner product: trapezoid in time of cell pairings."""
     a = check_trajectory(tg, grid, a)
     b = check_trajectory(tg, grid, b)
-    c = tg.trap_weights()
-    per_level = grid.weight * np.einsum("kc,kc->k", a, b)
-    return tg.tau * float(np.dot(c, per_level))
+    return tg.tau * float(np.dot(tg.trap_weights(), inner_h(grid, a, b)))
 
 
 def norm_q(tg: TimeGrid, grid: Grid, a: np.ndarray) -> float:
-    return float(np.sqrt(max(inner_q(tg, grid, a, a), 0.0)))
+    return float(np.sqrt(inner_q(tg, grid, a, a)))

@@ -13,7 +13,7 @@ upper bound where q is negative).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 

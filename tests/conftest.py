@@ -1,4 +1,5 @@
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
 import phasectl as pc
@@ -21,11 +22,8 @@ def manufactured(n=16, N=16, T=0.05, u_dag=0.5, beta1=1.0, beta2=1e-4,
     cfg = cfg or pc.SolverConfig()
     base = build_problem(n=n, N=N, T=T, rho0=0.5, mu0=0.0, **kw)
     ref = pc.solve_state(base, u_dag, cfg)
-    return pc.ProblemData(
-        grid=base.grid, tgrid=base.tgrid, epsilon=base.epsilon,
-        delta=base.delta, potential=base.potential, rho0=base.rho0,
-        mu0=base.mu0, u_max=base.u_max, beta1=beta1, beta2=beta2,
-        rho_target=ref.rho[base.tgrid.N], mu_target=ref.mu), ref
+    return replace(base, beta1=beta1, beta2=beta2,
+                   rho_target=ref.rho[base.tgrid.N], mu_target=ref.mu), ref
 
 
 def traj(problem, value):

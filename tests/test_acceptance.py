@@ -7,9 +7,9 @@ contract; loosening them is not a fix for a failure.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
-import pytest
 
 import phasectl as pc
 from phasectl import checks, sensitivity
@@ -37,12 +37,8 @@ def base_problem(T=HORIZON, N=N_STEPS, n=N_CELLS, rho0=0.5, mu0=0.0, **kw):
 def manufactured_problem(T, u_dag, beta1=1.0, beta2=1e-4, N=N_STEPS):
     base = base_problem(T=T, N=N)
     ref = pc.solve_state(base, u_dag, _cfg)
-    prob = pc.ProblemData(
-        grid=base.grid, tgrid=base.tgrid, epsilon=base.epsilon,
-        delta=base.delta, potential=base.potential, rho0=base.rho0,
-        mu0=base.mu0, u_max=base.u_max, beta1=beta1, beta2=beta2,
-        rho_target=ref.rho[base.tgrid.N], mu_target=ref.mu)
-    return prob
+    return replace(base, beta1=beta1, beta2=beta2,
+                   rho_target=ref.rho[base.tgrid.N], mu_target=ref.mu)
 
 
 def gate(num, slug, ok, detail):

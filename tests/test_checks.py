@@ -6,8 +6,8 @@ import pytest
 
 import phasectl as pc
 from phasectl import checks, forward, mesh
-from phasectl.mesh import inner_h, norm_h
-from conftest import build_problem, traj
+from phasectl.mesh import inner_h
+from conftest import build_problem
 
 REPORT_KEYS = {"name", "pass", "metrics", "seed", "config_hash"}
 
@@ -103,8 +103,15 @@ def test_oracle_requires_uniform_data(cfg):
     prob = pc.ProblemData(grid=g, tgrid=pc.make_time_grid(0.1, 8),
                           epsilon=0.5, delta=1.0, potential=pc.Potential(),
                           rho0=0.4 + 0.1 * x, mu0=0.1, u_max=1.0)
-    with pytest.raises(pc.errors.ShapeMismatch):
+    with pytest.raises(pc.errors.ShapeMismatch, match="uniform rho0, spread"):
         checks.ode_oracle_check(prob, cfg, u=0.1)
+    # The error names the first level of the control that is not uniform.
+    prob = replace(prob, rho0=0.4)
+    u = np.full((9, 8), 0.1)
+    u[5, 2] = u[3, 7] = 0.2
+    with pytest.raises(pc.errors.ShapeMismatch,
+                       match=r"uniform u level 3, spread 1\.000e-01"):
+        checks.ode_oracle_check(prob, cfg, u=u)
 
 
 def test_bounds_stationary(cfg):

@@ -125,11 +125,12 @@ def test_integer_keys_strict(tmp_path, capsys, text, key):
      "a finite number"),
     (MINIMAL + "control: {u_init: [0.1]}\n", "control.u_init",
      "a finite number"),
+    (MINIMAL + "output: {seed: -3}\n", "output.seed", "seed >= 0"),
 ], ids=["delta-string", "epsilon-nan", "length-string", "length-entry",
         "T-bool", "c_log-list", "newton_tol-string", "step0-inf",
         "iter_snapshots-string", "iter_snapshots-int", "u_max-bool",
         "u_init-bool", "rho0-bool", "mu0-nan", "mu_T-inf", "from_state-bool",
-        "u_init-list"])
+        "u_init-list", "seed-negative"])
 def test_float_and_boolean_keys_strict(tmp_path, capsys, text, key, condition):
     path = write(tmp_path, text)
     with pytest.raises(ValidationError, match=r"^%s: requires %s"
@@ -286,13 +287,18 @@ def test_cli_check_grad_passes(tmp_path, capsys):
     assert "check grad: PASS" in capsys.readouterr().out
 
 
-def test_cli_check_bounds_and_seed_override(tmp_path):
+def test_cli_check_bounds_and_seed_override(tmp_path, capsys):
     cfg = write(tmp_path, MINIMAL)
     out = str(tmp_path / "chk2")
     assert run_cli(["check", "bounds", "--config", cfg, "--out", out,
                     "--seed", "5"]) == 0
     rep = json.load(open(os.path.join(out, "check_bounds.json")))
     assert rep["seed"] == 5
+    # A negative seed is a usage error, not a failing check.
+    assert run_cli(["check", "grad", "--config", cfg, "--out", out,
+                    "--seed", "-1"]) == 2
+    assert "error: seed must be >= 0" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "check_grad.json"))
 
 
 def test_cli_check_oracle_failure_exits_one(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 import phasectl as pc
 from phasectl import fields
-from phasectl.errors import ShapeMismatch, ValidationError
+from phasectl.errors import ShapeMismatch
 
 
 def test_as_field_broadcast_and_shape():

@@ -106,6 +106,35 @@ def test_solve_state_diagnostics_bounds(cfg):
     assert d.m_matrix_ok and min(d.min_coefficient) > 0.0
 
 
+def test_diagnostics_reduce_the_trajectory(cfg):
+    """Diagnostics are reductions of the returned levels, per level and
+    per step, and a failed march keeps those of the levels it solved."""
+    g = pc.make_grid(1, 16, 1.0)
+    x = g.axis_centers(0)
+    prob = pc.ProblemData(grid=g, tgrid=pc.make_time_grid(0.2, 16),
+                          epsilon=0.5, delta=1.0, potential=pc.Potential(),
+                          rho0=0.5 + 0.2 * np.cos(2 * np.pi * x),
+                          mu0=0.1, u_max=1.0)
+    st = pc.solve_state(prob, 0.5, cfg)
+    d, tau = st.diagnostics, prob.tgrid.tau
+    assert d.rho_min == st.rho.min(axis=1).tolist()
+    assert d.rho_max == st.rho.max(axis=1).tolist()
+    assert d.mu_min == st.mu.min(axis=1).tolist()
+    assert d.mu_max == st.mu.max(axis=1).tolist()
+    coeff = [tau * float(np.min(forward.mu_diagonal(
+        prob.epsilon, tau, st.rho[n], st.rho[n + 1]))) for n in range(16)]
+    assert d.min_coefficient == coeff
+    assert d.m_matrix_ok == [c > 0.0 for c in coeff]
+    assert d.bound_violations == 0
+    assert len(d.newton_iters) == len(d.newton_residuals) == 16
+    assert max(d.newton_residuals) <= cfg.newton_tol
+    with pytest.raises(SolverStepError) as err:
+        pc.solve_state(prob, 0.5, pc.SolverConfig(newton_max=1))
+    failed = err.value.diagnostics
+    assert failed.rho_min == [float(np.min(prob.rho0))]
+    assert failed.newton_iters == [] and failed.min_coefficient == []
+
+
 def test_residuals_stationary(cfg, small):
     prob = build_problem(rho0=0.5, mu0=0.0)
     st = pc.solve_state(prob, 0.0, cfg)

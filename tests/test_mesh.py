@@ -168,6 +168,8 @@ def test_field_shape_rejected():
     tg = pc.make_time_grid(1.0, 3)
     with pytest.raises(ShapeMismatch):
         mesh.check_trajectory(tg, g, np.zeros((3, 6)))
+    with pytest.raises(ShapeMismatch, match=r"expected \(\.\.\., 6\)"):
+        mesh.laplacian_apply(g, np.zeros((4, 5)))
 
 
 # Random grids for the property tests: per-axis cell counts 1..12 and
@@ -184,9 +186,23 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 @PROPERTY
 @given(g=GRIDS, seed=SEEDS)
 def test_laplacian_property_dense_oracle(g, seed):
-    v = np.random.default_rng(seed).standard_normal(g.num_cells)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(g.num_cells)
     np.testing.assert_allclose(mesh.laplacian_apply(g, v),
                                dense_laplacian(g) @ v, rtol=1e-10, atol=1e-12)
+    # A (3, cells) stack gives one value per field: the value of its row,
+    # bit for bit in 1D.
+    a, b = rng.standard_normal((2, 3, g.num_cells))
+    np.testing.assert_allclose(mesh.laplacian_apply(g, a),
+                               a @ dense_laplacian(g).T, rtol=1e-10,
+                               atol=1e-12)
+    rtol = 0.0 if g.dim == 1 else 1e-13
+    for op, args in ((mesh.inner_h, (a, b)), (mesh.norm_h, (a,)),
+                     (mesh.norm_v, (a,)), (mesh.norm_w, (a,))):
+        stacked = op(g, *args)
+        assert stacked.shape == (3,)
+        rows = [op(g, *(x[k] for x in args)) for k in range(3)]
+        np.testing.assert_allclose(stacked, rows, rtol=rtol, atol=0.0)
 
 
 @PROPERTY

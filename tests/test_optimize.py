@@ -5,7 +5,7 @@ import phasectl as pc
 from phasectl import checks, optimize, sensitivity
 from phasectl.errors import (DomainViolation, InfeasibleControl,
                              NewtonDivergence)
-from phasectl.mesh import inner_q, norm_q
+from phasectl.mesh import inner_q
 from conftest import build_problem, manufactured, traj
 
 

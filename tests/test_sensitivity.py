@@ -2,8 +2,7 @@ import numpy as np
 
 import phasectl as pc
 from phasectl import checks, sensitivity
-from phasectl.mesh import norm_h
-from conftest import build_problem, manufactured, traj
+from conftest import build_problem, manufactured
 
 
 def test_tangent_zero_direction(cfg, small):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import checks as checks_mod
 from .config import RunConfig, build_problem, parse_config
-from .errors import PhasectlError, SolverStepError
+from .errors import PhasectlError, SolverStepError, renamed_keys
 from .fields import write_json, write_snapshots
 from .forward import residual_norms, solve_state
 from .optimize import projected_gradient_descent
@@ -60,18 +60,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The output field each override option sets.
+_OVERRIDES = {"out": "directory", "seed": "seed",
+              "snapshots": "snapshot_stride"}
+
+
 def _apply_overrides(rc: RunConfig, args) -> RunConfig:
-    if args.out is not None:
-        rc.output.directory = args.out
-    if args.seed is not None:
-        if args.seed < 0:
-            raise PhasectlError("seed must be >= 0")
-        rc.output.seed = args.seed
-    if args.snapshots is not None:
-        if args.snapshots < 1:
-            raise PhasectlError("snapshot stride must be >= 1")
-        rc.output.snapshot_stride = args.snapshots
-    return rc
+    given = {name: getattr(args, option) for option, name in _OVERRIDES.items()
+             if getattr(args, option) is not None}
+    with renamed_keys({name: "--" + option
+                       for option, name in _OVERRIDES.items()}):
+        return replace(rc, output=replace(rc.output, **given))
 
 
 def _write_fields(rc: RunConfig, **trajectories) -> None:

@@ -5,7 +5,12 @@ the ``step`` attribute, the number of steps in ``steps``, the records of
 the levels solved before it in ``diagnostics`` and, when the order-parameter
 Newton iteration failed, its residual norms in ``newton_residuals``, so
 callers can report where and how a run died.
+
+Each object checks its own fields with ``require``; ``renamed_keys``
+rewrites the field a ValidationError names to the config key or option.
 """
+
+from contextlib import contextmanager
 
 
 class PhasectlError(Exception):
@@ -58,4 +63,27 @@ class MissingKey(ConfigError):
 
 
 class ValidationError(ConfigError):
-    """Configuration value violates a stated condition."""
+    """Value violates a stated condition; ``key``, if set, names it."""
+
+    key = None
+
+
+def require(cond, key: str, condition: str, value) -> None:
+    """Raise ValidationError("<key>: requires <condition>, got <value>")."""
+    if not cond:
+        exc = ValidationError(
+            "%s: requires %s, got %r" % (key, condition, value))
+        exc.key = key
+        raise exc
+
+
+@contextmanager
+def renamed_keys(names: dict):
+    """Rename the key of a ValidationError raised inside through ``names``."""
+    try:
+        yield
+    except ValidationError as exc:
+        if exc.key in names:
+            exc.args = (names[exc.key] + str(exc)[len(exc.key):],)
+            exc.key = names[exc.key]
+        raise

@@ -125,7 +125,6 @@ def snapshot_name(base: str, level: int) -> str:
 
 def snapshot_levels(tg: TimeGrid, stride: int) -> list:
     """Levels written for a given stride: every stride-th plus the last."""
-    stride = max(int(stride), 1)
     levels = list(range(0, tg.N + 1, stride))
     if levels[-1] != tg.N:
         levels.append(tg.N)

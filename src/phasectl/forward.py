@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh
-from .errors import (NewtonDivergence, NonpositiveCoefficient, ShapeMismatch,
-                     SolverStepError)
+from .errors import (NewtonDivergence, NonpositiveCoefficient,
+                     SolverStepError, require)
 from .fields import as_field, as_trajectory
 from .mesh import Grid, TimeGrid
 from .potential import Potential
@@ -34,7 +34,7 @@ class ProblemData:
 
     Initial data, targets and the box bound are normalized to arrays on
     construction; scalars broadcast.  The order-parameter initial datum
-    must be strictly inside (0, 1).
+    must be strictly inside (0, 1), and mu0 and u_max nonnegative.
     """
 
     grid: Grid
@@ -51,19 +51,19 @@ class ProblemData:
     mu_target: np.ndarray = 0.0
 
     def __post_init__(self):
-        if self.epsilon <= 0.0 or self.delta <= 0.0:
-            raise ShapeMismatch("requires epsilon > 0 and delta > 0")
-        if self.beta1 < 0.0 or self.beta2 < 0.0:
-            raise ShapeMismatch("requires beta1 >= 0 and beta2 >= 0")
+        require(self.epsilon > 0.0, "epsilon", "epsilon > 0", self.epsilon)
+        require(self.delta > 0.0, "delta", "delta > 0", self.delta)
+        require(self.beta1 >= 0.0, "beta1", "beta1 >= 0", self.beta1)
+        require(self.beta2 >= 0.0, "beta2", "beta2 >= 0", self.beta2)
         self.rho0 = as_field(self.grid, self.rho0)
         self.mu0 = as_field(self.grid, self.mu0)
         self.u_max = as_trajectory(self.tgrid, self.grid, self.u_max)
-        if np.min(self.rho0) <= 0.0 or np.max(self.rho0) >= 1.0:
-            raise ShapeMismatch(
-                "requires 0 < rho0 < 1 cellwise, got range [%g, %g]"
-                % (np.min(self.rho0), np.max(self.rho0)))
-        if np.min(self.u_max) < 0.0:
-            raise ShapeMismatch("requires u_max >= 0")
+        lo, hi = float(np.min(self.rho0)), float(np.max(self.rho0))
+        require(lo > 0.0, "rho0", "inf rho0 > 0", lo)
+        require(hi < 1.0, "rho0", "sup rho0 < 1", hi)
+        for key in ("mu0", "u_max"):
+            lo = float(np.min(getattr(self, key)))
+            require(lo >= 0.0, key, "%s >= 0" % key, lo)
         self.rho_target = as_field(self.grid, self.rho_target)
         self.mu_target = as_trajectory(self.tgrid, self.grid, self.mu_target)
 
@@ -75,6 +75,18 @@ class SolverConfig:
     boundary_margin: float = 0.1
     linear_tol: float = 1e-8
     bound_tol: float = 1e-10
+
+    def __post_init__(self):
+        require(self.newton_tol > 0.0, "newton_tol", "newton_tol > 0",
+                self.newton_tol)
+        require(self.newton_max >= 1, "newton_max", "newton_max >= 1",
+                self.newton_max)
+        require(0.0 < self.boundary_margin < 1.0, "boundary_margin",
+                "0 < boundary_margin < 1", self.boundary_margin)
+        require(self.linear_tol > 0.0, "linear_tol", "linear_tol > 0",
+                self.linear_tol)
+        require(self.bound_tol >= 0.0, "bound_tol", "bound_tol >= 0",
+                self.bound_tol)
 
 
 @dataclass

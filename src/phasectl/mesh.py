@@ -21,15 +21,20 @@ import numpy as np
 import scipy.fft
 from scipy.linalg.lapack import dptsv
 
-from .errors import LinearSolveFailure, ShapeMismatch, UnsupportedDimension
+from .errors import (LinearSolveFailure, ShapeMismatch, UnsupportedDimension,
+                     require)
+
+# The most float64 entries numpy can index, bounding cells and time levels.
+_MAX_COUNT = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 @dataclass(eq=False)
 class Grid:
     """Uniform cell-centered grid on a box of the given per-axis lengths.
 
-    The spacings ``h``, ``num_cells`` and the cell measure ``weight``
-    are set once on construction.
+    A scalar ``n`` or ``length`` is broadcast to every axis.  The
+    spacings ``h``, ``num_cells`` and the cell measure ``weight`` are
+    set once on construction.
     """
 
     dim: int
@@ -44,17 +49,23 @@ class Grid:
         if self.dim not in (1, 2):
             raise UnsupportedDimension(
                 "dim must be 1 or 2, got %r" % (self.dim,))
+        if np.isscalar(self.n):
+            self.n = (self.n,) * self.dim
+        if np.isscalar(self.length):
+            self.length = (self.length,) * self.dim
         self.n = tuple(int(v) for v in self.n)
         self.length = tuple(float(v) for v in self.length)
-        if len(self.n) != self.dim or len(self.length) != self.dim:
-            raise ShapeMismatch(
-                "n and length must each have one entry per axis")
-        if any(v < 1 for v in self.n):
-            raise ShapeMismatch("cell counts must be positive")
-        if any(v <= 0.0 for v in self.length):
-            raise ShapeMismatch("axis lengths must be positive")
-        self.h = tuple(L / m for L, m in zip(self.length, self.n))
+        require(len(self.n) == self.dim, "n", "one entry per axis", self.n)
+        require(len(self.length) == self.dim, "length", "one entry per axis",
+                self.length)
+        require(min(self.n) >= 1, "n", "n >= 1 on every axis", self.n)
         self.num_cells = prod(self.n)
+        require(self.num_cells <= _MAX_COUNT, "n",
+                "at most %d cells" % _MAX_COUNT, self.n)
+        # Keeps h^2, 1/h^2 and the cell weight well inside the float range.
+        require(all(1e-100 <= v <= 1e100 for v in self.length), "length",
+                "1e-100 <= length <= 1e100 on every axis", self.length)
+        self.h = tuple(L / m for L, m in zip(self.length, self.n))
         self.weight = prod(self.h)
 
     def axis_centers(self, axis: int) -> np.ndarray:
@@ -93,15 +104,8 @@ class Grid:
 
 
 def make_grid(dim: int, n, length) -> Grid:
-    """Build a grid from per-axis cell counts and box lengths.
-
-    Scalars are accepted for convenience and broadcast to every axis.
-    """
-    if np.isscalar(n):
-        n = (n,) * dim
-    if np.isscalar(length):
-        length = (length,) * dim
-    return Grid(dim=dim, n=tuple(n), length=tuple(length))
+    """Build a grid from per-axis (or scalar) cell counts and box lengths."""
+    return Grid(dim=dim, n=n, length=length)
 
 
 def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
@@ -278,10 +282,9 @@ class TimeGrid:
     def __post_init__(self):
         self.T = float(self.T)
         self.N = int(self.N)
-        if self.T <= 0.0:
-            raise ShapeMismatch("final time must be positive")
-        if self.N < 1:
-            raise ShapeMismatch("step count must be positive")
+        require(self.T > 0.0, "T", "T > 0", self.T)
+        require(self.N >= 1, "N", "N >= 1", self.N)
+        require(self.N < _MAX_COUNT, "N", "N < %d" % _MAX_COUNT, self.N)
 
     @property
     def tau(self) -> float:

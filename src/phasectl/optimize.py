@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh
-from .errors import DomainViolation, InfeasibleControl, SolverStepError
+from .errors import (DomainViolation, InfeasibleControl, SolverStepError,
+                     require)
 from .fields import as_trajectory
 from .forward import ProblemData, SolverConfig, StateTrajectory, solve_state
 from .sensitivity import AdjointTrajectory, solve_adjoint
@@ -36,6 +37,19 @@ class OptimizerConfig:
     step0: float = 1.0
     stat_tol: float = 1e-6
     min_step: float = 1e-12
+
+    def __post_init__(self):
+        require(self.max_iters >= 0, "max_iters", "max_iters >= 0",
+                self.max_iters)
+        require(0.0 < self.armijo_c < 1.0, "armijo_c", "0 < armijo_c < 1",
+                self.armijo_c)
+        require(0.0 < self.armijo_shrink < 1.0, "armijo_shrink",
+                "0 < armijo_shrink < 1", self.armijo_shrink)
+        require(self.step0 > 0.0, "step0", "step0 > 0", self.step0)
+        require(self.stat_tol >= 0.0, "stat_tol", "stat_tol >= 0",
+                self.stat_tol)
+        require(self.min_step > 0.0, "min_step", "min_step > 0",
+                self.min_step)
 
 
 @dataclass

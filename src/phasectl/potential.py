@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation
+from .errors import DomainViolation, require
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,8 @@ class Potential:
     c_quad: float = 2.0
 
     def __post_init__(self):
-        if self.c_log <= 0.0 or self.c_quad < 0.0:
-            raise DomainViolation(
-                "requires c_log > 0 and c_quad >= 0, got c_log=%r c_quad=%r"
-                % (self.c_log, self.c_quad))
+        require(self.c_log > 0.0, "c_log", "c_log > 0", self.c_log)
+        require(self.c_quad >= 0.0, "c_quad", "c_quad >= 0", self.c_quad)
 
     def _check(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)

@@ -34,11 +34,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh
+from .errors import require
 from .fields import as_trajectory
 from .forward import (ProblemData, SolverConfig, StateTrajectory,
                       StepOperators, mu_carry, newton_shift)
 
 ADJOINT_MODES = ("discrete", "pde")
+
+
+def check_adjoint_mode(mode: str) -> str:
+    """The mode, or ValidationError naming adjoint_mode."""
+    require(mode in ADJOINT_MODES, "adjoint_mode",
+            "adjoint_mode in {%s}" % ", ".join(ADJOINT_MODES), mode)
+    return mode
 
 
 @dataclass
@@ -75,10 +83,7 @@ def solve_adjoint(problem: ProblemData, state: StateTrajectory,
                   cfg: SolverConfig = SolverConfig(),
                   mode: str = "discrete") -> AdjointTrajectory:
     """Solve the adjoint pair backward from the tracking misfits."""
-    if mode not in ADJOINT_MODES:
-        raise ValueError("adjoint mode must be one of %r, got %r"
-                         % (ADJOINT_MODES, mode))
-    if mode == "discrete":
+    if check_adjoint_mode(mode) == "discrete":
         return _adjoint_discrete(problem, state, cfg)
     return _adjoint_pde(problem, state, cfg)
 

@@ -8,6 +8,7 @@ import phasectl as pc
 from phasectl import cli, config, fields
 from phasectl.errors import (MissingKey, UnsupportedDimension,
                              ValidationError)
+from conftest import build_problem
 
 MINIMAL = """
 domain: {dim: 1, n: 16, length: 1.0}
@@ -47,6 +48,40 @@ def test_dim_three_rejected(tmp_path):
                           "{dim: 3, n: [2, 2, 2], length: [1, 1, 1]}")
     with pytest.raises(UnsupportedDimension):
         config.parse_config(write(tmp_path, bad))
+
+
+def test_dim_beyond_index_range_rejected(tmp_path, capsys):
+    path = write(tmp_path, MINIMAL.replace("dim: 1", "dim: 1.0e+300"))
+    with pytest.raises(UnsupportedDimension):
+        config.parse_config(path)
+    assert cli.main(["forward", "--config", path]) == 2
+    assert "error: dim must be 1 or 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cls, field, value, condition", [
+    (pc.SolverConfig, "newton_tol", 0.0, "newton_tol > 0"),
+    (pc.SolverConfig, "newton_max", 0, "newton_max >= 1"),
+    (pc.SolverConfig, "boundary_margin", 0.0, "0 < boundary_margin < 1"),
+    (pc.SolverConfig, "boundary_margin", 2.0, "0 < boundary_margin < 1"),
+    (pc.SolverConfig, "linear_tol", -1.0, "linear_tol > 0"),
+    (pc.SolverConfig, "bound_tol", -1.0, "bound_tol >= 0"),
+    (pc.OptimizerConfig, "max_iters", -1, "max_iters >= 0"),
+    (pc.OptimizerConfig, "armijo_c", 1.0, "0 < armijo_c < 1"),
+    (pc.OptimizerConfig, "armijo_shrink", 0.0, "0 < armijo_shrink < 1"),
+    (pc.OptimizerConfig, "step0", 0.0, "step0 > 0"),
+    (pc.OptimizerConfig, "stat_tol", -1.0, "stat_tol >= 0"),
+    (pc.OptimizerConfig, "min_step", 0.0, "min_step > 0"),
+    (config.OutputConfig, "snapshot_stride", 0, "snapshot_stride >= 1"),
+    (config.OutputConfig, "seed", -1, "seed >= 0"),
+    (build_problem, "mu0", -1.0, "mu0 >= 0"),
+])
+def test_objects_check_their_fields(cls, field, value, condition):
+    """The library constructors refuse what the config refuses."""
+    with pytest.raises(ValidationError) as info:
+        cls(**{field: value})
+    assert str(info.value) == "%s: requires %s, got %r" % (field, condition,
+                                                          value)
+    assert info.value.key == field
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -126,11 +161,22 @@ def test_integer_keys_strict(tmp_path, capsys, text, key):
     (MINIMAL + "control: {u_init: [0.1]}\n", "control.u_init",
      "a finite number"),
     (MINIMAL + "output: {seed: -3}\n", "output.seed", "seed >= 0"),
+    (MINIMAL.replace("n: 16", "n: 0"), "domain.n", "n >= 1"),
+    (MINIMAL.replace("length: 1.0", "length: -1.0"), "domain.length",
+     "1e-100 <= length <= 1e100"),
+    (MINIMAL.replace("n: 16", "n: [16, 16]"), "domain.n",
+     "one entry per axis"),
+    (MINIMAL.replace("n: 16", "n: 1.0e+300"), "domain.n", "at most"),
+    (MINIMAL.replace("N: 8", "N: 1.0e+300"), "time.N", "N < "),
+    (MINIMAL + "init: {mu0: -1}\n", "init.mu0", "mu0 >= 0"),
+    (MINIMAL + "solver: {adjoint_mode: abc}\n", "solver.adjoint_mode",
+     "adjoint_mode in {discrete, pde}"),
 ], ids=["delta-string", "epsilon-nan", "length-string", "length-entry",
         "T-bool", "c_log-list", "newton_tol-string", "step0-inf",
         "iter_snapshots-string", "iter_snapshots-int", "u_max-bool",
         "u_init-bool", "rho0-bool", "mu0-nan", "mu_T-inf", "from_state-bool",
-        "u_init-list", "seed-negative"])
+        "u_init-list", "seed-negative", "n-zero", "length-negative",
+        "n-entries", "n-huge", "N-huge", "mu0-negative", "adjoint_mode"])
 def test_float_and_boolean_keys_strict(tmp_path, capsys, text, key, condition):
     path = write(tmp_path, text)
     with pytest.raises(ValidationError, match=r"^%s: requires %s"
@@ -297,8 +343,19 @@ def test_cli_check_bounds_and_seed_override(tmp_path, capsys):
     # A negative seed is a usage error, not a failing check.
     assert run_cli(["check", "grad", "--config", cfg, "--out", out,
                     "--seed", "-1"]) == 2
-    assert "error: seed must be >= 0" in capsys.readouterr().err
+    assert "error: --seed: requires seed >= 0, got -1" \
+        in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "check_grad.json"))
+
+
+def test_cli_snapshot_stride_override_rejected(tmp_path, capsys):
+    cfg = write(tmp_path, MINIMAL)
+    out = tmp_path / "none"
+    assert run_cli(["forward", "--config", cfg, "--out", str(out),
+                    "--snapshots", "0"]) == 2
+    assert "error: --snapshots: requires snapshot_stride >= 1, got 0" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_check_oracle_failure_exits_one(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 import phasectl as pc
 from phasectl import checks, sensitivity
+from phasectl.errors import ValidationError
 from conftest import build_problem, manufactured
 
 
@@ -33,6 +35,13 @@ def test_remainder_quarters_per_halving(cfg, small):
     r = rep["metrics"]["remainders"]
     for a, b in zip(r, r[1:]):
         assert 4.0 / 1.5 <= a / b <= 4.0 * 1.5
+
+
+def test_unknown_adjoint_mode_rejected(cfg, small):
+    st = pc.solve_state(small, 0.3, cfg)
+    with pytest.raises(ValidationError, match=r"^adjoint_mode: requires "
+                       r"adjoint_mode in \{discrete, pde\}, got 'dual'$"):
+        pc.solve_adjoint(small, st, cfg, "dual")
 
 
 def test_adjoint_vanishes_when_targets_met(cfg):

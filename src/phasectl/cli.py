@@ -30,8 +30,6 @@ from .sensitivity import solve_adjoint, solve_tangent
 
 CHECK_NAMES = ("grad", "tangent", "duality", "stability", "oracle", "bounds")
 
-_BETA2_ZERO_CAP = 50
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -113,12 +111,6 @@ def cmd_forward(rc: RunConfig) -> int:
 
 def cmd_optimize(rc: RunConfig) -> int:
     problem = build_problem(rc)
-    opt = rc.optimizer
-    if problem.beta2 == 0.0 and opt.max_iters > _BETA2_ZERO_CAP:
-        print("warning: beta2 = 0 leaves the step rule without a curvature "
-              "scale; capping iterations at %d" % _BETA2_ZERO_CAP,
-              file=sys.stderr)
-        opt = replace(opt, max_iters=_BETA2_ZERO_CAP)
     out = rc.output.directory
     callback = None
     if rc.output.iter_snapshots:
@@ -128,9 +120,9 @@ def cmd_optimize(rc: RunConfig) -> int:
                             problem.tgrid, problem.grid, u)
 
     tic = time.perf_counter()
-    result = projected_gradient_descent(problem, rc.u_init, opt, rc.solver,
-                                        adjoint_mode=rc.adjoint_mode,
-                                        callback=callback)
+    result = projected_gradient_descent(
+        problem, rc.u_init, rc.optimizer, rc.solver,
+        adjoint_mode=rc.adjoint_mode, callback=callback)
     runtime = time.perf_counter() - tic
     _write_fields(rc, u=result.u, rho=result.state.rho, mu=result.state.mu)
     summary = {
@@ -141,6 +133,8 @@ def cmd_optimize(rc: RunConfig) -> int:
         "termination": result.termination,
         "iterations": result.iterations,
         "rejected_trials": result.rejected_trials,
+        "step_source": result.step_source,
+        "trials": result.trials,
         "final_J": result.J_history[-1],
         "final_kkt": result.kkt_history[-1],
         "runtime_seconds": runtime,

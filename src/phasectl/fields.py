@@ -10,6 +10,7 @@ is then renamed over the destination.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -76,15 +77,18 @@ def field_header(grid: Grid) -> str:
     return "x,value" if grid.dim == 1 else "x,y,value"
 
 
+@functools.lru_cache(maxsize=8)
+def _csv_template(grid: Grid) -> str:
+    """The CSV text of a grid with one ``%.17g`` slot per value."""
+    rows = ("".join(_FMT % c + "," for c in row) + _FMT
+            for row in grid.cell_centers())
+    return "\n".join([field_header(grid), *rows]) + "\n"
+
+
 def write_field_csv(path: str, grid: Grid, v: np.ndarray) -> None:
     """Write one field as CSV: coordinate columns then the value column."""
     v = grid.check_field(v)
-    coords = grid.cell_centers()
-    lines = [field_header(grid)]
-    for row, val in zip(coords, v):
-        cols = [_FMT % c for c in row] + [_FMT % val]
-        lines.append(",".join(cols))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, _csv_template(grid) % tuple(v.tolist()))
 
 
 def read_field_csv(path: str, grid: Grid) -> np.ndarray:
@@ -134,7 +138,6 @@ def snapshot_levels(tg: TimeGrid, stride: int) -> list:
 def write_snapshots(directory: str, base: str, tg: TimeGrid, grid: Grid,
                     traj: np.ndarray, stride: int = 1) -> list:
     """Write trajectory levels as numbered field CSVs; returns the paths."""
-    os.makedirs(directory, exist_ok=True)
     paths = []
     for level in snapshot_levels(tg, stride):
         path = os.path.join(directory, snapshot_name(base, level))

@@ -138,9 +138,9 @@ def solve_shifted(grid: Grid, shift: np.ndarray, rhs: np.ndarray,
     the mean shift, which is already the solution when the shift is
     constant.  In either dimension the operator must be positive
     definite, or LinearSolveFailure is raised.
-    With ``tol`` set, the residual is verified against
-    tol * (1 + |rhs|) in the cell norm and LinearSolveFailure is raised
-    on excess.
+    With ``tol`` set, the residual is verified against tol * (1 + |rhs|)
+    in the cell norm, both sides over max|rhs| so that no square
+    overflows, and LinearSolveFailure is raised on excess.
     """
     shift = grid.check_field(shift)
     rhs = grid.check_field(rhs)
@@ -168,10 +168,12 @@ def solve_shifted(grid: Grid, shift: np.ndarray, rhs: np.ndarray,
     if not np.isfinite(x).all():
         raise LinearSolveFailure("shifted Laplacian solve returned non-finite values")
     if tol is not None:
-        res = norm_h(grid, shift * x - laplacian_apply(grid, x) - rhs)
-        if res > tol * (1.0 + norm_h(grid, rhs)):
+        scale = float(np.abs(rhs).max()) or 1.0
+        xs, rs = x / scale, rhs / scale
+        res = norm_h(grid, shift * xs - laplacian_apply(grid, xs) - rs)
+        if not res <= tol * (1.0 / scale + norm_h(grid, rs)):
             raise LinearSolveFailure(
-                "linear residual %.3e exceeds tolerance %.3e" % (res, tol))
+                "scaled linear residual %.3e exceeds %.3e" % (res, tol))
     return x
 
 

@@ -65,6 +65,8 @@ class OptimizeResult:
     termination: str
     iterations: int
     rejected_trials: int
+    step_source: list
+    trials: list
 
 
 def cost_parts(problem: ProblemData, state: StateTrajectory, u) -> dict:
@@ -145,27 +147,29 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
     """Minimize the reduced cost over the box by projected gradient.
 
     Each iteration prices the gradient with one adjoint solve, then
-    backtracks from step0 along the projection arc until the accepted
-    point decreases the cost by at least
-    armijo_c / step * |u - u_new|_Q^2.  A trial whose forward solve
-    fails (SolverStepError or DomainViolation) is rejected like one that
-    misses the decrease, and counted in ``rejected_trials``.  Terminates
-    when the stationarity measure falls to stat_tol (Stationary), the
-    iteration budget is spent (MaxIters), or no step above min_step is
-    acceptable (Stalled).  The returned adjoint, gradient and
-    stationarity history always correspond to the returned control.
+    backtracks along the projection arc until the accepted point decreases
+    the cost by at least armijo_c / step * |u - u_new|_Q^2.  The search
+    starts from the Barzilai-Borwein step <s,s>_Q / <s,y>_Q of the last
+    control and gradient changes s, y (taken as 0 when <s,y>_Q <= 0), or
+    from step0 on the first iteration and when that step is not in
+    [min_step, inf).  Each search records its seed in ``step_source`` and
+    its forward solves in ``trials``.  A trial whose forward solve fails
+    (SolverStepError or DomainViolation) is rejected like one that misses
+    the decrease, and counted in ``rejected_trials``.  Terminates when the
+    stationarity measure falls to stat_tol (Stationary), the iteration
+    budget is spent (MaxIters), or no step above min_step is acceptable
+    (Stalled).  The returned adjoint, gradient and stationarity history
+    always correspond to the returned control.
     """
     grid, tg = problem.grid, problem.tgrid
     u = project_control(problem, as_trajectory(tg, grid, u0))
     state = solve_state(problem, u, cfg)
     J = cost(problem, state, u)
     J_history = [J]
-    kkt_history = []
-    step_history = []
-    iter_seconds = []
+    kkt_history, step_history, iter_seconds = [], [], []
     iterations = 0
     rejected_trials = 0
-    termination = TERMINATION_MAX_ITERS
+    step_source, trials = [], []
     while True:
         tic = time.perf_counter()
         gradient, adjoint, _ = reduced_gradient(problem, u, state, cfg,
@@ -180,13 +184,22 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
         if iterations >= opt.max_iters:
             termination = TERMINATION_MAX_ITERS
             break
-        step = opt.step0
+        step, source = opt.step0, "step0"
+        if iterations:
+            s, y = u - u_prev, gradient - g_prev
+            sy = mesh.inner_q(tg, grid, s, y)
+            bb = mesh.inner_q(tg, grid, s, s) / sy if sy > 0.0 else 0.0
+            if opt.min_step <= bb < np.inf:
+                step, source = bb, "bb"
+        step_source.append(source)
+        trials.append(0)
         accepted = False
         while step >= opt.min_step:
             u_try = project_control(problem, u - step * gradient)
             diff = u - u_try
             decrease = mesh.inner_q(tg, grid, diff, diff)
             if decrease > 0.0:
+                trials[-1] += 1
                 try:
                     state_try = solve_state(problem, u_try, cfg)
                 except (SolverStepError, DomainViolation):
@@ -200,6 +213,7 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
         if not accepted:
             termination = TERMINATION_STALLED
             break
+        u_prev, g_prev = u, gradient
         u, state, J = u_try, state_try, J_try
         J_history.append(J)
         step_history.append(step)
@@ -209,4 +223,5 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
                           J_history=J_history, kkt_history=kkt_history,
                           step_history=step_history, iter_seconds=iter_seconds,
                           termination=termination, iterations=iterations,
-                          rejected_trials=rejected_trials)
+                          rejected_trials=rejected_trials,
+                          step_source=step_source, trials=trials)

@@ -7,6 +7,7 @@ runs one command on it.  The list holds no size between 10^4 and
 """
 
 import traceback
+import warnings
 
 import numpy as np
 
@@ -69,3 +70,16 @@ def test_config_fuzz_exits_zero_one_or_two(tmp_path, capsys):
         capsys.readouterr()
     assert [c for c in codes if c not in (0, 1, 2)] == []
     assert 0 in codes and 2 in codes
+
+
+def test_huge_epsilon_runs_without_overflow(tmp_path, capsys):
+    """epsilon = 1e300 squares past the float range inside step_mu's solve."""
+    sections = {section: dict(keys) for section, keys in VALID.items()}
+    sections["params"]["epsilon"] = "1.0e+300"
+    path, out = tmp_path / "run.yaml", tmp_path / "out"
+    path.write_text(render(sections))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = [run(path, command, out) for command in
+                 (["forward"], ["check", "bounds"], ["check", "duality"])]
+    assert codes == [0, 0, 0]

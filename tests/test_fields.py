@@ -52,6 +52,25 @@ def test_field_csv_roundtrip_2d(tmp_path):
     assert header == "x,y,value"
 
 
+def test_field_csv_matches_row_by_row_writer(tmp_path):
+    """The one-format writer gives the bytes of a per-row loop."""
+    rng = np.random.default_rng(11)
+    grids = [pc.make_grid(1, 37, 2.5), pc.make_grid(2, (5, 7), (1.0, 0.3))]
+    for k, g in enumerate(grids):
+        v = rng.standard_normal(g.num_cells) * 10.0 ** rng.integers(
+            -300, 300, g.num_cells)
+        v[0] = -0.0
+        rows = [",".join(["%.17g" % c for c in row] + ["%.17g" % val])
+                for row, val in zip(g.cell_centers(), v)]
+        expected = "\n".join([fields.field_header(g)] + rows) + "\n"
+        path = str(tmp_path / ("f%d.csv" % k))
+        fields.write_field_csv(path, g, v)
+        with open(path) as f:
+            assert f.read() == expected
+        back = fields.read_field_csv(path, g)
+        assert back.tobytes() == v.tobytes()
+
+
 def test_field_csv_coordinate_check(tmp_path):
     g = pc.make_grid(1, 4, 1.0)
     path = str(tmp_path / "f.csv")

@@ -154,6 +154,24 @@ def test_solve_shifted_2d_budget_exhausted(monkeypatch):
         mesh.solve_shifted(g, shift, rng.standard_normal(g.num_cells))
 
 
+def test_solve_shifted_residual_check_holds_at_large_values(monkeypatch):
+    """|rhs|^2 overflows here; a 1% error must still fail the check."""
+    rng = np.random.default_rng(7)
+    g = pc.make_grid(1, 8, 1.0)
+    shift = 0.5 + rng.random(g.num_cells)
+    rhs = 1e300 * (0.5 + rng.random(g.num_cells))
+    mesh.solve_shifted(g, shift, rhs, tol=1e-8)  # the exact solve passes
+    dptsv = mesh.dptsv
+
+    def off_by_one_percent(*args, **kwargs):
+        d, e, x, info = dptsv(*args, **kwargs)
+        return d, e, 1.01 * x, info
+
+    monkeypatch.setattr(mesh, "dptsv", off_by_one_percent)
+    with pytest.raises(LinearSolveFailure, match="linear residual"):
+        mesh.solve_shifted(g, shift, rhs, tol=1e-8)
+
+
 def test_norm_w_is_literal_sum():
     g = pc.make_grid(1, 6, 1.0)
     v = np.random.default_rng(9).standard_normal(6)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,59 @@ def test_descent_backtracks_past_failed_trial(cfg, monkeypatch, failure):
     assert res.iterations == 3
     assert res.step_history[0] == opt.step0 * opt.armijo_shrink
     assert np.all(np.diff(res.J_history) <= 0.0)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pc.solve_state(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "solve_state", counted)
+    return calls
+
+
+def test_descent_records_step_source_and_trials(cfg, monkeypatch):
+    prob, _ = manufactured(u_dag=0.5)
+    calls = _count_solves(monkeypatch)
+    opt = pc.OptimizerConfig(max_iters=6, stat_tol=0.0, step0=2e3)
+    res = pc.projected_gradient_descent(prob, 0.0, opt, cfg)
+    assert res.step_source[0] == "step0" and "bb" in res.step_source[1:]
+    assert len(res.step_source) == len(res.trials) == res.iterations
+    assert sum(res.trials) == len(calls) - 1  # the first solve prices u0
+
+
+def test_default_config_reaches_stationary_in_ten_solves(cfg, monkeypatch):
+    """The criterion-8 instance, without the hand-tuned step0."""
+    prob, _ = manufactured(n=64, N=128, T=0.05, u_dag=0.5)
+    calls = _count_solves(monkeypatch)
+    res = pc.projected_gradient_descent(
+        prob, 0.0, pc.OptimizerConfig(stat_tol=1e-9), cfg)
+    assert res.termination == optimize.TERMINATION_STATIONARY
+    assert len(calls) <= 10
+    assert np.all(np.diff(res.J_history) <= 0.0)
+
+
+def test_bang_bang_stationary_from_default_step0(cfg):
+    """The criterion-9 instance (beta2 = 0), without the tuned step0."""
+    base = build_problem(n=64, N=128, T=0.25, rho0=0.5, mu0=0.0)
+    ref = pc.solve_state(base, 0.0, cfg)
+    split = np.where(base.grid.axis_centers(0) < 0.5, 2.0, -2.0)
+    prob = replace(base, beta1=1.0, beta2=0.0,
+                   rho_target=ref.rho[base.tgrid.N],
+                   mu_target=traj(base, split))
+    opt = pc.OptimizerConfig(max_iters=50, stat_tol=1e-12)
+    res = pc.projected_gradient_descent(prob, 0.5, opt, cfg)
+    assert res.termination == optimize.TERMINATION_STATIONARY
+
+
+def test_bb_seed_below_min_step_falls_back_to_step0(cfg):
+    prob, _ = manufactured(u_dag=0.5)
+    # The BB steps of the first iterations here are about 1.8e3.
+    opt = pc.OptimizerConfig(max_iters=3, stat_tol=0.0, step0=2e3,
+                             min_step=1.9e3)
+    res = pc.projected_gradient_descent(prob, 0.0, opt, cfg)
+    assert res.termination == optimize.TERMINATION_MAX_ITERS
+    assert res.step_source == ["step0"] * 3
+    assert res.step_history == [opt.step0] * 3

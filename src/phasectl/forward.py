@@ -133,6 +133,28 @@ def _rho_residual(grid, pot, delta, tau, rho_prev, rho, mu_prev):
         + pot.d1(rho) - mu_prev
 
 
+def _residual_norm(grid: Grid, res: np.ndarray):
+    """Cell norm of a Newton residual, over max|res| if its square overflows.
+
+    The plain norm is kept whenever it is finite.
+    """
+    with np.errstate(over="ignore"):
+        rnorm = mesh.norm_h(grid, res)
+        if rnorm == np.inf:
+            scale = np.abs(res).max()
+            rnorm = scale * mesh.norm_h(grid, res / scale)
+    return rnorm
+
+
+def _damping(rho: np.ndarray, step: np.ndarray, theta: float):
+    """Largest factor in (0, 1] that keeps every cell at least theta times
+    its current distance from the endpoint its step heads for."""
+    dist = np.where(step < 0.0, rho, 1.0 - rho)
+    # inf / 0 is inf and raises no divide-by-zero flag.
+    dist[step == 0.0] = np.inf
+    return min(1.0, (1.0 - theta) * (dist / np.abs(step)).min())
+
+
 def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
              rho_prev: np.ndarray, mu_prev: np.ndarray, cfg: SolverConfig
              ) -> tuple:
@@ -153,21 +175,13 @@ def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
     try:
         for _ in range(cfg.newton_max + 1):
             res = _rho_residual(grid, pot, delta, tau, rho_prev, rho, mu_prev)
-            rnorm = mesh.norm_h(grid, res)
+            rnorm = _residual_norm(grid, res)
             history.append(rnorm)
             if rnorm <= cfg.newton_tol:
                 return rho, history
             step = mesh.solve_shifted(grid, newton_shift(pot, delta, tau, rho),
                                       -res)
-            lam = 1.0
-            down = step < 0.0
-            if np.any(down):
-                lam = min(lam, (1.0 - theta) * np.min(rho[down] / -step[down]))
-            up = step > 0.0
-            if np.any(up):
-                lam = min(lam,
-                          (1.0 - theta) * np.min((1.0 - rho[up]) / step[up]))
-            rho = rho + lam * step
+            rho = rho + _damping(rho, step, theta) * step
         raise NewtonDivergence(
             "Newton residual %.3e above tolerance %.3e after %d iterations"
             % (history[-1], cfg.newton_tol, cfg.newton_max))
@@ -181,9 +195,10 @@ def step_mu(grid: Grid, epsilon: float, tau: float, rho_prev: np.ndarray,
             cfg: SolverConfig) -> np.ndarray:
     """Advance the chemical potential by one linear implicit step."""
     diag = mu_diagonal(epsilon, tau, rho_prev, rho_new)
-    if np.min(diag) <= 0.0:
+    lo = diag.min()
+    if lo <= 0.0:
         raise NonpositiveCoefficient(
-            "potential step diagonal min %.3e is nonpositive" % np.min(diag))
+            "potential step diagonal min %.3e is nonpositive" % lo)
     rhs = u_new + mu_carry(epsilon, tau, rho_new) * mu_prev
     return mesh.solve_shifted(grid, diag, rhs, tol=cfg.linear_tol)
 

@@ -30,10 +30,14 @@ class Potential:
 
     def _check(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        if r.size and (np.min(r) <= 0.0 or np.max(r) >= 1.0):
-            bad = float(np.min(r)) if np.min(r) <= 0.0 else float(np.max(r))
-            raise DomainViolation(
-                "potential argument %r outside the open interval (0, 1)" % bad)
+        if r.size:
+            lo, hi = r.min(), r.max()
+            # Written so that a NaN argument fails too.
+            if not (lo > 0.0 and hi < 1.0):
+                bad = hi if lo > 0.0 else lo
+                raise DomainViolation(
+                    "potential argument %r outside the open interval (0, 1)"
+                    % float(bad))
         return r
 
     def value(self, r):

@@ -83,3 +83,18 @@ def test_huge_epsilon_runs_without_overflow(tmp_path, capsys):
         codes = [run(path, command, out) for command in
                  (["forward"], ["check", "bounds"], ["check", "duality"])]
     assert codes == [0, 0, 0]
+
+
+def test_huge_c_log_runs_without_overflow(tmp_path, capsys):
+    """c_log = 1e300 squares past the float range in the Newton residual
+    norm; the march still ends in NewtonDivergence, and loudly."""
+    sections = {section: dict(keys) for section, keys in VALID.items()}
+    sections["potential"]["c_log"] = "1.0e+300"
+    path, out = tmp_path / "run.yaml", tmp_path / "out"
+    path.write_text(render(sections))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = [run(path, command, out) for command in
+                 (["forward"], ["check", "tangent"])]
+    assert codes == [2, 2]
+    assert capsys.readouterr().err.count("Newton residual") == 2

@@ -46,6 +46,34 @@ def test_newton_residuals_quadratic(cfg):
         assert ratios[-1] < 0.2 * ratios[0]
 
 
+def two_mask_damping(rho, step, theta):
+    """The damping factor as first written: one boolean mask per sign."""
+    lam = 1.0
+    down = step < 0.0
+    if np.any(down):
+        lam = min(lam, (1.0 - theta) * np.min(rho[down] / -step[down]))
+    up = step > 0.0
+    if np.any(up):
+        lam = min(lam, (1.0 - theta) * np.min((1.0 - rho[up]) / step[up]))
+    return lam
+
+
+@pytest.mark.filterwarnings("error")
+def test_damping_matches_two_mask_formula():
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        n = int(rng.integers(1, 20))
+        rho = 1e-9 + (1.0 - 2e-9) * rng.random(n)
+        step = rng.standard_normal(n) * 10.0 ** rng.uniform(-12.0, 3.0, n)
+        step[rng.random(n) < 0.3] = 0.0
+        if rng.random() < 0.05:
+            step[:] = 0.0
+        theta = rng.uniform(0.01, 0.99)
+        got = forward._damping(rho, step, theta)
+        want = two_mask_damping(rho, step, theta)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_step_mu_homogeneous(cfg):
     g = pc.make_grid(1, 8, 1.0)
     rho = np.full(8, 0.4)

@@ -172,6 +172,29 @@ def test_solve_shifted_residual_check_holds_at_large_values(monkeypatch):
         mesh.solve_shifted(g, shift, rhs, tol=1e-8)
 
 
+@pytest.mark.parametrize("g", [pc.make_grid(1, 8, 1.0),
+                               pc.make_grid(2, (5, 4), (1.0, 1.5))],
+                         ids=["1d", "2d"])
+def test_solve_shifted_residual_check_at_ordinary_values(g, monkeypatch):
+    """|rhs| ~ 1: the exact solve passes, a 1e-6 relative error fails."""
+    rng = np.random.default_rng(8)
+    shift = 0.5 + rng.random(g.num_cells)
+    rhs = rng.standard_normal(g.num_cells)
+    mesh.solve_shifted(g, shift, rhs, tol=1e-8)
+    name = "dptsv" if g.dim == 1 else "_pcg"
+    solve = getattr(mesh, name)
+
+    def one_ppm_off(*args, **kwargs):
+        if g.dim == 2:
+            return (1.0 + 1e-6) * solve(*args, **kwargs)
+        d, e, x, info = solve(*args, **kwargs)
+        return d, e, (1.0 + 1e-6) * x, info
+
+    monkeypatch.setattr(mesh, name, one_ppm_off)
+    with pytest.raises(LinearSolveFailure, match="linear residual"):
+        mesh.solve_shifted(g, shift, rhs, tol=1e-8)
+
+
 def test_norm_w_is_literal_sum():
     g = pc.make_grid(1, 6, 1.0)
     v = np.random.default_rng(9).standard_normal(6)
@@ -221,6 +244,31 @@ def test_laplacian_property_dense_oracle(g, seed):
         assert stacked.shape == (3,)
         rows = [op(g, *(x[k] for x in args)) for k in range(3)]
         np.testing.assert_allclose(stacked, rows, rtol=rtol, atol=0.0)
+
+
+def reference_laplacian(grid, a):
+    """The stencil loop as first written: zeroed output, both faces added."""
+    out = np.zeros_like(a)
+    for axis in range(-grid.dim, 0):
+        o, s = out.swapaxes(0, axis), a.swapaxes(0, axis)
+        flux = (s[1:] - s[:-1]) / grid.h[axis] ** 2
+        o[:-1] += flux
+        o[1:] -= flux
+    return out
+
+
+@PROPERTY
+@given(g=GRIDS, seed=SEEDS, stack=st.sampled_from([(), (3,), (2, 3)]))
+def test_laplacian_property_matches_reference_loop(g, seed, stack):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(stack + g.n)
+    # Exact zeros and repeated values give zero fluxes.
+    a[rng.random(a.shape) < 0.2] = 0.0
+    a[rng.random(a.shape) < 0.2] = 1.0
+    assert np.array_equal(mesh._laplacian(g, a), reference_laplacian(g, a))
+    flat = a.reshape(stack + (g.num_cells,))
+    assert np.array_equal(mesh.laplacian_apply(g, flat),
+                          reference_laplacian(g, a).reshape(flat.shape))
 
 
 @PROPERTY

@@ -22,6 +22,14 @@ def test_barrier_domain(r, order):
         (pot.value, pot.d1, pot.d2, pot.d3)[order](np.array([r]))
 
 
+@pytest.mark.parametrize("r", [[np.nan, 0.5], [0.5, np.nan], [np.nan]])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_nan_argument_refused(r, order):
+    pot = Potential()
+    with pytest.raises(DomainViolation, match="nan"):
+        (pot.value, pot.d1, pot.d2, pot.d3)[order](np.array(r))
+
+
 def test_symmetry_about_one_half():
     pot = Potential()
     r = np.array([0.12, 0.3, 0.41])

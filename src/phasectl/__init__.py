@@ -13,7 +13,7 @@ from .forward import (Diagnostics, ProblemData, SolverConfig, StateTrajectory,
                       residual_norms, solve_state, step_mu, step_rho)
 from .mesh import Grid, TimeGrid, make_grid, make_time_grid
 from .optimize import (OptimizeResult, OptimizerConfig, cost, cost_parts,
-                       directional_derivative, kkt_residual, project_control,
+                       kkt_residual, project_control,
                        projected_gradient_descent, reduced_gradient)
 from .potential import Potential
 from .sensitivity import (AdjointTrajectory, TangentTrajectory,
@@ -25,7 +25,7 @@ __all__ = [
     "OptimizerConfig", "Potential", "ProblemData", "RunConfig",
     "SolverConfig", "StateTrajectory", "TangentTrajectory", "TimeGrid",
     "adjoint_mode_gap", "bounds_check", "build_problem", "cost", "cost_parts",
-    "directional_derivative", "duality_gap_check", "duality_pairing",
+    "duality_gap_check", "duality_pairing",
     "fd_gradient_check", "kkt_residual", "make_grid", "make_time_grid",
     "ode_oracle_check", "parse_config", "project_control",
     "projected_gradient_descent", "random_control", "reduced_gradient",

@@ -24,7 +24,7 @@ from .errors import InfeasibleControl, ShapeMismatch
 from .fields import as_trajectory
 from .forward import ProblemData, SolverConfig, solve_state
 from .mesh import TimeGrid, make_grid, make_time_grid
-from .optimize import cost, directional_derivative, reduced_gradient
+from .optimize import cost, reduced_gradient
 from .sensitivity import duality_pairing, solve_adjoint, solve_tangent
 
 GRAD_LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -104,57 +104,73 @@ def check_instance(problem: ProblemData, seed: int, u=None, h=None) -> tuple:
     return as_trajectory(tg, grid, u), as_trajectory(tg, grid, h)
 
 
-def _check_box(problem, u, label):
-    if np.min(u) < -1e-12 or np.max(u - problem.u_max) > 1e-12:
-        raise InfeasibleControl("%s leaves the box [0, u_max]" % label)
+# A difference quotient error at or below K eps max(|J0|, |J|) / lambda
+# is the rounding of the two costs, not truncation, and is left out of
+# the fit.  On the desk instance, seeds 0-39, any K from 20 to 1e4 passes
+# every seed and fails a gradient without beta2 u or with q scaled by 1.01.
+ROUNDOFF_K = 100.0
 
 
-def _loglog_slope(xs, ys) -> float:
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+def _ladder(problem: ProblemData, u, h, lambdas) -> list:
+    """The controls u + lambda * h of a Taylor ladder, each checked against
+    the box; InfeasibleControl names the base control or the rung."""
+    rungs = [("base control", u)] + [
+        ("perturbed control (lambda=%g)" % lam, u + lam * h)
+        for lam in lambdas]
+    for label, v in rungs:
+        if np.min(v) < -1e-12 or np.max(v - problem.u_max) > 1e-12:
+            raise InfeasibleControl("%s leaves the box [0, u_max]" % label)
+    return [v for _, v in rungs[1:]]
+
+
+def _ladder_verdict(metrics: dict, lambdas, values, h, band) -> bool:
+    """Whether the log-log slope of ``values`` against ``lambdas`` lies in
+    ``band``; the slope goes into ``metrics``.
+
+    With fewer than two points or a value <= 0 the slope is meaningless:
+    the ladder is degenerate, which passes for a nonzero direction (the
+    error sits below round-off) and fails for a zero one.
+    """
+    if len(values) < 2 or min(values) <= 0.0:
+        metrics["slope"] = None
+        metrics["degenerate"] = True
+        return bool(np.any(h))
+    metrics["slope"] = float(np.polyfit(np.log(lambdas), np.log(values), 1)[0])
+    return band[0] <= metrics["slope"] <= band[1]
 
 
 def fd_gradient_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
                       seed: int = 0, u=None, h=None,
                       lambdas=GRAD_LAMBDAS) -> dict:
-    """Compare the adjoint directional derivative with finite differences.
+    """Compare the pairing of the reduced gradient with a direction
+    against finite differences of the cost.
 
-    Passes when the log-log slope of the error against the step lies in
-    [0.8, 1.2].  A zero direction is reported degenerate, not passed.
+    Points whose error is at round-off level (see ROUNDOFF_K) are left
+    out; passes when the log-log slope of the error against the step
+    over the rest lies in [0.8, 1.2].
     """
     u, h = check_instance(problem, seed, u, h)
-    _check_box(problem, u, "base control")
-    for lam in lambdas:
-        _check_box(problem, u + lam * h, "perturbed control (lambda=%g)" % lam)
-    gradient, adjoint, state = reduced_gradient(problem, u, None, cfg)
-    deriv = directional_derivative(problem, u, adjoint.q, h)
+    controls = _ladder(problem, u, h, lambdas)
+    gradient, _, state = reduced_gradient(problem, u, None, cfg)
+    deriv = mesh.inner_q(problem.tgrid, problem.grid, gradient, h)
     J0 = cost(problem, state, u)
-    errors = []
-    fd_values = []
-    for lam in lambdas:
-        state_l = solve_state(problem, u + lam * h, cfg)
-        fd = (cost(problem, state_l, u + lam * h) - J0) / lam
-        fd_values.append(fd)
-        errors.append(abs(fd - deriv))
+    J = np.array([cost(problem, solve_state(problem, v, cfg), v)
+                  for v in controls])
+    lams = np.array(lambdas)
+    fd_values = (J - J0) / lams
+    errors = np.abs(fd_values - deriv)
+    fit = errors > (ROUNDOFF_K * np.finfo(float).eps
+                    * np.maximum(abs(J0), np.abs(J)) / lams)
     metrics = {
         "lambdas": list(lambdas),
-        "fd_values": fd_values,
-        "errors": errors,
+        "fd_values": fd_values.tolist(),
+        "errors": errors.tolist(),
         "derivative": deriv,
-        "rel_mismatch_smallest": (abs(fd_values[-1] - deriv)
-                                  / max(abs(deriv), 1e-300)),
+        "rel_mismatch_smallest": errors[-1] / max(abs(deriv), 1e-300),
+        "fit_lambdas": lams[fit].tolist(),
     }
-    if not np.any(h):
-        metrics["slope"] = None
-        metrics["degenerate"] = True
-        return make_report("grad", False, metrics, seed, problem, cfg)
-    if min(errors) <= 0.0:
-        # Below round-off; slope is meaningless but nothing is wrong.
-        metrics["slope"] = None
-        metrics["degenerate"] = True
-        return make_report("grad", True, metrics, seed, problem, cfg)
-    slope = _loglog_slope(lambdas, errors)
-    metrics["slope"] = slope
-    return make_report("grad", 0.8 <= slope <= 1.2, metrics, seed, problem, cfg)
+    passed = _ladder_verdict(metrics, lams[fit], errors[fit], h, (0.8, 1.2))
+    return make_report("grad", passed, metrics, seed, problem, cfg)
 
 
 def _traj_diff_quot(tg: TimeGrid, a: np.ndarray) -> np.ndarray:
@@ -191,26 +207,18 @@ def tangent_remainder_check(problem: ProblemData,
     in [1.7, 2.3].
     """
     u, h = check_instance(problem, seed, u, h)
-    _check_box(problem, u, "base control")
+    controls = _ladder(problem, u, h, lambdas)
     state0 = solve_state(problem, u, cfg)
     tangent = solve_tangent(problem, state0, h, cfg)
     remainders = []
-    for lam in lambdas:
-        _check_box(problem, u + lam * h, "perturbed control (lambda=%g)" % lam)
-        state_l = solve_state(problem, u + lam * h, cfg)
+    for lam, v in zip(lambdas, controls):
+        state_l = solve_state(problem, v, cfg)
         y = state_l.rho - state0.rho - lam * tangent.xi
         z = state_l.mu - state0.mu - lam * tangent.eta
         remainders.append(remainder_norm(problem, y, z))
     metrics = {"lambdas": list(lambdas), "remainders": remainders}
-    if min(remainders) <= 0.0:
-        metrics["slope"] = None
-        metrics["degenerate"] = True
-        return make_report("tangent", bool(np.any(h)), metrics, seed,
-                           problem, cfg)
-    slope = _loglog_slope(lambdas, remainders)
-    metrics["slope"] = slope
-    return make_report("tangent", 1.7 <= slope <= 2.3, metrics, seed,
-                       problem, cfg)
+    passed = _ladder_verdict(metrics, lambdas, remainders, h, (1.7, 2.3))
+    return make_report("tangent", passed, metrics, seed, problem, cfg)
 
 
 def prolong_field(grid, v: np.ndarray) -> np.ndarray:
@@ -429,23 +437,20 @@ def bounds_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
     rho_min, rho_max = float(np.min(rho)), float(np.max(rho))
     mu_min = float(np.min(mu))
     diag = state.diagnostics
-    m_ok = all(diag.m_matrix_ok) if diag.m_matrix_ok else True
+    m_ok = all(diag.m_matrix_ok)
     passed = rho_min > 0.0 and rho_max < 1.0 and mu_min >= -cfg.bound_tol and m_ok
     metrics = {"rho_min": rho_min, "rho_max": rho_max, "mu_min": mu_min,
                "mu_max": float(np.max(mu)), "m_matrix_ok": bool(m_ok),
                "bound_violations": diag.bound_violations}
     if not passed:
-        worst = []
-        if rho_min <= 0.0:
-            worst.append(("rho", int(np.argmin(rho) // rho.shape[1]),
-                          int(np.argmin(rho) % rho.shape[1]), rho_min))
-        if rho_max >= 1.0:
-            worst.append(("rho", int(np.argmax(rho) // rho.shape[1]),
-                          int(np.argmax(rho) % rho.shape[1]), rho_max))
-        if mu_min < -cfg.bound_tol:
-            worst.append(("mu", int(np.argmin(mu) // mu.shape[1]),
-                          int(np.argmin(mu) % mu.shape[1]), mu_min))
-        metrics["violations"] = [
-            {"field": f, "level": lev, "cell": cell, "value": val}
-            for f, lev, cell, val in worst]
+        metrics["violations"] = []
+        for name, a, at, bad in (
+                ("rho", rho, np.argmin(rho), rho_min <= 0.0),
+                ("rho", rho, np.argmax(rho), rho_max >= 1.0),
+                ("mu", mu, np.argmin(mu), mu_min < -cfg.bound_tol)):
+            if bad:
+                level, cell = divmod(int(at), a.shape[1])
+                metrics["violations"].append({"field": name, "level": level,
+                                              "cell": cell,
+                                              "value": float(a.flat[at])})
     return make_report("bounds", passed, metrics, seed, problem, cfg)

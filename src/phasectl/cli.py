@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -28,7 +28,17 @@ from .forward import residual_norms, solve_state
 from .optimize import projected_gradient_descent
 from .sensitivity import solve_adjoint, solve_tangent
 
-CHECK_NAMES = ("grad", "tangent", "duality", "stability", "oracle", "bounds")
+# Each check by name: its function in phasectl.checks, the options it
+# takes from the run config, and whether --dump-fields applies to it.
+CHECKS = {
+    "grad": ("fd_gradient_check", {}, True),
+    "tangent": ("tangent_remainder_check", {}, True),
+    "duality": ("duality_gap_check", {"mode": "adjoint_mode"}, True),
+    "stability": ("stability_ratio_check", {}, False),
+    "oracle": ("ode_oracle_check", {"u": "u_init"}, False),
+    "bounds": ("bounds_check", {}, False),
+}
+CHECK_NAMES = tuple(CHECKS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,26 +130,19 @@ def cmd_optimize(rc: RunConfig) -> int:
                             problem.tgrid, problem.grid, u)
 
     tic = time.perf_counter()
-    result = projected_gradient_descent(
-        problem, rc.u_init, rc.optimizer, rc.solver,
-        adjoint_mode=rc.adjoint_mode, callback=callback)
+    result = projected_gradient_descent(problem, rc.u_init, rc.optimizer,
+                                        rc.solver, callback=callback)
     runtime = time.perf_counter() - tic
     _write_fields(rc, u=result.u, rho=result.state.rho, mu=result.state.mu)
-    summary = {
-        "J_history": result.J_history,
-        "kkt_history": result.kkt_history,
-        "step_history": result.step_history,
-        "iter_seconds": result.iter_seconds,
-        "termination": result.termination,
-        "iterations": result.iterations,
-        "rejected_trials": result.rejected_trials,
-        "step_source": result.step_source,
-        "trials": result.trials,
+    # Every result field but the trajectories, which are snapshots.
+    summary = {f.name: getattr(result, f.name) for f in fields(result)
+               if f.name not in ("u", "state", "adjoint", "gradient")}
+    summary.update({
         "final_J": result.J_history[-1],
         "final_kkt": result.kkt_history[-1],
         "runtime_seconds": runtime,
         "config_hash": checks_mod.problem_hash(problem, rc.solver),
-    }
+    })
     write_json(os.path.join(out, "optimize_summary.json"), summary)
     print("optimize: %s after %d iterations, J=%.6e, kkt=%.3e"
           % (result.termination, result.iterations, result.J_history[-1],
@@ -148,7 +151,8 @@ def cmd_optimize(rc: RunConfig) -> int:
 
 
 def _dump_sensitivity(rc: RunConfig, problem, seed: int) -> None:
-    """Write the sensitivity trajectories of the check instance."""
+    """Re-solve the state, tangent and adjoint of the check instance and
+    write them."""
     u, h = checks_mod.check_instance(problem, seed)
     state = solve_state(problem, u, rc.solver)
     tangent = solve_tangent(problem, state, h, rc.solver)
@@ -159,28 +163,18 @@ def _dump_sensitivity(rc: RunConfig, problem, seed: int) -> None:
 
 def cmd_check(rc: RunConfig, which: str, dump_fields: bool) -> int:
     problem = build_problem(rc)
-    seed = rc.output.seed
-    cfg = rc.solver
-    if which == "grad":
-        report = checks_mod.fd_gradient_check(problem, cfg, seed)
-    elif which == "tangent":
-        report = checks_mod.tangent_remainder_check(problem, cfg, seed)
-    elif which == "duality":
-        report = checks_mod.duality_gap_check(problem, cfg, seed,
-                                              mode=rc.adjoint_mode)
-    elif which == "stability":
-        report = checks_mod.stability_ratio_check(problem, cfg, seed)
-    elif which == "oracle":
-        report = checks_mod.ode_oracle_check(problem, cfg, seed, u=rc.u_init)
-    else:
-        report = checks_mod.bounds_check(problem, cfg, seed)
-    out = rc.output.directory
-    write_json(os.path.join(out, "check_%s.json" % which), report)
+    func, options, sensitivity = CHECKS[which]
+    report = getattr(checks_mod, func)(
+        problem, rc.solver, rc.output.seed,
+        **{key: getattr(rc, field) for key, field in options.items()})
+    write_json(os.path.join(rc.output.directory, "check_%s.json" % which),
+               report)
     if dump_fields:
-        if which in ("grad", "tangent", "duality"):
-            _dump_sensitivity(rc, problem, seed)
+        if sensitivity:
+            _dump_sensitivity(rc, problem, rc.output.seed)
         else:
-            print("note: --dump-fields applies to grad, tangent and duality",
+            names = [name for name, (_, _, dump) in CHECKS.items() if dump]
+            print("note: --dump-fields applies to %s" % ", ".join(names),
                   file=sys.stderr)
     status = "PASS" if report["pass"] else "FAIL"
     brief = {k: v for k, v in report["metrics"].items()

@@ -136,14 +136,15 @@ def _rho_residual(grid, pot, delta, tau, rho_prev, rho, mu_prev):
 def _residual_norm(grid: Grid, res: np.ndarray):
     """Cell norm of a Newton residual, over max|res| if its square overflows.
 
-    The plain norm is kept whenever it is finite.
+    Called with overflow raising, as step_rho does.  The plain norm is
+    kept whenever it is finite.
     """
-    with np.errstate(over="ignore"):
-        rnorm = mesh.norm_h(grid, res)
-        if rnorm == np.inf:
-            scale = np.abs(res).max()
-            rnorm = scale * mesh.norm_h(grid, res / scale)
-    return rnorm
+    try:
+        return mesh.norm_h(grid, res)
+    except FloatingPointError:
+        scale = np.abs(res).max()
+        with np.errstate(over="ignore"):
+            return scale * mesh.norm_h(grid, res / scale)
 
 
 def _damping(rho: np.ndarray, step: np.ndarray, theta: float):
@@ -166,8 +167,9 @@ def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
     so iterates can approach 0 and 1 but never jump onto them.  Returns
     the new level and the residual norm of every iterate.  Raises
     NewtonDivergence if the residual norm fails to reach newton_tol
-    within newton_max iterations; any SolverStepError raised here
-    carries the residual norms so far in ``newton_residuals``.
+    within newton_max iterations or the Newton shift overflows; any
+    SolverStepError raised here carries the residual norms so far in
+    ``newton_residuals``.
     """
     theta = cfg.boundary_margin
     rho = rho_prev.copy()
@@ -175,12 +177,19 @@ def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
     try:
         for _ in range(cfg.newton_max + 1):
             res = _rho_residual(grid, pot, delta, tau, rho_prev, rho, mu_prev)
-            rnorm = _residual_norm(grid, res)
-            history.append(rnorm)
-            if rnorm <= cfg.newton_tol:
-                return rho, history
-            step = mesh.solve_shifted(grid, newton_shift(pot, delta, tau, rho),
-                                      -res)
+            # An overflowing norm is rescaled, an overflowing shift fails.
+            with np.errstate(over="raise"):
+                rnorm = _residual_norm(grid, res)
+                history.append(rnorm)
+                if rnorm <= cfg.newton_tol:
+                    return rho, history
+                try:
+                    shift = newton_shift(pot, delta, tau, rho)
+                except FloatingPointError:
+                    raise NewtonDivergence(
+                        "Newton shift delta/tau + f''(rho) overflows at "
+                        "iterate %d" % (len(history) - 1)) from None
+            step = mesh.solve_shifted(grid, shift, -res)
             rho = rho + _damping(rho, step, theta) * step
         raise NewtonDivergence(
             "Newton residual %.3e above tolerance %.3e after %d iterations"

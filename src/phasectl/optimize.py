@@ -93,27 +93,18 @@ def project_control(problem: ProblemData, u) -> np.ndarray:
 
 
 def reduced_gradient(problem: ProblemData, u, state: StateTrajectory = None,
-                     cfg: SolverConfig = SolverConfig(),
-                     mode: str = "discrete"):
-    """Gradient beta2 * u + q at a control; reuses a state if given.
+                     cfg: SolverConfig = SolverConfig()):
+    """Gradient beta2 * u + q at a control, q from the discrete adjoint, so
+    its Q pairing with a direction is the exact derivative of the discrete
+    cost; reuses a state if given.
 
     Returns (gradient, adjoint, state).
     """
     u = as_trajectory(problem.tgrid, problem.grid, u)
     if state is None:
         state = solve_state(problem, u, cfg)
-    adjoint = solve_adjoint(problem, state, cfg, mode=mode)
+    adjoint = solve_adjoint(problem, state, cfg)
     return problem.beta2 * u + adjoint.q, adjoint, state
-
-
-def directional_derivative(problem: ProblemData, u, q, h) -> float:
-    """Derivative of the reduced cost along h given the potential adjoint."""
-    grid, tg = problem.grid, problem.tgrid
-    u = as_trajectory(tg, grid, u)
-    h = as_trajectory(tg, grid, h)
-    q = as_trajectory(tg, grid, q)
-    return problem.beta2 * mesh.inner_q(tg, grid, u, h) \
-        + mesh.inner_q(tg, grid, q, h)
 
 
 def kkt_residual(problem: ProblemData, u, gradient,
@@ -142,11 +133,10 @@ def kkt_residual(problem: ProblemData, u, gradient,
 def projected_gradient_descent(problem: ProblemData, u0=0.0,
                                opt: OptimizerConfig = OptimizerConfig(),
                                cfg: SolverConfig = SolverConfig(),
-                               adjoint_mode: str = "discrete",
                                callback=None) -> OptimizeResult:
     """Minimize the reduced cost over the box by projected gradient.
 
-    Each iteration prices the gradient with one adjoint solve, then
+    Each iteration prices the gradient with one discrete adjoint solve, then
     backtracks along the projection arc until the accepted point decreases
     the cost by at least armijo_c / step * |u - u_new|_Q^2.  The search
     starts from the Barzilai-Borwein step <s,s>_Q / <s,y>_Q of the last
@@ -172,8 +162,7 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
     step_source, trials = [], []
     while True:
         tic = time.perf_counter()
-        gradient, adjoint, _ = reduced_gradient(problem, u, state, cfg,
-                                                mode=adjoint_mode)
+        gradient, adjoint, _ = reduced_gradient(problem, u, state, cfg)
         kkt = kkt_residual(problem, u, gradient, cfg.bound_tol)
         kkt_history.append(kkt)
         if callback is not None:

@@ -35,6 +35,56 @@ def test_tangent_check_zero_direction(cfg, small):
     assert rep["metrics"]["degenerate"] is True
 
 
+@pytest.mark.parametrize("check", [checks.fd_gradient_check,
+                                   checks.tangent_remainder_check])
+def test_ladder_checks_refuse_controls_outside_the_box(cfg, small, check):
+    with pytest.raises(pc.errors.InfeasibleControl,
+                       match=r"^base control leaves the box"):
+        check(small, cfg, seed=0, u=1.5)
+    with pytest.raises(pc.errors.InfeasibleControl,
+                       match=r"^perturbed control \(lambda=0\.1\) leaves"):
+        check(small, cfg, seed=0, u=0.95, h=1.0)
+
+
+@pytest.fixture(scope="module")
+def desk():
+    """The 1D desk instance: 64 cells, 128 steps, as benchmarked."""
+    return build_problem(n=64, N=128, T=1.0, rho0=0.4, mu0=0.2)
+
+
+def test_gradient_check_leaves_roundoff_out_of_the_fit(cfg, desk):
+    """At seed 12 the error at lambda = 1e-4 sits at rounding level, under
+    the first-order trend; fitted with it the slope is 1.23."""
+    rep = checks.fd_gradient_check(desk, cfg, seed=12)
+    assert rep["pass"], rep["metrics"]
+    assert rep["metrics"]["fit_lambdas"] == [1e-1, 1e-2, 1e-3]
+
+
+# Wrong gradients the check must refuse, from the gradient beta2 u + q
+# and the adjoint q.
+GRADIENT_MUTANTS = {
+    "no beta2 u": lambda g, q: q,
+    "q scaled by 1.01": lambda g, q: g + 0.01 * q,
+    "sign flipped": lambda g, q: -g,
+}
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("no beta2 u", 0), ("no beta2 u", 12), ("q scaled by 1.01", 0),
+    ("q scaled by 1.01", 12), ("sign flipped", 0)])
+def test_gradient_check_fails_a_wrong_gradient(cfg, desk, monkeypatch,
+                                               name, seed):
+    real = checks.reduced_gradient
+
+    def mutant(problem, u, *args):
+        g, adjoint, state = real(problem, u, *args)
+        return GRADIENT_MUTANTS[name](g, adjoint.q), adjoint, state
+
+    monkeypatch.setattr(checks, "reduced_gradient", mutant)
+    rep = checks.fd_gradient_check(desk, cfg, seed=seed)
+    assert not rep["pass"], rep["metrics"]
+
+
 def test_stability_degenerate_pair(cfg, small):
     rep = checks.stability_ratio_check(small, cfg, seed=0, u1=0.3, u2=0.3)
     assert rep["metrics"]["degenerate"] is True
@@ -135,7 +185,8 @@ def test_bounds_detects_violation(cfg, small):
                                   diagnostics=st.diagnostics)
     rep = checks.bounds_check(small, cfg, u=0.2, state=bad)
     assert not rep["pass"]
-    assert rep["metrics"]["violations"], "location report expected"
+    assert rep["metrics"]["violations"] == [
+        {"field": "rho", "level": 4, "cell": 2, "value": 1.2}]
 
 
 def test_reports_deterministic(cfg, small):

@@ -1,8 +1,10 @@
 import json
 import os
+from dataclasses import MISSING
 
 import numpy as np
 import pytest
+import yaml
 
 import phasectl as pc
 from phasectl import cli, config, fields
@@ -283,6 +285,23 @@ def test_cli_optimize_manufactured(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "u_0000.csv"))
 
 
+def test_cli_optimize_gradient_ignores_adjoint_mode(tmp_path):
+    """optimize prices its steps with the discrete adjoint whatever
+    solver.adjoint_mode says."""
+    text = MINIMAL + (
+        "targets: {from_state: {u: 0.3}}\n"
+        "optimizer: {max_iters: 3, step0: 100.0}\n")
+    histories = []
+    for mode in ("discrete", "pde"):
+        cfg = write(tmp_path, text + "solver: {adjoint_mode: %s}\n" % mode)
+        out = tmp_path / mode
+        assert run_cli(["optimize", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.load(open(out / "optimize_summary.json"))
+        histories.append(summary["J_history"])
+    assert len(histories[0]) > 2
+    assert histories[0] == histories[1]
+
+
 def test_cli_optimize_iter_snapshots_read_back(tmp_path):
     """Each iterate lands in u_iter_<k>/, which control.u_init reads."""
     text = MINIMAL + (
@@ -429,3 +448,19 @@ def test_cli_dump_fields(tmp_path):
                     "--dump-fields"]) == 0
     for base in ("rho", "mu", "xi", "eta", "p", "q"):
         assert os.path.exists(os.path.join(out, "%s_0000.csv" % base)), base
+
+
+def test_readme_config_block_matches_schema():
+    """The README's yaml block lists every section and key of the schema,
+    and no other, with the schema default wherever there is one."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as f:
+        text = f.read()
+    block = text.split("```yaml\n", 1)[1].split("```", 1)[0]
+    listed = yaml.safe_load(block)
+    assert {s: set(keys) for s, keys in listed.items()} == \
+        {s: set(keys) for s, keys in config._SCHEMA.items()}
+    for section, keys in config._SCHEMA.items():
+        for key, default in keys.items():
+            if default is not MISSING:
+                assert listed[section][key] == default, (section, key)

@@ -6,6 +6,7 @@ runs one command on it.  The list holds no size between 10^4 and
 10^300, so no case asks numpy for an array it would try to allocate.
 """
 
+import json
 import traceback
 import warnings
 
@@ -98,3 +99,20 @@ def test_huge_c_log_runs_without_overflow(tmp_path, capsys):
                  (["forward"], ["check", "tangent"])]
     assert codes == [2, 2]
     assert capsys.readouterr().err.count("Newton residual") == 2
+
+
+def test_overflowing_newton_shift_ends_the_step(tmp_path, capsys):
+    """c_log = 1e308 overflows f'' in the Newton shift; the step ends at
+    that first iterate with a NewtonDivergence naming the shift."""
+    sections = {section: dict(keys) for section, keys in VALID.items()}
+    sections["potential"]["c_log"] = "1.0e+308"
+    path, out = tmp_path / "run.yaml", tmp_path / "out"
+    path.write_text(render(sections))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = [run(path, command, out) for command in
+                 (["forward"], ["check", "tangent"])]
+    assert codes == [2, 2]
+    assert capsys.readouterr().err.count("Newton shift") == 2
+    with open(out / "diagnostics.json") as f:
+        assert len(json.load(f)["failed_newton_residuals"]) == 1

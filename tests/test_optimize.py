@@ -69,8 +69,8 @@ def test_gradient_pairing_matches_fd(cfg):
 
 
 def test_directional_derivative_zero(cfg, small):
-    _, adj, _ = pc.reduced_gradient(small, 0.2, cfg=cfg)
-    assert pc.directional_derivative(small, traj(small, 0.2), adj.q, 0.0) == 0.0
+    g, _, _ = pc.reduced_gradient(small, 0.2, cfg=cfg)
+    assert inner_q(small.tgrid, small.grid, g, traj(small, 0.0)) == 0.0
 
 
 def test_directional_derivative_tangent_route(cfg):
@@ -82,7 +82,8 @@ def test_directional_derivative_tangent_route(cfg):
     tan = pc.solve_tangent(prob, st, h, cfg)
     lhs, _ = sensitivity.duality_pairing(prob, st, tan, adj, h)
     reg = prob.beta2 * inner_q(prob.tgrid, prob.grid, u, h)
-    dd = pc.directional_derivative(prob, u, adj.q, h)
+    g, _, _ = pc.reduced_gradient(prob, u, st, cfg)
+    dd = inner_q(prob.tgrid, prob.grid, g, h)
     assert dd == pytest.approx(lhs + reg, rel=1e-8)
 
 
@@ -90,8 +91,8 @@ def test_directional_derivative_fd_ladder(cfg):
     prob, _ = manufactured(u_dag=0.4)
     u = traj(prob, 0.35)
     h = checks.random_direction(prob, np.random.default_rng(6))
-    _, adj, _ = pc.reduced_gradient(prob, u, cfg=cfg)
-    dd = pc.directional_derivative(prob, u, adj.q, h)
+    g, _, _ = pc.reduced_gradient(prob, u, cfg=cfg)
+    dd = inner_q(prob.tgrid, prob.grid, g, h)
     J0 = pc.cost(prob, pc.solve_state(prob, u, cfg), u)
     errs = []
     for lam in (1e-2, 1e-3):

@@ -21,7 +21,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from . import checks as checks_mod
-from .config import RunConfig, build_problem, parse_config
+from .config import RunConfig, parse_config
 from .errors import PhasectlError, SolverStepError, renamed_keys
 from .fields import write_json, write_snapshots
 from .forward import residual_norms, solve_state
@@ -89,7 +89,7 @@ def _write_fields(rc: RunConfig, **trajectories) -> None:
 
 
 def cmd_forward(rc: RunConfig) -> int:
-    problem = build_problem(rc)
+    problem = rc.problem
     diagnostics_path = os.path.join(rc.output.directory, "diagnostics.json")
     config_hash = checks_mod.problem_hash(problem, rc.solver)
     tic = time.perf_counter()
@@ -120,7 +120,7 @@ def cmd_forward(rc: RunConfig) -> int:
 
 
 def cmd_optimize(rc: RunConfig) -> int:
-    problem = build_problem(rc)
+    problem = rc.problem
     out = rc.output.directory
     callback = None
     if rc.output.iter_snapshots:
@@ -162,7 +162,7 @@ def _dump_sensitivity(rc: RunConfig, problem, seed: int) -> None:
 
 
 def cmd_check(rc: RunConfig, which: str, dump_fields: bool) -> int:
-    problem = build_problem(rc)
+    problem = rc.problem
     func, options, sensitivity = CHECKS[which]
     report = getattr(checks_mod, func)(
         problem, rc.solver, rc.output.seed,

@@ -5,7 +5,10 @@ entries accept a scalar (broadcast over the grid and, for space-time
 data, over time levels), a path to a field CSV (replicated over time
 levels where a trajectory is expected), or a path to a directory of
 numbered snapshot CSVs holding a full trajectory.  Relative paths
-resolve against the directory containing the config file.
+resolve against the directory containing the config file.  The
+problem instance parse_config returns is the one every command runs;
+with targets.from_state, its targets are already those of the marched
+control.
 
 Unknown sections or keys are rejected so typos fail loudly.  This
 module only types the values; each object checks the conditions on its
@@ -25,9 +28,9 @@ import yaml
 
 from .errors import (ConfigError, MissingKey, ValidationError, renamed_keys,
                      require)
-from .fields import as_field, as_trajectory, read_field_csv, read_snapshot_dir
+from .fields import as_trajectory, read_field_csv, read_snapshot_dir
 from .forward import ProblemData, SolverConfig, solve_state
-from .mesh import Grid, TimeGrid, make_grid, make_time_grid
+from .mesh import Grid, TimeGrid, make_grid
 from .optimize import OptimizerConfig
 from .potential import Potential
 from .sensitivity import ADJOINT_MODES, check_adjoint_mode
@@ -46,27 +49,26 @@ class OutputConfig:
         require(self.seed >= 0, "seed", "seed >= 0", self.seed)
 
 
-def _defaults(cls, keys=None) -> dict:
-    """Field defaults of cls by config key; keys maps key -> field name."""
+def _defaults(cls, *keys) -> dict:
+    """Field defaults of cls by config key: all fields, or the keys named."""
     default = {f.name: f.default for f in fields(cls) if f.init}
-    if keys is None:
+    if not keys:
         return default
-    return {key: default[name] for key, name in keys.items()}
+    return {key: default[_TARGET_FIELDS.get(key, key)] for key in keys}
 
 
-# Sections backed by a dataclass take its fields and defaults; params and
-# targets take theirs from the ProblemData fields they fill.
+# Sections backed by a dataclass take its fields and defaults; params,
+# init, control and targets take theirs from the ProblemData fields they
+# fill.
 _TARGET_FIELDS = {"rho_T": "rho_target", "mu_T": "mu_target"}
 _SCHEMA = {
     "domain": _defaults(Grid),
     "time": _defaults(TimeGrid),
-    "params": _defaults(ProblemData, {k: k for k in
-                                      ("epsilon", "delta", "beta1", "beta2")}),
+    "params": _defaults(ProblemData, "epsilon", "delta", "beta1", "beta2"),
     "potential": _defaults(Potential),
-    "init": {"rho0": 0.5, "mu0": 0.0},
-    "control": {"u_max": 1.0, "u_init": 0.0},
-    "targets": {**_defaults(ProblemData, _TARGET_FIELDS),
-                "from_state": None},
+    "init": _defaults(ProblemData, "rho0", "mu0"),
+    "control": {**_defaults(ProblemData, "u_max"), "u_init": 0.0},
+    "targets": {**_defaults(ProblemData, *_TARGET_FIELDS), "from_state": None},
     "solver": {**_defaults(SolverConfig), "adjoint_mode": ADJOINT_MODES[0]},
     "optimizer": _defaults(OptimizerConfig),
     "output": _defaults(OutputConfig),
@@ -83,7 +85,6 @@ class RunConfig:
 
     problem: ProblemData
     u_init: np.ndarray
-    from_state_control: np.ndarray
     solver: SolverConfig
     adjoint_mode: str
     optimizer: OptimizerConfig
@@ -164,26 +165,19 @@ def _per_axis(value, path: str, parse):
     return parse(value, path)
 
 
-def _load_field_value(value, grid, cfg_dir, path):
-    """Scalar or CSV path to a single field."""
-    if isinstance(value, str):
-        full = os.path.join(cfg_dir, value)
-        if os.path.isdir(full):
-            raise ValidationError(
-                "%s: requires a scalar or field CSV path, got directory %r"
-                % (path, value))
+def _load(value, path, cfg_dir, grid, tgrid, base=None):
+    """A number, a field CSV or, for a trajectory key (one with the
+    snapshot base name), a directory of snapshot CSVs."""
+    if not isinstance(value, str):
+        return _number(value, path)
+    full = os.path.join(cfg_dir, value)
+    if not os.path.isdir(full):
         return read_field_csv(full, grid)
-    return as_field(grid, _number(value, path))
-
-
-def _load_spacetime_value(value, tg, grid, base, cfg_dir, path):
-    """Scalar, field CSV (replicated in time) or snapshot directory."""
-    if isinstance(value, str):
-        full = os.path.join(cfg_dir, value)
-        if os.path.isdir(full):
-            return read_snapshot_dir(full, base, tg, grid)
-        return as_trajectory(tg, grid, read_field_csv(full, grid))
-    return as_trajectory(tg, grid, _number(value, path))
+    if base is None:
+        raise ValidationError(
+            "%s: requires a scalar or field CSV path, got directory %r"
+            % (path, value))
+    return read_snapshot_dir(full, base, tgrid, grid)
 
 
 @renamed_keys(_PATHS)
@@ -201,42 +195,44 @@ def parse_config(path: str) -> RunConfig:
     merged = _merge_defaults(data)
     cfg_dir = os.path.dirname(os.path.abspath(path))
 
-    dom, tim = merged["domain"], merged["time"]
+    dom = merged["domain"]
     grid = make_grid(_integer(dom["dim"], "domain.dim"),
                      _per_axis(dom["n"], "domain.n", _integer),
                      _per_axis(dom["length"], "domain.length", _number))
-    tgrid = make_time_grid(_number(tim["T"], "time.T"),
-                           _integer(tim["N"], "time.N"))
+    tgrid = TimeGrid(**_typed(merged, "time", TimeGrid))
 
-    ini, ctl, tar = merged["init"], merged["control"], merged["targets"]
+    def load(name, base=None):
+        section, key = _PATHS[name].split(".")
+        return _load(merged[section][key], _PATHS[name], cfg_dir, grid,
+                     tgrid, base)
+
     problem = ProblemData(
         grid=grid, tgrid=tgrid,
         potential=Potential(**_typed(merged, "potential", Potential)),
-        rho0=_load_field_value(ini["rho0"], grid, cfg_dir, "init.rho0"),
-        mu0=_load_field_value(ini["mu0"], grid, cfg_dir, "init.mu0"),
-        u_max=_load_spacetime_value(ctl["u_max"], tgrid, grid, "u", cfg_dir,
-                                    "control.u_max"),
-        rho_target=_load_field_value(tar["rho_T"], grid, cfg_dir,
-                                     "targets.rho_T"),
-        mu_target=_load_spacetime_value(tar["mu_T"], tgrid, grid, "mu",
-                                        cfg_dir, "targets.mu_T"),
-        **{key: _number(value, "params." + key)
+        rho0=load("rho0"), mu0=load("mu0"), u_max=load("u_max", "u"),
+        rho_target=load("rho_target"), mu_target=load("mu_target", "mu"),
+        **{key: _number(value, _PATHS[key])
            for key, value in merged["params"].items()})
-    u_init = _load_spacetime_value(ctl["u_init"], tgrid, grid, "u", cfg_dir,
-                                   "control.u_init")
+    u_init = as_trajectory(tgrid, grid, load("u_init", "u"))
+    solver = SolverConfig(**_typed(merged, "solver", SolverConfig))
 
-    fs = tar["from_state"]
+    # targets.from_state: the state the given control reaches sets both
+    # targets, so the optimum is known reachable.
+    fs = merged["targets"]["from_state"]
     if fs is not None:
-        if not isinstance(fs, dict) or list(fs) != ["u"]:
-            raise ValidationError(
-                "targets.from_state: requires a mapping with the one key u, "
-                "got %r" % (fs,))
-        fs = _load_spacetime_value(fs["u"], tgrid, grid, "u", cfg_dir,
-                                   "targets.from_state.u")
+        require(isinstance(fs, dict) and list(fs) == ["u"], "from_state",
+                "a mapping with the one key u", fs)
+        for key, name in _TARGET_FIELDS.items():
+            require(key not in data["targets"], name,
+                    "%s unset with from_state" % key, data["targets"].get(key))
+        u = _load(fs["u"], _PATHS["from_state"] + ".u", cfg_dir, grid, tgrid,
+                  "u")
+        state = solve_state(problem, u, solver)
+        problem = replace(problem, rho_target=state.rho[-1],
+                          mu_target=state.mu)
 
     return RunConfig(
-        problem=problem, u_init=u_init, from_state_control=fs,
-        solver=SolverConfig(**_typed(merged, "solver", SolverConfig)),
+        problem=problem, u_init=u_init, solver=solver,
         adjoint_mode=check_adjoint_mode(merged["solver"]["adjoint_mode"]),
         optimizer=OptimizerConfig(**_typed(merged, "optimizer",
                                            OptimizerConfig)),
@@ -244,13 +240,5 @@ def parse_config(path: str) -> RunConfig:
 
 
 def build_problem(rc: RunConfig) -> ProblemData:
-    """The problem instance, with targets generated if requested.
-
-    With targets.from_state set, the given control is forward-solved
-    and its terminal order parameter and full potential trajectory
-    become the targets, so the optimum is known reachable.
-    """
-    if rc.from_state_control is None:
-        return rc.problem
-    state = solve_state(rc.problem, rc.from_state_control, rc.solver)
-    return replace(rc.problem, rho_target=state.rho[-1], mu_target=state.mu)
+    """The problem instance every command runs."""
+    return rc.problem

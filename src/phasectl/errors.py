@@ -17,10 +17,6 @@ class PhasectlError(Exception):
     """Base class for all package errors."""
 
 
-class UnsupportedDimension(PhasectlError, ValueError):
-    """Spatial dimension outside {1, 2}."""
-
-
 class ShapeMismatch(PhasectlError, ValueError):
     """Array shape inconsistent with the grid or time grid."""
 
@@ -68,10 +64,15 @@ class ValidationError(ConfigError):
     key = None
 
 
-def require(cond, key: str, condition: str, value) -> None:
-    """Raise ValidationError("<key>: requires <condition>, got <value>")."""
+class UnsupportedDimension(ValidationError):
+    """Spatial dimension outside {1, 2}."""
+
+
+def require(cond, key: str, condition: str, value,
+            error=ValidationError) -> None:
+    """Raise error("<key>: requires <condition>, got <value>")."""
     if not cond:
-        exc = ValidationError(
+        exc = error(
             "%s: requires %s, got %r" % (key, condition, value))
         exc.key = key
         raise exc

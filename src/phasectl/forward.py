@@ -41,10 +41,10 @@ class ProblemData:
     tgrid: TimeGrid
     epsilon: float
     delta: float
-    potential: Potential
-    rho0: np.ndarray
-    mu0: np.ndarray
-    u_max: np.ndarray
+    potential: Potential = Potential()
+    rho0: np.ndarray = 0.5
+    mu0: np.ndarray = 0.0
+    u_max: np.ndarray = 1.0
     beta1: float = 1.0
     beta2: float = 1e-4
     rho_target: np.ndarray = 0.5

@@ -47,9 +47,8 @@ class Grid:
     _ptsv_offdiag: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise UnsupportedDimension(
-                "dim must be 1 or 2, got %r" % (self.dim,))
+        require(self.dim in (1, 2), "dim", "dim in {1, 2}", self.dim,
+                UnsupportedDimension)
         if np.isscalar(self.n):
             self.n = (self.n,) * self.dim
         if np.isscalar(self.length):

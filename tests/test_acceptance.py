@@ -194,11 +194,8 @@ def test_criterion_09_bang_bang():
     split = np.where(x < 0.5, 2.0, -2.0)
     mu_target = np.broadcast_to(
         split, (base.tgrid.N + 1, base.grid.num_cells)).copy()
-    prob = pc.ProblemData(
-        grid=base.grid, tgrid=base.tgrid, epsilon=base.epsilon,
-        delta=base.delta, potential=base.potential, rho0=base.rho0,
-        mu0=base.mu0, u_max=base.u_max, beta1=1.0, beta2=0.0,
-        rho_target=ref.rho[base.tgrid.N], mu_target=mu_target)
+    prob = replace(base, beta2=0.0, rho_target=ref.rho[base.tgrid.N],
+                   mu_target=mu_target)
     opt = pc.OptimizerConfig(max_iters=50, stat_tol=1e-12, step0=1e6)
     res = pc.projected_gradient_descent(prob, 0.5, opt, _cfg)
     q = res.adjoint.q

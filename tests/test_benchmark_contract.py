@@ -1,12 +1,16 @@
-"""The names the benchmark tracer wraps must keep resolving.
+"""The names the benchmark tracer wraps and the set-up probe imports
+must keep resolving.
 
 perfbench/tracer.py patches phasectl functions by module and attribute
 name from outside the package, so renaming or deleting one of them
-breaks ``perfbench/run.py --trace 1``.  The tracer source is compiled
-here without importing it as a module, so nothing is written under
-perfbench/.
+breaks ``perfbench/run.py --trace 1``; perfbench/setup_probe.py imports
+phasectl names, so deleting one breaks ``setup_s``.  The tracer source
+is compiled and the probe source parsed here without importing either
+as a module, so nothing is written under perfbench/.
 """
 
+import ast
+import importlib
 import os
 import sys
 import types
@@ -17,8 +21,9 @@ import phasectl as pc
 import phasectl.cli  # noqa: F401  (traced, and not imported by phasectl)
 from conftest import build_problem
 
-TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                      "tracer.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+TRACER = os.path.join(PERFBENCH, "tracer.py")
+PROBE = os.path.join(PERFBENCH, "setup_probe.py")
 
 
 def load_tracer():
@@ -75,3 +80,23 @@ def test_tracer_install_round_trip(cfg):
         assert got == expected, name
     assert {k: resolve(*k) for k in originals} == originals
     assert package_bindings() == before
+
+
+def test_setup_probe_imports_resolve(tmp_path):
+    with open(PROBE) as f:
+        tree = ast.parse(f.read(), PROBE)
+    imported = {alias.name: getattr(importlib.import_module(node.module),
+                                    alias.name)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "phasectl"
+                for alias in node.names}
+    assert {"build_problem", "parse_config"} <= set(imported)
+    # The probe times both calls as set-up; the instance is parse_config's.
+    path = tmp_path / "run.yaml"
+    path.write_text("domain: {dim: 1, n: 8, length: 1.0}\n"
+                    "time: {T: 0.1, N: 4}\n"
+                    "params: {epsilon: 0.5, delta: 1.0}\n"
+                    "targets: {from_state: {u: 0.2}}\n")
+    rc = imported["parse_config"](str(path))
+    assert imported["build_problem"](rc) is rc.problem

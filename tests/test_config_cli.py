@@ -34,6 +34,12 @@ def test_minimal_config_defaults(tmp_path):
     assert np.all(rc.u_init == 0.0)
     assert np.all(prob.u_max == 1.0)
     assert np.all(prob.rho0 == 0.5) and np.all(prob.mu0 == 0.0)
+    # init and control.u_max take the ProblemData defaults.
+    default = pc.ProblemData(grid=prob.grid, tgrid=prob.tgrid, epsilon=0.5,
+                             delta=1.0)
+    assert prob.potential == default.potential
+    for key in ("rho0", "mu0", "u_max"):
+        assert np.array_equal(getattr(prob, key), getattr(default, key)), key
     assert prob.beta1 == 1.0 and prob.beta2 == 1e-4
     assert np.all(prob.rho_target == 0.5) and np.all(prob.mu_target == 0.0)
     assert config.build_problem(rc) is prob
@@ -57,7 +63,8 @@ def test_dim_beyond_index_range_rejected(tmp_path, capsys):
     with pytest.raises(UnsupportedDimension):
         config.parse_config(path)
     assert cli.main(["forward", "--config", path]) == 2
-    assert "error: dim must be 1 or 2" in capsys.readouterr().err
+    assert "error: domain.dim: requires dim in {1, 2}, got 1" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cls, field, value, condition", [
@@ -173,12 +180,18 @@ def test_integer_keys_strict(tmp_path, capsys, text, key):
     (MINIMAL + "init: {mu0: -1}\n", "init.mu0", "mu0 >= 0"),
     (MINIMAL + "solver: {adjoint_mode: abc}\n", "solver.adjoint_mode",
      "adjoint_mode in {discrete, pde}"),
+    (MINIMAL.replace("dim: 1", "dim: 3"), "domain.dim", "dim in {1, 2}"),
+    (MINIMAL + "targets: {rho_T: 0.3, from_state: {u: 0.2}}\n",
+     "targets.rho_T", "rho_T unset with from_state"),
+    (MINIMAL + "targets: {mu_T: 0.7, from_state: {u: 0.2}}\n",
+     "targets.mu_T", "mu_T unset with from_state"),
 ], ids=["delta-string", "epsilon-nan", "length-string", "length-entry",
         "T-bool", "c_log-list", "newton_tol-string", "step0-inf",
         "iter_snapshots-string", "iter_snapshots-int", "u_max-bool",
         "u_init-bool", "rho0-bool", "mu0-nan", "mu_T-inf", "from_state-bool",
         "u_init-list", "seed-negative", "n-zero", "length-negative",
-        "n-entries", "n-huge", "N-huge", "mu0-negative", "adjoint_mode"])
+        "n-entries", "n-huge", "N-huge", "mu0-negative", "adjoint_mode",
+        "dim-three", "rho_T-from_state", "mu_T-from_state"])
 def test_float_and_boolean_keys_strict(tmp_path, capsys, text, key, condition):
     path = write(tmp_path, text)
     with pytest.raises(ValidationError, match=r"^%s: requires %s"
@@ -236,9 +249,10 @@ def test_field_csv_loading(tmp_path):
 def test_from_state_targets(tmp_path):
     path = write(tmp_path, MINIMAL + "targets: {from_state: {u: 0.3}}\n")
     rc = config.parse_config(path)
-    prob = config.build_problem(rc)
-    st = pc.solve_state(rc.problem, 0.3, rc.solver)
-    assert np.array_equal(prob.rho_target, st.rho[rc.problem.tgrid.N])
+    prob = rc.problem
+    assert config.build_problem(rc) is prob
+    st = pc.solve_state(prob, 0.3, rc.solver)
+    assert np.array_equal(prob.rho_target, st.rho[prob.tgrid.N])
     assert np.array_equal(prob.mu_target, st.mu)
 
 

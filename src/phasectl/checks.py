@@ -21,9 +21,8 @@ import scipy.integrate
 
 from . import mesh
 from .errors import InfeasibleControl, ShapeMismatch
-from .fields import as_trajectory
 from .forward import ProblemData, SolverConfig, solve_state
-from .mesh import TimeGrid, make_grid, make_time_grid
+from .mesh import TimeGrid, as_trajectory, make_grid, make_time_grid
 from .optimize import cost, reduced_gradient
 from .sensitivity import duality_pairing, solve_adjoint, solve_tangent
 
@@ -246,14 +245,11 @@ def refine_problem(problem: ProblemData) -> ProblemData:
     grid2 = make_grid(problem.grid.dim, tuple(2 * m for m in problem.grid.n),
                       problem.grid.length)
     tg2 = make_time_grid(problem.tgrid.T, 2 * problem.tgrid.N)
-    return replace(
-        problem, grid=grid2, tgrid=tg2,
-        rho0=prolong_field(problem.grid, problem.rho0),
-        mu0=prolong_field(problem.grid, problem.mu0),
-        u_max=prolong_trajectory(problem.grid, problem.tgrid, problem.u_max),
-        rho_target=prolong_field(problem.grid, problem.rho_target),
-        mu_target=prolong_trajectory(problem.grid, problem.tgrid,
-                                     problem.mu_target))
+    return replace(problem, grid=grid2, tgrid=tg2, **{
+        key: prolong_field(problem.grid, getattr(problem, key)) if base is None
+        else prolong_trajectory(problem.grid, problem.tgrid,
+                                getattr(problem, key))
+        for key, base in ProblemData.ARRAY_FIELDS.items()})
 
 
 def duality_gap_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),

@@ -150,13 +150,14 @@ def cmd_optimize(rc: RunConfig) -> int:
     return 0
 
 
-def _dump_sensitivity(rc: RunConfig, problem, seed: int) -> None:
+def _dump_sensitivity(rc: RunConfig, problem, seed: int,
+                      mode: str = "discrete") -> None:
     """Re-solve the state, tangent and adjoint of the check instance and
-    write them."""
+    write them; the adjoint in the check's mode, if it takes one."""
     u, h = checks_mod.check_instance(problem, seed)
     state = solve_state(problem, u, rc.solver)
     tangent = solve_tangent(problem, state, h, rc.solver)
-    adjoint = solve_adjoint(problem, state, rc.solver, mode=rc.adjoint_mode)
+    adjoint = solve_adjoint(problem, state, rc.solver, mode=mode)
     _write_fields(rc, rho=state.rho, mu=state.mu, xi=tangent.xi,
                   eta=tangent.eta, p=adjoint.p, q=adjoint.q)
 
@@ -164,14 +165,14 @@ def _dump_sensitivity(rc: RunConfig, problem, seed: int) -> None:
 def cmd_check(rc: RunConfig, which: str, dump_fields: bool) -> int:
     problem = rc.problem
     func, options, sensitivity = CHECKS[which]
-    report = getattr(checks_mod, func)(
-        problem, rc.solver, rc.output.seed,
-        **{key: getattr(rc, field) for key, field in options.items()})
+    kwargs = {key: getattr(rc, field) for key, field in options.items()}
+    report = getattr(checks_mod, func)(problem, rc.solver, rc.output.seed,
+                                       **kwargs)
     write_json(os.path.join(rc.output.directory, "check_%s.json" % which),
                report)
     if dump_fields:
         if sensitivity:
-            _dump_sensitivity(rc, problem, rc.output.seed)
+            _dump_sensitivity(rc, problem, rc.output.seed, **kwargs)
         else:
             names = [name for name, (_, _, dump) in CHECKS.items() if dump]
             print("note: --dump-fields applies to %s" % ", ".join(names),

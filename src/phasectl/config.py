@@ -28,9 +28,9 @@ import yaml
 
 from .errors import (ConfigError, MissingKey, ValidationError, renamed_keys,
                      require)
-from .fields import as_trajectory, read_field_csv, read_snapshot_dir
+from .fields import read_field_csv, read_snapshot_dir
 from .forward import ProblemData, SolverConfig, solve_state
-from .mesh import Grid, TimeGrid, make_grid
+from .mesh import Grid, TimeGrid, as_trajectory, make_grid
 from .optimize import OptimizerConfig
 from .potential import Potential
 from .sensitivity import ADJOINT_MODES, check_adjoint_mode
@@ -119,14 +119,16 @@ def _merge_defaults(data: dict) -> dict:
 
 
 def _integer(value, path: str) -> int:
-    """A whole number, or ValidationError naming the key.
+    """A whole number of magnitude below 2**63, or ValidationError naming
+    the key.
 
     Booleans, strings and fractional numbers are refused rather than
     truncated; floats with an integral value are accepted.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer():
+            or isinstance(value, float) and not value.is_integer():
         raise ValidationError("%s: requires an integer, got %r" % (path, value))
+    require(abs(value) < 2**63, path, "an integer with |value| < 2**63", value)
     return int(value)
 
 
@@ -209,8 +211,8 @@ def parse_config(path: str) -> RunConfig:
     problem = ProblemData(
         grid=grid, tgrid=tgrid,
         potential=Potential(**_typed(merged, "potential", Potential)),
-        rho0=load("rho0"), mu0=load("mu0"), u_max=load("u_max", "u"),
-        rho_target=load("rho_target"), mu_target=load("mu_target", "mu"),
+        **{key: load(key, base)
+           for key, base in ProblemData.ARRAY_FIELDS.items()},
         **{key: _number(value, _PATHS[key])
            for key, value in merged["params"].items()})
     u_init = as_trajectory(tgrid, grid, load("u_init", "u"))

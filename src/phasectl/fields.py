@@ -1,11 +1,12 @@
-"""Field and trajectory construction plus file round trips.
+"""File I/O of fields and trajectories: CSV, snapshot and JSON files.
 
 A field is a flat float array over grid cells; a trajectory stacks one
-field per time level, shape (N+1, cells).  CSV files carry one row per
-cell in flat order with a coordinate header, written at full float
-precision so a write/read round trip is bit identical.  All writes are
-atomic: content goes to a temporary file in the target directory which
-is then renamed over the destination.
+field per time level, shape (N+1, cells); ``phasectl.mesh`` builds and
+checks both.  CSV files carry one row per cell in flat order with a
+coordinate header, written at full float precision so a write/read
+round trip is bit identical.  All writes are atomic: content goes to a
+temporary file in the target directory which is then renamed over the
+destination.
 """
 
 from __future__ import annotations
@@ -22,36 +23,6 @@ from .mesh import Grid, TimeGrid
 
 # %.17g prints the shortest decimal that reproduces the exact float64.
 _FMT = "%.17g"
-
-
-def as_field(grid: Grid, value) -> np.ndarray:
-    """Make a field from a scalar or an array of matching size."""
-    if np.isscalar(value):
-        return np.full(grid.num_cells, float(value))
-    v = np.asarray(value, dtype=float).ravel()
-    if v.size != grid.num_cells:
-        raise ShapeMismatch(
-            "field data has %d entries, grid has %d cells"
-            % (v.size, grid.num_cells))
-    return v
-
-
-def as_trajectory(tg: TimeGrid, grid: Grid, value) -> np.ndarray:
-    """Make a trajectory from a scalar, a single field, or a full stack.
-
-    A scalar or single field is replicated across all N+1 time levels.
-    """
-    if np.isscalar(value):
-        return np.full((tg.N + 1, grid.num_cells), float(value))
-    v = np.asarray(value, dtype=float)
-    if v.ndim == 1:
-        v = as_field(grid, v)
-        return np.repeat(v[None, :], tg.N + 1, axis=0)
-    if v.shape != (tg.N + 1, grid.num_cells):
-        raise ShapeMismatch(
-            "trajectory data has shape %r, expected (%d, %d)"
-            % (v.shape, tg.N + 1, grid.num_cells))
-    return v.copy()
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -23,8 +23,7 @@ import numpy as np
 from . import mesh
 from .errors import (NewtonDivergence, NonpositiveCoefficient,
                      SolverStepError, require)
-from .fields import as_field, as_trajectory
-from .mesh import Grid, TimeGrid
+from .mesh import Grid, TimeGrid, as_field, as_trajectory
 from .potential import Potential
 
 
@@ -32,8 +31,8 @@ from .potential import Potential
 class ProblemData:
     """Everything defining one control problem instance.
 
-    Initial data, targets and the box bound are normalized to arrays on
-    construction; scalars broadcast.  The order-parameter initial datum
+    Initial data, targets and the box bound are normalized to new arrays
+    on construction; scalars broadcast.  The order-parameter initial datum
     must be strictly inside (0, 1), and mu0 and u_max nonnegative.
     """
 
@@ -50,22 +49,25 @@ class ProblemData:
     rho_target: np.ndarray = 0.5
     mu_target: np.ndarray = 0.0
 
+    # Array fields: None for a field, else a trajectory's snapshot base.
+    ARRAY_FIELDS = {"rho0": None, "mu0": None, "u_max": "u",
+                    "rho_target": None, "mu_target": "mu"}
+
     def __post_init__(self):
         require(self.epsilon > 0.0, "epsilon", "epsilon > 0", self.epsilon)
         require(self.delta > 0.0, "delta", "delta > 0", self.delta)
         require(self.beta1 >= 0.0, "beta1", "beta1 >= 0", self.beta1)
         require(self.beta2 >= 0.0, "beta2", "beta2 >= 0", self.beta2)
-        self.rho0 = as_field(self.grid, self.rho0)
-        self.mu0 = as_field(self.grid, self.mu0)
-        self.u_max = as_trajectory(self.tgrid, self.grid, self.u_max)
+        for key, base in self.ARRAY_FIELDS.items():
+            value = getattr(self, key)
+            setattr(self, key, as_field(self.grid, value) if base is None
+                    else as_trajectory(self.tgrid, self.grid, value))
         lo, hi = float(np.min(self.rho0)), float(np.max(self.rho0))
         require(lo > 0.0, "rho0", "inf rho0 > 0", lo)
         require(hi < 1.0, "rho0", "sup rho0 < 1", hi)
         for key in ("mu0", "u_max"):
             lo = float(np.min(getattr(self, key)))
             require(lo >= 0.0, key, "%s >= 0" % key, lo)
-        self.rho_target = as_field(self.grid, self.rho_target)
-        self.mu_target = as_trajectory(self.tgrid, self.grid, self.mu_target)
 
 
 @dataclass(frozen=True)

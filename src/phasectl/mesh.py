@@ -6,7 +6,9 @@ so a stack of fields ``(..., cells)`` gives one value per field.  All
 spatial inner products share one uniform cell weight, the product of the
 per-axis spacings.  The discrete Laplacian uses mirrored zero-flux faces
 on the boundary, so constants lie in its kernel and the operator is
-symmetric with respect to the cell inner product.
+symmetric with respect to the cell inner product.  ``as_field`` and
+``as_trajectory`` build new arrays from scalars or data, with the shape
+tests of ``Grid.check_field`` and ``check_trajectory``.
 
 Grid and TimeGrid objects are read-only after construction and safe to
 share across threads.
@@ -114,6 +116,14 @@ class Grid:
 def make_grid(dim: int, n, length) -> Grid:
     """Build a grid from per-axis (or scalar) cell counts and box lengths."""
     return Grid(dim=dim, n=n, length=length)
+
+
+def as_field(grid: Grid, value) -> np.ndarray:
+    """A new field from a scalar or any array with one entry per cell."""
+    v = np.array(value, dtype=float)
+    if v.ndim == 0:
+        return np.full(grid.num_cells, v)
+    return grid.check_field(v.reshape(-1))
 
 
 def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
@@ -334,6 +344,15 @@ def check_trajectory(tg: TimeGrid, grid: Grid, a: np.ndarray) -> np.ndarray:
             "trajectory has shape %r, expected (%d, %d)"
             % (a.shape, tg.N + 1, grid.num_cells))
     return a
+
+
+def as_trajectory(tg: TimeGrid, grid: Grid, value) -> np.ndarray:
+    """A new trajectory from a full stack, or from a scalar or a single
+    field replicated across all N+1 time levels."""
+    v = np.array(value, dtype=float)
+    if v.ndim < 2:
+        return np.repeat(as_field(grid, v)[None, :], tg.N + 1, axis=0)
+    return check_trajectory(tg, grid, v)
 
 
 def inner_q(tg: TimeGrid, grid: Grid, a: np.ndarray, b: np.ndarray) -> float:

@@ -20,8 +20,8 @@ import numpy as np
 from . import mesh
 from .errors import (DomainViolation, InfeasibleControl, SolverStepError,
                      require)
-from .fields import as_trajectory
 from .forward import ProblemData, SolverConfig, StateTrajectory, solve_state
+from .mesh import as_trajectory
 from .sensitivity import AdjointTrajectory, solve_adjoint
 
 TERMINATION_STATIONARY = "Stationary"
@@ -108,7 +108,7 @@ def reduced_gradient(problem: ProblemData, u, state: StateTrajectory = None,
 
 
 def kkt_residual(problem: ProblemData, u, gradient,
-                 bound_tol: float = 1e-10) -> float:
+                 bound_tol: float = SolverConfig.bound_tol) -> float:
     """Space-time norm of the pointwise first-order violation.
 
     Interior cells contribute |g|, cells at the lower bound contribute

@@ -35,9 +35,9 @@ import numpy as np
 
 from . import mesh
 from .errors import require
-from .fields import as_trajectory
 from .forward import (ProblemData, SolverConfig, StateTrajectory,
                       StepOperators, mu_carry, newton_shift)
+from .mesh import as_trajectory
 
 ADJOINT_MODES = ("discrete", "pde")
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 import phasectl as pc
-from phasectl.fields import as_trajectory
+from phasectl.mesh import as_trajectory
 
 
 def build_problem(n=16, N=8, T=0.1, dim=1, epsilon=0.5, delta=1.0,

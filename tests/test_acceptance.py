@@ -13,8 +13,7 @@ import numpy as np
 
 import phasectl as pc
 from phasectl import checks, sensitivity
-from phasectl.mesh import norm_q
-from phasectl.fields import as_trajectory
+from phasectl.mesh import as_trajectory, norm_q
 
 N_CELLS = 64
 N_STEPS = 128

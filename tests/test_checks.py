@@ -117,6 +117,27 @@ def test_stability_refinement_growth(cfg):
         assert refined[key] < 10.0 * coarse[key]
 
 
+def test_refine_problem_prolongs_every_array_field():
+    """Each cell splits in two; each trajectory also repeats its levels
+    as a right-continuous step function of the halved time step."""
+    rng = np.random.default_rng(3)
+    n, N = 8, 4
+    prob = build_problem(
+        n=n, N=N, rho0=rng.uniform(0.3, 0.7, n), mu0=rng.uniform(0.0, 1.0, n),
+        u_max=rng.uniform(0.5, 1.0, (N + 1, n)),
+        rho_target=rng.uniform(0.3, 0.7, n),
+        mu_target=rng.uniform(0.0, 1.0, (N + 1, n)))
+    fine = checks.refine_problem(prob)
+    assert fine.grid.n == (2 * n,) and fine.tgrid.N == 2 * N
+    levels = (np.arange(2 * N + 1) + 1) // 2
+    for key in ("rho0", "mu0", "rho_target"):
+        np.testing.assert_array_equal(getattr(fine, key),
+                                      np.repeat(getattr(prob, key), 2))
+    for key in ("u_max", "mu_target"):
+        np.testing.assert_array_equal(
+            getattr(fine, key), np.repeat(getattr(prob, key)[levels], 2, axis=1))
+
+
 def test_oracle_stationary_exact(cfg):
     prob = build_problem(rho0=0.5, mu0=0.0, N=16)
     rep = checks.ode_oracle_check(prob, cfg, u=0.0)

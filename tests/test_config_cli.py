@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from dataclasses import MISSING
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import yaml
 
 import phasectl as pc
-from phasectl import cli, config, fields
+from phasectl import checks, cli, config, fields
 from phasectl.errors import (MissingKey, UnsupportedDimension,
                              ValidationError)
 from conftest import build_problem
@@ -60,11 +61,11 @@ def test_dim_three_rejected(tmp_path):
 
 def test_dim_beyond_index_range_rejected(tmp_path, capsys):
     path = write(tmp_path, MINIMAL.replace("dim: 1", "dim: 1.0e+300"))
-    with pytest.raises(UnsupportedDimension):
+    with pytest.raises(ValidationError):
         config.parse_config(path)
     assert cli.main(["forward", "--config", path]) == 2
-    assert "error: domain.dim: requires dim in {1, 2}, got 1" \
-        in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: domain.dim: requires an " \
+        "integer with |value| < 2**63, got 1e+300\n"
 
 
 @pytest.mark.parametrize("cls, field, value, condition", [
@@ -137,6 +138,20 @@ def test_integer_keys_strict(tmp_path, capsys, text, key):
     assert "error: %s: requires an integer" % key in capsys.readouterr().err
 
 
+# Every integer key, with a slot for its value, and the integral values
+# whose exact integer would print hundreds of digits.
+_INTEGER_KEYS = {
+    "domain.dim": MINIMAL.replace("dim: 1", "dim: %s"),
+    "domain.n": MINIMAL.replace("n: 16", "n: %s"),
+    "time.N": MINIMAL.replace("N: 8", "N: %s"),
+    "solver.newton_max": MINIMAL + "solver: {newton_max: %s}\n",
+    "optimizer.max_iters": MINIMAL + "optimizer: {max_iters: %s}\n",
+    "output.snapshot_stride": MINIMAL + "output: {snapshot_stride: %s}\n",
+    "output.seed": MINIMAL + "output: {seed: %s}\n",
+}
+_HUGE = ("1.0e+300", "-1.0e+300")
+
+
 @pytest.mark.parametrize("text, key, condition", [
     (MINIMAL.replace("delta: 1.0", "delta: '1.0'"), "params.delta",
      "a finite number"),
@@ -175,8 +190,8 @@ def test_integer_keys_strict(tmp_path, capsys, text, key):
      "1e-100 <= length <= 1e100"),
     (MINIMAL.replace("n: 16", "n: [16, 16]"), "domain.n",
      "one entry per axis"),
-    (MINIMAL.replace("n: 16", "n: 1.0e+300"), "domain.n", "at most"),
-    (MINIMAL.replace("N: 8", "N: 1.0e+300"), "time.N", "N < "),
+    (MINIMAL.replace("n: 16", "n: 4.0e+18"), "domain.n", "at most"),
+    (MINIMAL.replace("N: 8", "N: 4.0e+18"), "time.N", "N < "),
     (MINIMAL + "init: {mu0: -1}\n", "init.mu0", "mu0 >= 0"),
     (MINIMAL + "solver: {adjoint_mode: abc}\n", "solver.adjoint_mode",
      "adjoint_mode in {discrete, pde}"),
@@ -185,22 +200,27 @@ def test_integer_keys_strict(tmp_path, capsys, text, key):
      "targets.rho_T", "rho_T unset with from_state"),
     (MINIMAL + "targets: {mu_T: 0.7, from_state: {u: 0.2}}\n",
      "targets.mu_T", "mu_T unset with from_state"),
-], ids=["delta-string", "epsilon-nan", "length-string", "length-entry",
-        "T-bool", "c_log-list", "newton_tol-string", "step0-inf",
-        "iter_snapshots-string", "iter_snapshots-int", "u_max-bool",
-        "u_init-bool", "rho0-bool", "mu0-nan", "mu_T-inf", "from_state-bool",
-        "u_init-list", "seed-negative", "n-zero", "length-negative",
-        "n-entries", "n-huge", "N-huge", "mu0-negative", "adjoint_mode",
-        "dim-three", "rho_T-from_state", "mu_T-from_state"])
+] + [(text % value, key, "an integer with |value| < 2**63")
+     for key, text in _INTEGER_KEYS.items() for value in _HUGE],
+    ids=["delta-string", "epsilon-nan", "length-string", "length-entry",
+         "T-bool", "c_log-list", "newton_tol-string", "step0-inf",
+         "iter_snapshots-string", "iter_snapshots-int", "u_max-bool",
+         "u_init-bool", "rho0-bool", "mu0-nan", "mu_T-inf", "from_state-bool",
+         "u_init-list", "seed-negative", "n-zero", "length-negative",
+         "n-entries", "n-huge", "N-huge", "mu0-negative", "adjoint_mode",
+         "dim-three", "rho_T-from_state", "mu_T-from_state"]
+    + ["%s%s" % (key, value) for key in _INTEGER_KEYS for value in _HUGE])
 def test_float_and_boolean_keys_strict(tmp_path, capsys, text, key, condition):
     path = write(tmp_path, text)
-    with pytest.raises(ValidationError, match=r"^%s: requires %s"
-                       % (key.replace("[", r"\["), condition)):
+    with pytest.raises(ValidationError,
+                       match="^" + re.escape("%s: requires %s"
+                                             % (key, condition))):
         config.parse_config(path)
     assert cli.main(["forward", "--config", path,
                      "--out", str(tmp_path / "out")]) == 2
-    assert "error: %s: requires %s" % (key, condition) \
-        in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: %s: requires %s" % (key, condition) in err
+    assert all(len(line) < 200 for line in err.splitlines())
 
 
 @pytest.mark.parametrize("key", ["rho0", "u_init"])
@@ -462,6 +482,21 @@ def test_cli_dump_fields(tmp_path):
                     "--dump-fields"]) == 0
     for base in ("rho", "mu", "xi", "eta", "p", "q"):
         assert os.path.exists(os.path.join(out, "%s_0000.csv" % base)), base
+    # check grad certifies the discrete adjoint whatever the configured
+    # mode, and check duality the configured one: each writes its own.
+    cfg = write(tmp_path, MINIMAL + "solver: {adjoint_mode: pde}\n", "pde.yaml")
+    rc = config.parse_config(cfg)
+    prob = rc.problem
+    u, _ = checks.check_instance(prob, rc.output.seed)
+    state = pc.solve_state(prob, u, rc.solver)
+    for which, mode in (("grad", "discrete"), ("duality", "pde")):
+        out = str(tmp_path / which)
+        assert run_cli(["check", which, "--config", cfg, "--out", out,
+                        "--dump-fields"]) == 0
+        q = pc.solve_adjoint(prob, state, rc.solver, mode=mode).q
+        np.testing.assert_allclose(
+            fields.read_snapshot_dir(out, "q", prob.tgrid, prob.grid), q,
+            rtol=0.0, atol=1e-12)
 
 
 def test_readme_config_block_matches_schema():

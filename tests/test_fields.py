@@ -5,31 +5,32 @@ import numpy as np
 import pytest
 
 import phasectl as pc
-from phasectl import fields
+from phasectl import fields, mesh
 from phasectl.errors import ShapeMismatch
 
 
 def test_as_field_broadcast_and_shape():
     g = pc.make_grid(1, 5, 1.0)
-    np.testing.assert_array_equal(fields.as_field(g, 0.3), np.full(5, 0.3))
+    np.testing.assert_array_equal(mesh.as_field(g, 0.3), np.full(5, 0.3))
     v = np.arange(5.0)
-    assert fields.as_field(g, v) is not v  # defensive copy
+    assert not np.shares_memory(mesh.as_field(g, v), v)  # defensive copy
     with pytest.raises(ShapeMismatch):
-        fields.as_field(g, np.zeros(4))
+        mesh.as_field(g, np.zeros(4))
 
 
 def test_as_trajectory_broadcast():
     g = pc.make_grid(1, 4, 1.0)
     tg = pc.make_time_grid(1.0, 3)
-    t = fields.as_trajectory(tg, g, 2.0)
+    t = mesh.as_trajectory(tg, g, 2.0)
     assert t.shape == (4, 4) and np.all(t == 2.0)
     field = np.array([1.0, 2.0, 3.0, 4.0])
-    t = fields.as_trajectory(tg, g, field)
+    t = mesh.as_trajectory(tg, g, field)
     assert np.all(t == field)
     full = np.random.default_rng(0).random((4, 4))
-    np.testing.assert_array_equal(fields.as_trajectory(tg, g, full), full)
+    np.testing.assert_array_equal(mesh.as_trajectory(tg, g, full), full)
+    assert not np.shares_memory(mesh.as_trajectory(tg, g, full), full)
     with pytest.raises(ShapeMismatch):
-        fields.as_trajectory(tg, g, np.zeros((3, 4)))
+        mesh.as_trajectory(tg, g, np.zeros((3, 4)))
 
 
 def test_field_csv_roundtrip_bit_exact(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -197,6 +199,24 @@ def test_residuals_first_order_consistency(cfg):
         maxima.append(max(np.max(r["rho"]), np.max(r["mu"])))
     ratio = maxima[0] / maxima[1]
     assert 1.4 <= ratio <= 2.8
+
+
+def test_problem_data_owns_its_arrays(cfg):
+    """Writes to the array a problem was built from change nothing."""
+    rho0 = np.full(16, 0.45)
+    prob = build_problem(rho0=rho0)
+    before = pc.solve_state(prob, 0.3, cfg)
+    rho0[:] = 1.5
+    np.testing.assert_array_equal(prob.rho0, np.full(16, 0.45))
+    after = pc.solve_state(prob, 0.3, cfg)
+    np.testing.assert_array_equal(after.rho, before.rho)
+    np.testing.assert_array_equal(after.mu, before.mu)
+
+
+def test_array_fields_table_names_every_array_field():
+    typed = {f.name for f in fields(pc.ProblemData)
+             if f.init and f.type in ("np.ndarray", np.ndarray)}
+    assert set(pc.ProblemData.ARRAY_FIELDS) == typed
 
 
 def test_step_error_carries_level(cfg):

@@ -11,7 +11,7 @@ from .checks import (bounds_check, duality_gap_check, fd_gradient_check,
 from .config import RunConfig, build_problem, parse_config
 from .forward import (Diagnostics, ProblemData, SolverConfig, StateTrajectory,
                       residual_norms, solve_state, step_mu, step_rho)
-from .mesh import Grid, TimeGrid, make_grid, make_time_grid
+from .mesh import Grid, TimeGrid
 from .optimize import (OptimizeResult, OptimizerConfig, cost, cost_parts,
                        kkt_residual, project_control,
                        projected_gradient_descent, reduced_gradient)
@@ -25,9 +25,8 @@ __all__ = [
     "OptimizerConfig", "Potential", "ProblemData", "RunConfig",
     "SolverConfig", "StateTrajectory", "TangentTrajectory", "TimeGrid",
     "adjoint_mode_gap", "bounds_check", "build_problem", "cost", "cost_parts",
-    "duality_gap_check", "duality_pairing",
-    "fd_gradient_check", "kkt_residual", "make_grid", "make_time_grid",
-    "ode_oracle_check", "parse_config", "project_control",
+    "duality_gap_check", "duality_pairing", "fd_gradient_check",
+    "kkt_residual", "ode_oracle_check", "parse_config", "project_control",
     "projected_gradient_descent", "random_control", "reduced_gradient",
     "residual_norms", "solve_adjoint", "solve_state", "solve_tangent",
     "stability_ratio_check", "step_mu", "step_rho",

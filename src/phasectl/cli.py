@@ -38,7 +38,6 @@ CHECKS = {
     "oracle": ("ode_oracle_check", {"u": "u_init"}, False),
     "bounds": ("bounds_check", {}, False),
 }
-CHECK_NAMES = tuple(CHECKS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="run projected gradient descent")
     common(p_opt)
     p_chk = sub.add_parser("check", help="run one verification check")
-    p_chk.add_argument("which", choices=CHECK_NAMES)
+    p_chk.add_argument("which", choices=CHECKS)
     common(p_chk)
     p_chk.add_argument("--dump-fields", action="store_true",
                        help="also write sensitivity trajectories as CSV")

@@ -18,7 +18,6 @@ the violated condition.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 from dataclasses import MISSING, dataclass, fields, replace
@@ -30,7 +29,7 @@ from .errors import (ConfigError, MissingKey, ValidationError, renamed_keys,
                      require)
 from .fields import read_field_csv, read_snapshot_dir
 from .forward import ProblemData, SolverConfig, solve_state
-from .mesh import Grid, TimeGrid, as_trajectory, make_grid
+from .mesh import Grid, TimeGrid, as_trajectory
 from .optimize import OptimizerConfig
 from .potential import Potential
 from .sensitivity import ADJOINT_MODES, check_adjoint_mode
@@ -111,7 +110,7 @@ def _merge_defaults(data: dict) -> dict:
             elif default is MISSING:  # a field without a default
                 raise MissingKey("%s.%s: mandatory key missing" % (section, key))
             else:
-                merged[section][key] = copy.deepcopy(default)
+                merged[section][key] = default
     for section in data:
         if section not in _SCHEMA:
             raise ValidationError("%s: unknown section" % section)
@@ -198,9 +197,9 @@ def parse_config(path: str) -> RunConfig:
     cfg_dir = os.path.dirname(os.path.abspath(path))
 
     dom = merged["domain"]
-    grid = make_grid(_integer(dom["dim"], "domain.dim"),
-                     _per_axis(dom["n"], "domain.n", _integer),
-                     _per_axis(dom["length"], "domain.length", _number))
+    grid = Grid(_integer(dom["dim"], "domain.dim"),
+                _per_axis(dom["n"], "domain.n", _integer),
+                _per_axis(dom["length"], "domain.length", _number))
     tgrid = TimeGrid(**_typed(merged, "time", TimeGrid))
 
     def load(name, base=None):

@@ -1,10 +1,11 @@
 """Exception types shared across the package.
 
-Solver failures raised inside a time loop carry the failing step index in
-the ``step`` attribute, the number of steps in ``steps``, the records of
-the levels solved before it in ``diagnostics`` and, when the order-parameter
-Newton iteration failed, its residual norms in ``newton_residuals``, so
-callers can report where and how a run died.
+Solver failures raised inside a time loop (the forward, tangent or adjoint
+march) carry the failing step index in ``step`` and the number of steps in
+``steps``.  The forward march adds the records of the levels solved before
+it in ``diagnostics`` and, when the order-parameter Newton iteration
+failed, its residual norms in ``newton_residuals``, so callers can report
+where and how a run died.
 
 Each object checks its own fields with ``require``; ``renamed_keys``
 rewrites the field a ValidationError names to the config key or option.

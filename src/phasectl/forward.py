@@ -282,46 +282,3 @@ def residual_norms(problem: ProblemData, u, state: StateTrajectory) -> dict:
         - mu_carry(eps, tau, rho[1:]) * mu[:-1]
     return {"rho": mesh.norm_h(grid, res1), "mu": mesh.norm_h(grid, res2)}
 
-
-@dataclass(frozen=True)
-class StepOperators:
-    """The forward march linearized about a state, one step at a time.
-
-    Step n maps level n to level n+1.  Its tangent reads
-
-        (S - L) xi[n+1]  = d xi[n] + eta[n]
-        (D - L) eta[n+1] = h[n+1] + a xi[n+1] + b xi[n] + C eta[n]
-
-    with d = delta/tau, S the Newton shift at rho[n+1], D the potential
-    diagonal, C its carry, a = (2 mu[n] - 3 mu[n+1])/tau and
-    b = mu[n+1]/tau.  A step's coefficients are formed from the state
-    when asked for, so no per-level copies are kept.
-    """
-
-    problem: ProblemData
-    state: StateTrajectory
-
-    def solved(self, n: int) -> tuple:
-        """(S, D, a): the diagonals step n inverts and their coupling."""
-        p, tau = self.problem, self.problem.tgrid.tau
-        rho, mu = self.state.rho, self.state.mu
-        return (newton_shift(p.potential, p.delta, tau, rho[n + 1]),
-                mu_diagonal(p.epsilon, tau, rho[n], rho[n + 1]),
-                (2.0 * mu[n] - 3.0 * mu[n + 1]) / tau)
-
-    def carried(self, n: int) -> tuple:
-        """(d, C, b): the weights of level n on the right of step n."""
-        tau = self.problem.tgrid.tau
-        return (self.problem.delta / tau,
-                mu_carry(self.problem.epsilon, tau, self.state.rho[n + 1]),
-                self.state.mu[n + 1] / tau)
-
-    def tangent_step(self, n: int, xi: np.ndarray, eta: np.ndarray,
-                     h_new: np.ndarray, tol: float) -> tuple:
-        """Level n+1 of the tangent from level n and the direction."""
-        shift, diag, a = self.solved(n)
-        d, carry, b = self.carried(n)
-        grid = self.problem.grid
-        xi_new = mesh.solve_shifted(grid, shift, d * xi + eta, tol=tol)
-        rhs = h_new + a * xi_new + b * xi + carry * eta
-        return xi_new, mesh.solve_shifted(grid, diag, rhs, tol=tol)

@@ -17,6 +17,7 @@ share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod, sqrt
 
 import numpy as np
@@ -45,8 +46,6 @@ class Grid:
     h: tuple = field(init=False)
     num_cells: int = field(init=False)
     weight: float = field(init=False)
-    _dct_eig: object = field(default=None, init=False, repr=False)
-    _ptsv_offdiag: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         require(self.dim in (1, 2), "dim", "dim in {1, 2}", self.dim,
@@ -93,29 +92,22 @@ class Grid:
                 "field has shape %r, expected (%d,)" % (v.shape, self.num_cells))
         return v
 
+    @cached_property
     def _dct_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of -L on the type-II DCT basis, shape ``n``.
 
         Per axis they are 4 sin^2(pi k / 2m) / h^2, summed over the axes.
         """
-        if self._dct_eig is None:
-            axes = [4.0 * np.sin(np.pi * np.arange(m) / (2.0 * m)) ** 2 / hh**2
-                    for m, hh in zip(self.n, self.h)]
-            self._dct_eig = sum(np.meshgrid(*axes, indexing="ij"))
-        return self._dct_eig
+        axes = [4.0 * np.sin(np.pi * np.arange(m) / (2.0 * m)) ** 2 / hh**2
+                for m, hh in zip(self.n, self.h)]
+        return sum(np.meshgrid(*axes, indexing="ij"))
 
+    @cached_property
     def _ptsv_offdiagonal(self) -> np.ndarray:
         """The constant -1/h^2 off-diagonal of -L in 1D, read-only."""
-        if self._ptsv_offdiag is None:
-            e = np.full(self.num_cells - 1, -1.0 / self.h[0] ** 2)
-            e.flags.writeable = False
-            self._ptsv_offdiag = e
-        return self._ptsv_offdiag
-
-
-def make_grid(dim: int, n, length) -> Grid:
-    """Build a grid from per-axis (or scalar) cell counts and box lengths."""
-    return Grid(dim=dim, n=n, length=length)
+        e = np.full(self.num_cells - 1, -1.0 / self.h[0] ** 2)
+        e.flags.writeable = False
+        return e
 
 
 def as_field(grid: Grid, value) -> np.ndarray:
@@ -185,7 +177,7 @@ def solve_shifted(grid: Grid, shift: np.ndarray, rhs: np.ndarray,
         diag = shift + 2.0 / h2
         diag[0] -= 1.0 / h2
         diag[-1] -= 1.0 / h2
-        _, _, x, info = dptsv(diag, grid._ptsv_offdiagonal(), rhs,
+        _, _, x, info = dptsv(diag, grid._ptsv_offdiagonal, rhs,
                               overwrite_d=1)
         if info > 0:
             raise LinearSolveFailure(
@@ -219,7 +211,7 @@ def _dct_solve(grid: Grid, shift: float, rhs: np.ndarray) -> np.ndarray:
     The type-II DCT diagonalizes the zero-flux Laplacian on this grid.
     """
     coef = scipy.fft.dctn(rhs, type=2, norm="ortho")
-    coef /= shift + grid._dct_eigenvalues()
+    coef /= shift + grid._dct_eigenvalues
     return scipy.fft.idctn(coef, type=2, norm="ortho")
 
 
@@ -331,10 +323,6 @@ class TimeGrid:
         c = np.ones(self.N + 1)
         c[0] = c[-1] = 0.5
         return c
-
-
-def make_time_grid(T: float, N: int) -> TimeGrid:
-    return TimeGrid(T=T, N=N)
 
 
 def check_trajectory(tg: TimeGrid, grid: Grid, a: np.ndarray) -> np.ndarray:

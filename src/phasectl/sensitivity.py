@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh
-from .errors import require
-from .forward import (ProblemData, SolverConfig, StateTrajectory,
-                      StepOperators, mu_carry, newton_shift)
+from .errors import SolverStepError, require
+from .forward import (ProblemData, SolverConfig, StateTrajectory, mu_carry,
+                      mu_diagonal, newton_shift)
 from .mesh import as_trajectory
 
 ADJOINT_MODES = ("discrete", "pde")
@@ -63,19 +63,62 @@ class AdjointTrajectory:
 
     p: np.ndarray
     q: np.ndarray
-    mode: str
+
+
+@dataclass(frozen=True)
+class StepOperators:
+    """The forward march linearized about a state, one step at a time.
+
+    Step n maps level n to level n+1.  Its tangent reads
+
+        (S - L) xi[n+1]  = d xi[n] + eta[n]
+        (D - L) eta[n+1] = h[n+1] + a xi[n+1] + b xi[n] + C eta[n]
+
+    with d = delta/tau, S the Newton shift at rho[n+1], D the potential
+    diagonal, C its carry, a = (2 mu[n] - 3 mu[n+1])/tau and
+    b = mu[n+1]/tau.  A step's coefficients are formed from the state
+    when asked for, so no per-level copies are kept.
+    """
+
+    problem: ProblemData
+    state: StateTrajectory
+
+    def solved(self, n: int) -> tuple:
+        """(S, D, a): the diagonals step n inverts and their coupling."""
+        p, tau = self.problem, self.problem.tgrid.tau
+        rho, mu = self.state.rho, self.state.mu
+        return (newton_shift(p.potential, p.delta, tau, rho[n + 1]),
+                mu_diagonal(p.epsilon, tau, rho[n], rho[n + 1]),
+                (2.0 * mu[n] - 3.0 * mu[n + 1]) / tau)
+
+    def carried(self, n: int) -> tuple:
+        """(d, C, b): the weights of level n on the right of step n."""
+        tau = self.problem.tgrid.tau
+        return (self.problem.delta / tau,
+                mu_carry(self.problem.epsilon, tau, self.state.rho[n + 1]),
+                self.state.mu[n + 1] / tau)
 
 
 def solve_tangent(problem: ProblemData, state: StateTrajectory, h,
                   cfg: SolverConfig = SolverConfig()) -> TangentTrajectory:
     """Differentiate the forward march along control direction h."""
-    h = as_trajectory(problem.tgrid, problem.grid, h)
+    grid, tg = problem.grid, problem.tgrid
+    h = as_trajectory(tg, grid, h)
     ops = StepOperators(problem, state)
     xi = np.zeros_like(h)
     eta = np.zeros_like(h)
-    for n in range(problem.tgrid.N):
-        xi[n + 1], eta[n + 1] = ops.tangent_step(n, xi[n], eta[n], h[n + 1],
-                                                 cfg.linear_tol)
+    try:
+        for n in range(tg.N):
+            shift, diag, a = ops.solved(n)
+            d, carry, b = ops.carried(n)
+            xi[n + 1] = mesh.solve_shifted(grid, shift, d * xi[n] + eta[n],
+                                           tol=cfg.linear_tol)
+            rhs = h[n + 1] + a * xi[n + 1] + b * xi[n] + carry * eta[n]
+            eta[n + 1] = mesh.solve_shifted(grid, diag, rhs,
+                                            tol=cfg.linear_tol)
+    except SolverStepError as exc:
+        exc.step, exc.steps = n + 1, tg.N
+        raise
     return TangentTrajectory(xi=xi, eta=eta)
 
 
@@ -100,25 +143,29 @@ def _adjoint_discrete(problem, state, cfg):
     mu = state.mu
     y = np.zeros_like(mu)
     x = np.zeros_like(y)
-    for k in range(tg.N, 0, -1):
-        rhs_y = problem.beta1 * tau * c[k] * (mu[k] - problem.mu_target[k])
-        if k == tg.N:
-            rhs_x = state.rho[k] - problem.rho_target
-        else:
-            d, carry, b = ops.carried(k)
-            rhs_y = rhs_y + x[k + 1] + carry * y[k + 1]
-            rhs_x = d * x[k + 1] + b * y[k + 1]
-        shift, diag, a = ops.solved(k - 1)
-        y[k] = mesh.solve_shifted(grid, diag, rhs_y, tol=cfg.linear_tol)
-        x[k] = mesh.solve_shifted(grid, shift, a * y[k] + rhs_x,
-                                  tol=cfg.linear_tol)
+    try:
+        for k in range(tg.N, 0, -1):
+            rhs_y = problem.beta1 * tau * c[k] * (mu[k] - problem.mu_target[k])
+            if k == tg.N:
+                rhs_x = state.rho[k] - problem.rho_target
+            else:
+                d, carry, b = ops.carried(k)
+                rhs_y = rhs_y + x[k + 1] + carry * y[k + 1]
+                rhs_x = d * x[k + 1] + b * y[k + 1]
+            shift, diag, a = ops.solved(k - 1)
+            y[k] = mesh.solve_shifted(grid, diag, rhs_y, tol=cfg.linear_tol)
+            x[k] = mesh.solve_shifted(grid, shift, a * y[k] + rhs_x,
+                                      tol=cfg.linear_tol)
+    except SolverStepError as exc:
+        exc.step, exc.steps = k, tg.N
+        raise
     q = np.zeros_like(y)
     q[1:] = y[1:] / (tau * c[1:, None])
     p = np.zeros_like(x)
     p[1:] = x[1:] / tau
     # No multiplier exists at level 0; pad with the adjacent level.
     p[0] = p[1]
-    return AdjointTrajectory(p=p, q=q, mode="discrete")
+    return AdjointTrajectory(p=p, q=q)
 
 
 def _adjoint_pde(problem, state, cfg):
@@ -129,20 +176,24 @@ def _adjoint_pde(problem, state, cfg):
     q = np.zeros((tg.N + 1, grid.num_cells))
     p = np.zeros_like(q)
     p[tg.N] = (rho[tg.N] - problem.rho_target) / delta
-    for n in range(tg.N - 1, -1, -1):
-        rho_t = (rho[n + 1] - rho[n]) / tau
-        mu_t = (mu[n + 1] - mu[n]) / tau
-        carry = mu_carry(problem.epsilon, tau, rho[n])
-        rhs_q = carry * q[n + 1] + (1.0 + rho_t) * q[n + 1] \
-            + p[n + 1] + problem.beta1 * (mu[n] - problem.mu_target[n])
-        q[n] = mesh.solve_shifted(grid, carry + 1.0, rhs_q,
-                                  tol=cfg.linear_tol)
-        rhs_p = (delta / tau) * p[n + 1] + mu[n] * (q[n + 1] - q[n]) / tau \
-            - mu_t * q[n]
-        p[n] = mesh.solve_shifted(
-            grid, newton_shift(problem.potential, delta, tau, rho[n]), rhs_p,
-            tol=cfg.linear_tol)
-    return AdjointTrajectory(p=p, q=q, mode="pde")
+    try:
+        for n in range(tg.N - 1, -1, -1):
+            rho_t = (rho[n + 1] - rho[n]) / tau
+            mu_t = (mu[n + 1] - mu[n]) / tau
+            carry = mu_carry(problem.epsilon, tau, rho[n])
+            rhs_q = carry * q[n + 1] + (1.0 + rho_t) * q[n + 1] \
+                + p[n + 1] + problem.beta1 * (mu[n] - problem.mu_target[n])
+            q[n] = mesh.solve_shifted(grid, carry + 1.0, rhs_q,
+                                      tol=cfg.linear_tol)
+            rhs_p = (delta / tau) * p[n + 1] \
+                + mu[n] * (q[n + 1] - q[n]) / tau - mu_t * q[n]
+            p[n] = mesh.solve_shifted(
+                grid, newton_shift(problem.potential, delta, tau, rho[n]),
+                rhs_p, tol=cfg.linear_tol)
+    except SolverStepError as exc:
+        exc.step, exc.steps = n + 1, tg.N
+        raise
+    return AdjointTrajectory(p=p, q=q)
 
 
 def adjoint_mode_gap(problem: ProblemData, state: StateTrajectory,

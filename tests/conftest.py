@@ -9,8 +9,8 @@ from phasectl.mesh import as_trajectory
 def build_problem(n=16, N=8, T=0.1, dim=1, epsilon=0.5, delta=1.0,
                   rho0=0.45, mu0=0.1, u_max=1.0, **kw):
     """One-call problem factory for unit tests."""
-    grid = pc.make_grid(dim, n, 1.0 if dim == 1 else (1.0, 1.0))
-    tg = pc.make_time_grid(T, N)
+    grid = pc.Grid(dim, n, 1.0 if dim == 1 else (1.0, 1.0))
+    tg = pc.TimeGrid(T, N)
     return pc.ProblemData(grid=grid, tgrid=tg, epsilon=epsilon, delta=delta,
                           potential=pc.Potential(), rho0=rho0, mu0=mu0,
                           u_max=u_max, **kw)

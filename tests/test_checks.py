@@ -162,16 +162,16 @@ def test_oracle_step_control_converges(cfg):
         prob = build_problem(n=64, N=N, T=1.0, rho0=0.4, mu0=0.2)
         levels = np.where(prob.tgrid.times <= 0.5, 0.1, 0.3)
         u = np.repeat(levels[:, None], 64, axis=1)
-        rep = checks.ode_oracle_check(prob, cfg, u=u, tol=5e-3)
+        rep = checks.ode_oracle_check(prob, cfg, u=u)
         assert rep["pass"], rep["metrics"]
         errs.append(rep["metrics"]["max_err"])
     assert 0.35 <= errs[1] / errs[0] <= 0.65
 
 
 def test_oracle_requires_uniform_data(cfg):
-    g = pc.make_grid(1, 8, 1.0)
+    g = pc.Grid(1, 8, 1.0)
     x = g.axis_centers(0)
-    prob = pc.ProblemData(grid=g, tgrid=pc.make_time_grid(0.1, 8),
+    prob = pc.ProblemData(grid=g, tgrid=pc.TimeGrid(0.1, 8),
                           epsilon=0.5, delta=1.0, potential=pc.Potential(),
                           rho0=0.4 + 0.1 * x, mu0=0.1, u_max=1.0)
     with pytest.raises(pc.errors.ShapeMismatch, match="uniform rho0, spread"):
@@ -233,8 +233,8 @@ def test_problem_hash_covers_every_field(cfg):
         a.flat[3] += 1e-3
     variants = {
         "grid.n": build_problem(n=17),
-        "grid.length": replace(base, grid=pc.make_grid(1, 16, 2.0)),
-        "tgrid.T": replace(base, tgrid=pc.make_time_grid(0.2, 8)),
+        "grid.length": replace(base, grid=pc.Grid(1, 16, 2.0)),
+        "tgrid.T": replace(base, tgrid=pc.TimeGrid(0.2, 8)),
         "tgrid.N": build_problem(N=9),
         "epsilon": replace(base, epsilon=0.51),
         "delta": replace(base, delta=1.01),
@@ -262,7 +262,7 @@ def test_problem_hash_covers_every_field(cfg):
     square = build_problem(dim=2, n=(6, 5), N=2)
     before = checks.problem_hash(square, cfg)
     mesh.solve_shifted(square.grid, np.full(30, 2.0), np.ones(30))
-    assert square.grid._dct_eig is not None
+    assert "_dct_eigenvalues" in vars(square.grid)
     assert checks.problem_hash(square, cfg) == before
 
 
@@ -278,7 +278,7 @@ def test_random_control_feasible_and_seeded(small):
 def test_prolongation_is_exact(small):
     rng = np.random.default_rng(1)
     v = rng.random(small.grid.num_cells)
-    fine_grid = pc.make_grid(1, 32, 1.0)
+    fine_grid = pc.Grid(1, 32, 1.0)
     vf = checks.prolong_field(small.grid, v)
     assert inner_h(fine_grid, vf, vf) == pytest.approx(
         inner_h(small.grid, v, v), rel=1e-15)

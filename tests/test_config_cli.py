@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -8,7 +9,7 @@ import pytest
 import yaml
 
 import phasectl as pc
-from phasectl import checks, cli, config, fields
+from phasectl import checks, cli, config, fields, sensitivity
 from phasectl.errors import (MissingKey, UnsupportedDimension,
                              ValidationError)
 from conftest import build_problem
@@ -227,7 +228,7 @@ def test_float_and_boolean_keys_strict(tmp_path, capsys, text, key, condition):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
                          ids=["nan", "inf", "-inf"])
 def test_nonfinite_field_csv_rejected(tmp_path, capsys, key, bad):
-    grid = pc.make_grid(1, 16, 1.0)
+    grid = pc.Grid(1, 16, 1.0)
     values = np.full(16, 0.4)
     values[5] = bad
     csv = str(tmp_path / "field.csv")
@@ -259,7 +260,7 @@ def test_integral_float_accepted(tmp_path):
 
 
 def test_field_csv_loading(tmp_path):
-    grid = pc.make_grid(1, 16, 1.0)
+    grid = pc.Grid(1, 16, 1.0)
     rho = 0.3 + 0.4 * np.random.default_rng(0).random(16)
     fields.write_field_csv(str(tmp_path / "rho0.csv"), grid, rho)
     rc = config.parse_config(write(tmp_path, MINIMAL + "init: {rho0: rho0.csv}\n"))
@@ -424,6 +425,30 @@ control: {u_init: 0.1}
     assert "check oracle: FAIL" in capsys.readouterr().out
 
 
+def test_readme_python_names_resolve():
+    """Every pc.<name> the README's python blocks use exists."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as f:
+        blocks = f.read().split("```python\n")[1:]
+    names = {node.attr for block in blocks
+             for node in ast.walk(ast.parse(block.split("```", 1)[0]))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "pc"}
+    assert names
+    assert [name for name in sorted(names) if not hasattr(pc, name)] == []
+
+
+def test_cli_check_reports_named_as_command(tmp_path):
+    """check_<which>.json names the check it was run as."""
+    cfg = write(tmp_path, MINIMAL)
+    for which in cli.CHECKS:
+        out = tmp_path / which
+        assert run_cli(["check", which, "--config", cfg,
+                        "--out", str(out)]) in (0, 1)
+        report = json.load(open(out / ("check_%s.json" % which)))
+        assert report["name"] == which
+
+
 def test_cli_bad_config_exits_two(tmp_path, capsys):
     missing = str(tmp_path / "nope.yaml")
     assert run_cli(["forward", "--config", missing]) == 2
@@ -435,7 +460,7 @@ def test_cli_bad_config_exits_two(tmp_path, capsys):
 def test_cli_solver_error_names_step(tmp_path, capsys):
     """A step whose Newton system is indefinite fails with its index and
     leaves the diagnostics of the levels solved before it."""
-    grid = pc.make_grid(1, 16, 1.0)
+    grid = pc.Grid(1, 16, 1.0)
     x = grid.cell_centers()[:, 0]
     fields.write_field_csv(str(tmp_path / "rho0.csv"), grid,
                            0.5 + 0.05 * np.cos(np.pi * x))
@@ -454,6 +479,23 @@ def test_cli_solver_error_names_step(tmp_path, capsys):
     assert diag["failed_newton_residuals"][0] > 0.0
     assert diag["rho_min"][0] == pytest.approx(0.45, rel=1e-2)
     assert "config_hash" in diag
+
+
+def test_cli_check_tangent_names_failing_step(tmp_path, capsys, monkeypatch):
+    """A solve failing inside the tangent march names its step: a negated
+    Newton shift at step 3 is not positive definite."""
+    solved = sensitivity.StepOperators.solved
+
+    def indefinite_at_step_3(self, n):
+        shift, diag, a = solved(self, n)
+        return (-shift if n == 2 else shift), diag, a
+
+    monkeypatch.setattr(sensitivity.StepOperators, "solved",
+                        indefinite_at_step_3)
+    cfg = write(tmp_path, MINIMAL)
+    assert run_cli(["check", "tangent", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 2
+    assert "error: step 3 of 8: " in capsys.readouterr().err
 
 
 def test_cli_forward_one_cell(tmp_path):

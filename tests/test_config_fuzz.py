@@ -36,7 +36,7 @@ KEYS = [(section, key) for section, keys in VALID.items() for key in keys]
 VALUES = ["0", "-1", "0.5", "1.0e-300", "1.0e+300", ".nan", ".inf", "abc",
           "true", "[1]", "[]", "{}", "null"]
 COMMANDS = [["forward"], ["optimize"]] + [
-    ["check", which] for which in cli.CHECK_NAMES]
+    ["check", which] for which in cli.CHECKS]
 
 
 def render(sections):

@@ -10,7 +10,7 @@ from phasectl.errors import ShapeMismatch
 
 
 def test_as_field_broadcast_and_shape():
-    g = pc.make_grid(1, 5, 1.0)
+    g = pc.Grid(1, 5, 1.0)
     np.testing.assert_array_equal(mesh.as_field(g, 0.3), np.full(5, 0.3))
     v = np.arange(5.0)
     assert not np.shares_memory(mesh.as_field(g, v), v)  # defensive copy
@@ -19,8 +19,8 @@ def test_as_field_broadcast_and_shape():
 
 
 def test_as_trajectory_broadcast():
-    g = pc.make_grid(1, 4, 1.0)
-    tg = pc.make_time_grid(1.0, 3)
+    g = pc.Grid(1, 4, 1.0)
+    tg = pc.TimeGrid(1.0, 3)
     t = mesh.as_trajectory(tg, g, 2.0)
     assert t.shape == (4, 4) and np.all(t == 2.0)
     field = np.array([1.0, 2.0, 3.0, 4.0])
@@ -35,7 +35,7 @@ def test_as_trajectory_broadcast():
 
 def test_field_csv_roundtrip_bit_exact(tmp_path):
     """Seventeen significant digits reproduce doubles exactly."""
-    g = pc.make_grid(1, 32, 1.0)
+    g = pc.Grid(1, 32, 1.0)
     v = np.random.default_rng(7).standard_normal(32) * 1e3
     path = str(tmp_path / "f.csv")
     fields.write_field_csv(path, g, v)
@@ -44,7 +44,7 @@ def test_field_csv_roundtrip_bit_exact(tmp_path):
 
 
 def test_field_csv_roundtrip_2d(tmp_path):
-    g = pc.make_grid(2, (4, 3), (1.0, 2.0))
+    g = pc.Grid(2, (4, 3), (1.0, 2.0))
     v = np.random.default_rng(8).random(12)
     path = str(tmp_path / "f2.csv")
     fields.write_field_csv(path, g, v)
@@ -56,7 +56,7 @@ def test_field_csv_roundtrip_2d(tmp_path):
 def test_field_csv_matches_row_by_row_writer(tmp_path):
     """The one-format writer gives the bytes of a per-row loop."""
     rng = np.random.default_rng(11)
-    grids = [pc.make_grid(1, 37, 2.5), pc.make_grid(2, (5, 7), (1.0, 0.3))]
+    grids = [pc.Grid(1, 37, 2.5), pc.Grid(2, (5, 7), (1.0, 0.3))]
     for k, g in enumerate(grids):
         v = rng.standard_normal(g.num_cells) * 10.0 ** rng.integers(
             -300, 300, g.num_cells)
@@ -73,7 +73,7 @@ def test_field_csv_matches_row_by_row_writer(tmp_path):
 
 
 def test_field_csv_coordinate_check(tmp_path):
-    g = pc.make_grid(1, 4, 1.0)
+    g = pc.Grid(1, 4, 1.0)
     path = str(tmp_path / "f.csv")
     fields.write_field_csv(path, g, np.zeros(4))
     lines = open(path).read().splitlines()
@@ -86,8 +86,8 @@ def test_field_csv_coordinate_check(tmp_path):
 
 
 def test_snapshot_roundtrip(tmp_path):
-    g = pc.make_grid(1, 6, 1.0)
-    tg = pc.make_time_grid(0.5, 5)
+    g = pc.Grid(1, 6, 1.0)
+    tg = pc.TimeGrid(0.5, 5)
     traj = np.random.default_rng(1).random((6, 6))
     out = str(tmp_path / "snaps")
     written = fields.write_snapshots(out, "rho", tg, g, traj, stride=1)
@@ -97,10 +97,10 @@ def test_snapshot_roundtrip(tmp_path):
 
 
 def test_snapshot_stride_keeps_final(tmp_path):
-    tg = pc.make_time_grid(1.0, 7)
+    tg = pc.TimeGrid(1.0, 7)
     levels = fields.snapshot_levels(tg, 3)
     assert levels == [0, 3, 6, 7]
-    g = pc.make_grid(1, 3, 1.0)
+    g = pc.Grid(1, 3, 1.0)
     out = str(tmp_path / "s")
     fields.write_snapshots(out, "mu", tg, g, np.zeros((8, 3)), stride=3)
     names = sorted(os.listdir(out))
@@ -108,8 +108,8 @@ def test_snapshot_stride_keeps_final(tmp_path):
 
 
 def test_snapshot_dir_requires_all_levels(tmp_path):
-    g = pc.make_grid(1, 3, 1.0)
-    tg = pc.make_time_grid(1.0, 4)
+    g = pc.Grid(1, 3, 1.0)
+    tg = pc.TimeGrid(1.0, 4)
     out = str(tmp_path / "s")
     fields.write_snapshots(out, "u", tg, g, np.zeros((5, 3)), stride=1)
     os.remove(os.path.join(out, fields.snapshot_name("u", 2)))

@@ -12,7 +12,7 @@ from conftest import build_problem, traj
 
 
 def test_step_rho_stationary(cfg):
-    g = pc.make_grid(1, 8, 1.0)
+    g = pc.Grid(1, 8, 1.0)
     rho = np.full(8, 0.5)
     out, hist = forward.step_rho(g, pc.Potential(), 1.0, 0.01, rho,
                                  np.zeros(8), cfg)
@@ -22,7 +22,7 @@ def test_step_rho_stationary(cfg):
 
 def test_step_rho_matches_scalar_root(cfg):
     """Uniform data reduce the cell system to one scalar equation."""
-    g = pc.make_grid(1, 8, 1.0)
+    g = pc.Grid(1, 8, 1.0)
     pot, delta, tau = pc.Potential(), 1.0, 0.02
     rho_prev, mu = 0.3, 0.1
     out, _ = forward.step_rho(g, pot, delta, tau,
@@ -36,7 +36,7 @@ def test_step_rho_matches_scalar_root(cfg):
 
 
 def test_newton_residuals_quadratic(cfg):
-    g = pc.make_grid(1, 8, 1.0)
+    g = pc.Grid(1, 8, 1.0)
     _, hist = forward.step_rho(g, pc.Potential(), 1.0, 0.05,
                                np.full(8, 0.35), np.full(8, 0.4), cfg)
     hist = [h for h in hist if h > 0.0]
@@ -77,14 +77,14 @@ def test_damping_matches_two_mask_formula():
 
 
 def test_step_mu_homogeneous(cfg):
-    g = pc.make_grid(1, 8, 1.0)
+    g = pc.Grid(1, 8, 1.0)
     rho = np.full(8, 0.4)
     out = forward.step_mu(g, 0.5, 0.01, rho, rho, np.zeros(8), np.zeros(8), cfg)
     np.testing.assert_array_equal(out, np.zeros(8))
 
 
 def test_step_mu_uniform_closed_form(cfg):
-    g = pc.make_grid(1, 8, 1.0)
+    g = pc.Grid(1, 8, 1.0)
     eps, tau = 0.5, 0.02
     rp, rn, mp, u = 0.35, 0.4, 0.25, 0.7
     out = forward.step_mu(g, eps, tau, np.full(8, rp), np.full(8, rn),
@@ -95,7 +95,7 @@ def test_step_mu_uniform_closed_form(cfg):
 
 def test_step_mu_nonnegativity(cfg):
     """Positive diagonal makes the step an M-matrix solve."""
-    g = pc.make_grid(2, (5, 4), (1.0, 1.0))
+    g = pc.Grid(2, (5, 4), (1.0, 1.0))
     rng = np.random.default_rng(4)
     for _ in range(5):
         rp = 0.2 + 0.5 * rng.random(20)
@@ -107,7 +107,7 @@ def test_step_mu_nonnegativity(cfg):
 
 
 def test_step_mu_rejects_nonpositive_coefficient(cfg):
-    g = pc.make_grid(1, 4, 1.0)
+    g = pc.Grid(1, 4, 1.0)
     with pytest.raises(NonpositiveCoefficient):
         forward.step_mu(g, 0.5, 0.01, np.full(4, 0.9), np.full(4, 0.1),
                         np.zeros(4), np.zeros(4), cfg)
@@ -123,9 +123,9 @@ def test_solve_state_stationary_triple(cfg):
 
 
 def test_solve_state_diagnostics_bounds(cfg):
-    g = pc.make_grid(1, 16, 1.0)
+    g = pc.Grid(1, 16, 1.0)
     x = g.axis_centers(0)
-    prob = pc.ProblemData(grid=g, tgrid=pc.make_time_grid(0.2, 16),
+    prob = pc.ProblemData(grid=g, tgrid=pc.TimeGrid(0.2, 16),
                           epsilon=0.5, delta=1.0, potential=pc.Potential(),
                           rho0=0.5 + 0.2 * np.cos(2 * np.pi * x),
                           mu0=0.1, u_max=1.0)
@@ -139,9 +139,9 @@ def test_solve_state_diagnostics_bounds(cfg):
 def test_diagnostics_reduce_the_trajectory(cfg):
     """Diagnostics are reductions of the returned levels, per level and
     per step, and a failed march keeps those of the levels it solved."""
-    g = pc.make_grid(1, 16, 1.0)
+    g = pc.Grid(1, 16, 1.0)
     x = g.axis_centers(0)
-    prob = pc.ProblemData(grid=g, tgrid=pc.make_time_grid(0.2, 16),
+    prob = pc.ProblemData(grid=g, tgrid=pc.TimeGrid(0.2, 16),
                           epsilon=0.5, delta=1.0, potential=pc.Potential(),
                           rho0=0.5 + 0.2 * np.cos(2 * np.pi * x),
                           mu0=0.1, u_max=1.0)
@@ -230,9 +230,9 @@ def test_step_error_carries_level(cfg):
 
 def test_indefinite_newton_step_raises_1d(cfg):
     """One step of length 1 leaves delta/tau below 2 c_quad - 4 c_log."""
-    g = pc.make_grid(1, 16, 1.0)
+    g = pc.Grid(1, 16, 1.0)
     x = g.axis_centers(0)
-    prob = pc.ProblemData(grid=g, tgrid=pc.make_time_grid(1.0, 1),
+    prob = pc.ProblemData(grid=g, tgrid=pc.TimeGrid(1.0, 1),
                           epsilon=0.5, delta=1.0, potential=pc.Potential(),
                           rho0=0.5 + 0.05 * np.cos(np.pi * x), mu0=0.0,
                           u_max=1.0)

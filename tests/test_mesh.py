@@ -24,14 +24,14 @@ def dense_laplacian(g):
 
 
 def test_grid_1d_layout():
-    g = pc.make_grid(1, 4, 1.0)
+    g = pc.Grid(1, 4, 1.0)
     assert g.h == (0.25,)
     np.testing.assert_allclose(g.axis_centers(0),
                                [0.125, 0.375, 0.625, 0.875])
 
 
 def test_grid_2d_weights():
-    g = pc.make_grid(2, (2, 2), (1.0, 1.0))
+    g = pc.Grid(2, (2, 2), (1.0, 1.0))
     assert g.num_cells == 4
     assert g.weight == pytest.approx(0.25)
     assert g.weight * g.num_cells == pytest.approx(1.0)
@@ -39,24 +39,24 @@ def test_grid_2d_weights():
 
 def test_grid_3d_rejected():
     with pytest.raises(UnsupportedDimension):
-        pc.make_grid(3, (2, 2, 2), (1.0, 1.0, 1.0))
+        pc.Grid(3, (2, 2, 2), (1.0, 1.0, 1.0))
 
 
 def test_laplacian_kills_constants():
-    g = pc.make_grid(2, (3, 4), (1.0, 2.0))
+    g = pc.Grid(2, (3, 4), (1.0, 2.0))
     v = np.full(g.num_cells, 3.7)
     assert np.max(np.abs(mesh.laplacian_apply(g, v))) == 0.0
 
 
 def test_laplacian_hand_stencil():
     # zero-flux stencil on three cells of width one
-    g = pc.make_grid(1, 3, 3.0)
+    g = pc.Grid(1, 3, 3.0)
     out = mesh.laplacian_apply(g, np.array([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(out, [1.0, 0.0, -1.0], atol=1e-14)
 
 
 def test_laplacian_symmetric_dense_oracle():
-    g = pc.make_grid(2, (3, 3), (1.0, 1.0))
+    g = pc.Grid(2, (3, 3), (1.0, 1.0))
     rng = np.random.default_rng(11)
     v = rng.standard_normal(g.num_cells)
     w = rng.standard_normal(g.num_cells)
@@ -71,7 +71,7 @@ def test_laplacian_symmetric_dense_oracle():
 
 def test_h1_identity_matches_laplacian():
     # face-difference seminorm equals -<Lv, v> for zero-flux stencils
-    for g in (pc.make_grid(1, 7, 1.3), pc.make_grid(2, (4, 5), (1.0, 0.7))):
+    for g in (pc.Grid(1, 7, 1.3), pc.Grid(2, (4, 5), (1.0, 0.7))):
         v = np.random.default_rng(5).standard_normal(g.num_cells)
         semi = mesh.grad_inner(g, v, v)
         assert semi == pytest.approx(-mesh.inner_h(g, mesh.laplacian_apply(g, v), v),
@@ -79,17 +79,17 @@ def test_h1_identity_matches_laplacian():
 
 
 def test_unit_measures():
-    g = pc.make_grid(1, 8, 1.0)
+    g = pc.Grid(1, 8, 1.0)
     one = np.ones(g.num_cells)
     assert mesh.inner_h(g, one, one) == pytest.approx(1.0)
     assert mesh.norm_v(g, one) == pytest.approx(mesh.norm_h(g, one))
-    tg = pc.make_time_grid(1.0, 4)
+    tg = pc.TimeGrid(1.0, 4)
     two = np.full((5, 8), 2.0)
     assert mesh.inner_q(tg, g, two, two) == pytest.approx(4.0)
 
 
 def test_trapezoid_weights():
-    tg = pc.make_time_grid(2.0, 8)
+    tg = pc.TimeGrid(2.0, 8)
     c = tg.trap_weights()
     assert c[0] == 0.5 and c[-1] == 0.5
     assert np.all(c[1:-1] == 1.0)
@@ -98,10 +98,10 @@ def test_trapezoid_weights():
 
 def test_solve_shifted_dense_oracle():
     rng = np.random.default_rng(3)
-    aniso = pc.make_grid(2, (12, 7), (1.0, 2.5))
+    aniso = pc.Grid(2, (12, 7), (1.0, 2.5))
     cases = [
-        (pc.make_grid(1, 9, 1.0), 0.5 + rng.random(9)),
-        (pc.make_grid(2, (4, 3), (1.0, 1.5)), 0.5 + rng.random(12)),
+        (pc.Grid(1, 9, 1.0), 0.5 + rng.random(9)),
+        (pc.Grid(2, (4, 3), (1.0, 1.5)), 0.5 + rng.random(12)),
         (aniso, 0.5 + rng.random(aniso.num_cells)),
         # two decades of variation, far from the mean-shift preconditioner
         (aniso, np.exp(rng.uniform(np.log(0.1), np.log(50.0),
@@ -109,7 +109,7 @@ def test_solve_shifted_dense_oracle():
         # constant shift: the DCT solve is exact and no CG step is taken
         (aniso, np.full(aniso.num_cells, 3.7)),
         # one cell: L vanishes and the solve is a division
-        (pc.make_grid(1, 1, 0.7), np.array([2.5])),
+        (pc.Grid(1, 1, 0.7), np.array([2.5])),
     ]
     for g, shift in cases:
         rhs = rng.standard_normal(g.num_cells)
@@ -121,13 +121,13 @@ def test_solve_shifted_dense_oracle():
 
 def test_solve_shifted_2d_rejects_indefinite():
     rng = np.random.default_rng(4)
-    g = pc.make_grid(2, (12, 7), (1.0, 2.5))
+    g = pc.Grid(2, (12, 7), (1.0, 2.5))
     rhs = rng.standard_normal(g.num_cells)
     shift = -50.0 + rng.standard_normal(g.num_cells)
     with pytest.raises(LinearSolveFailure, match="mean shift is not positive"):
         mesh.solve_shifted(g, shift, rhs)
     # positive mean, but one cell pulls the operator below zero
-    g = pc.make_grid(2, (16, 16), (16.0, 16.0))
+    g = pc.Grid(2, (16, 16), (16.0, 16.0))
     shift = np.ones(g.num_cells)
     shift[37] = -100.0
     with pytest.raises(LinearSolveFailure, match="not positive definite"):
@@ -136,7 +136,7 @@ def test_solve_shifted_2d_rejects_indefinite():
 
 def test_solve_shifted_1d_rejects_indefinite():
     rng = np.random.default_rng(6)
-    g = pc.make_grid(1, 16, 1.0)
+    g = pc.Grid(1, 16, 1.0)
     shift = np.ones(g.num_cells)
     shift[5] = -1000.0
     with pytest.raises(LinearSolveFailure, match="not positive definite"):
@@ -145,7 +145,7 @@ def test_solve_shifted_1d_rejects_indefinite():
 
 def test_solve_shifted_2d_budget_exhausted(monkeypatch):
     rng = np.random.default_rng(5)
-    g = pc.make_grid(2, (12, 7), (1.0, 2.5))
+    g = pc.Grid(2, (12, 7), (1.0, 2.5))
     shift = np.exp(rng.uniform(np.log(0.1), np.log(50.0), g.num_cells))
     monkeypatch.setattr(mesh, "_CG_MAXITER", 1)
     with pytest.raises(LinearSolveFailure,
@@ -157,7 +157,7 @@ def test_solve_shifted_2d_budget_exhausted(monkeypatch):
 def test_solve_shifted_residual_check_holds_at_large_values(monkeypatch):
     """|rhs|^2 overflows here; a 1% error must still fail the check."""
     rng = np.random.default_rng(7)
-    g = pc.make_grid(1, 8, 1.0)
+    g = pc.Grid(1, 8, 1.0)
     shift = 0.5 + rng.random(g.num_cells)
     rhs = 1e300 * (0.5 + rng.random(g.num_cells))
     mesh.solve_shifted(g, shift, rhs, tol=1e-8)  # the exact solve passes
@@ -172,8 +172,8 @@ def test_solve_shifted_residual_check_holds_at_large_values(monkeypatch):
         mesh.solve_shifted(g, shift, rhs, tol=1e-8)
 
 
-@pytest.mark.parametrize("g", [pc.make_grid(1, 8, 1.0),
-                               pc.make_grid(2, (5, 4), (1.0, 1.5))],
+@pytest.mark.parametrize("g", [pc.Grid(1, 8, 1.0),
+                               pc.Grid(2, (5, 4), (1.0, 1.5))],
                          ids=["1d", "2d"])
 def test_solve_shifted_residual_check_at_ordinary_values(g, monkeypatch):
     """|rhs| ~ 1: the exact solve passes, a 1e-6 relative error fails."""
@@ -196,17 +196,17 @@ def test_solve_shifted_residual_check_at_ordinary_values(g, monkeypatch):
 
 
 def test_norm_w_is_literal_sum():
-    g = pc.make_grid(1, 6, 1.0)
+    g = pc.Grid(1, 6, 1.0)
     v = np.random.default_rng(9).standard_normal(6)
     lv = mesh.laplacian_apply(g, v)
     assert mesh.norm_w(g, v) == pytest.approx(mesh.norm_h(g, v) + mesh.norm_h(g, lv))
 
 
 def test_field_shape_rejected():
-    g = pc.make_grid(1, 6, 1.0)
+    g = pc.Grid(1, 6, 1.0)
     with pytest.raises(ShapeMismatch):
         g.check_field(np.zeros(5))
-    tg = pc.make_time_grid(1.0, 3)
+    tg = pc.TimeGrid(1.0, 3)
     with pytest.raises(ShapeMismatch):
         mesh.check_trajectory(tg, g, np.zeros((3, 6)))
     with pytest.raises(ShapeMismatch, match=r"expected \(\.\.\., 6\)"):
@@ -216,7 +216,7 @@ def test_field_shape_rejected():
 # Random grids for the property tests: per-axis cell counts 1..12 and
 # independent axis lengths, with a seed for the fields drawn on them.
 GRIDS = st.integers(1, 2).flatmap(lambda dim: st.builds(
-    pc.make_grid, st.just(dim),
+    pc.Grid, st.just(dim),
     st.tuples(*[st.integers(1, 12)] * dim),
     st.tuples(*[st.floats(0.5, 4.0)] * dim)))
 SEEDS = st.integers(0, 2**32 - 1)
@@ -290,7 +290,7 @@ def test_solve_shifted_property_dense_oracle(g, seed, spread):
 def test_solve_shifted_property_1d_rejects_indefinite(n, length, seed):
     # The other cells sum to less than 1e3, so the constant field has
     # negative energy and the operator is indefinite.
-    g = pc.make_grid(1, n, length)
+    g = pc.Grid(1, n, length)
     rng = np.random.default_rng(seed)
     shift = rng.uniform(0.1, 50.0, n)
     shift[rng.integers(n)] = -1e3

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import phasectl as pc
-from phasectl import checks, sensitivity
-from phasectl.errors import ValidationError
+from phasectl import checks, mesh, sensitivity
+from phasectl.errors import LinearSolveFailure, ValidationError
 from conftest import build_problem, manufactured
 
 
@@ -35,6 +35,30 @@ def test_remainder_quarters_per_halving(cfg, small):
     r = rep["metrics"]["remainders"]
     for a, b in zip(r, r[1:]):
         assert 4.0 / 1.5 <= a / b <= 4.0 * 1.5
+
+
+@pytest.mark.parametrize("march, step", [
+    (lambda p, st, cfg: pc.solve_tangent(p, st, 0.1, cfg), 3),
+    (lambda p, st, cfg: pc.solve_adjoint(p, st, cfg, "discrete"), 6),
+    (lambda p, st, cfg: pc.solve_adjoint(p, st, cfg, "pde"), 6)],
+    ids=["tangent", "discrete", "pde"])
+def test_march_failure_names_its_step(cfg, small, monkeypatch, march, step):
+    """A solve failing inside a tangent or adjoint march carries its step
+    in 1..N, as in solve_state: each step makes two solves, the tangent
+    marches forward and the adjoints backward from step N = 8."""
+    st = pc.solve_state(small, 0.3, cfg)
+    solve, calls = mesh.solve_shifted, []
+
+    def sixth_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 6:
+            raise LinearSolveFailure("injected")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(mesh, "solve_shifted", sixth_fails)
+    with pytest.raises(LinearSolveFailure) as info:
+        march(small, st, cfg)
+    assert (info.value.step, info.value.steps) == (step, 8)
 
 
 def test_unknown_adjoint_mode_rejected(cfg, small):
@@ -99,7 +123,7 @@ def test_duality_discrete_exact(cfg):
 
 def test_duality_discrete_exact_2d(cfg):
     """The identity holds to the same precision with the 2D CG solves."""
-    grid = pc.make_grid(2, 32, 1.0)
+    grid = pc.Grid(2, 32, 1.0)
     x, y = grid.cell_centers().T
     rho0 = 0.45 + 0.2 * np.cos(np.pi * x) * np.cos(2.0 * np.pi * y)
     prob = build_problem(dim=2, n=32, N=16, T=0.25, rho0=rho0, mu0=0.1)

@@ -98,7 +98,6 @@ class Diagnostics:
     newton_iters: list
     newton_residuals: list
     min_coefficient: list
-    m_matrix_ok: list
     rho_min: list
     rho_max: list
     mu_min: list
@@ -128,6 +127,12 @@ def mu_diagonal(epsilon: float, tau: float, rho_prev: np.ndarray,
 def mu_carry(epsilon: float, tau: float, rho_new: np.ndarray) -> np.ndarray:
     """Weight of the previous potential on the right of the potential step."""
     return (epsilon + 2.0 * rho_new) / tau
+
+
+def out_of_bounds(rho: np.ndarray, mu: np.ndarray, bound_tol: float) -> int:
+    """Entries with rho outside (0, 1) or mu below -bound_tol; NaN counts."""
+    return int(np.count_nonzero(~((rho > 0.0) & (rho < 1.0)))
+               + np.count_nonzero(~(mu >= -bound_tol)))
 
 
 def _rho_residual(grid, pot, delta, tau, rho_prev, rho, mu_prev):
@@ -224,11 +229,10 @@ def _diagnose(problem: ProblemData, rho: np.ndarray, mu: np.ndarray,
     return Diagnostics(
         newton_iters=[len(h) - 1 for h in histories],
         newton_residuals=[h[-1] for h in histories],
-        min_coefficient=coeff.tolist(), m_matrix_ok=(coeff > 0.0).tolist(),
+        min_coefficient=coeff.tolist(),
         rho_min=rho.min(axis=1).tolist(), rho_max=rho.max(axis=1).tolist(),
         mu_min=mu.min(axis=1).tolist(), mu_max=mu.max(axis=1).tolist(),
-        bound_violations=int(np.count_nonzero((rho <= 0.0) | (rho >= 1.0))
-                             + np.count_nonzero(mu < -bound_tol)))
+        bound_violations=out_of_bounds(rho, mu, bound_tol))
 
 
 def solve_state(problem: ProblemData, u, cfg: SolverConfig = SolverConfig()

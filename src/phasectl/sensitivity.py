@@ -159,13 +159,11 @@ def _adjoint_discrete(problem, state, cfg):
     except SolverStepError as exc:
         exc.step, exc.steps = k, tg.N
         raise
-    q = np.zeros_like(y)
-    q[1:] = y[1:] / (tau * c[1:, None])
-    p = np.zeros_like(x)
-    p[1:] = x[1:] / tau
+    y[1:] /= tau * c[1:, None]
+    x[1:] /= tau
     # No multiplier exists at level 0; pad with the adjacent level.
-    p[0] = p[1]
-    return AdjointTrajectory(p=p, q=q)
+    x[0] = x[1]
+    return AdjointTrajectory(p=x, q=y)
 
 
 def _adjoint_pde(problem, state, cfg):

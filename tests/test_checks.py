@@ -206,8 +206,18 @@ def test_bounds_detects_violation(cfg, small):
                                   diagnostics=st.diagnostics)
     rep = checks.bounds_check(small, cfg, u=0.2, state=bad)
     assert not rep["pass"]
+    assert rep["metrics"]["bound_violations"] == 1
     assert rep["metrics"]["violations"] == [
         {"field": "rho", "level": 4, "cell": 2, "value": 1.2}]
+    for field in ("rho", "mu"):
+        tampered = {"rho": st.rho.copy(), "mu": st.mu.copy()}
+        tampered[field][3, 1] = np.nan
+        bad = forward.StateTrajectory(**tampered, diagnostics=st.diagnostics)
+        rep = checks.bounds_check(small, cfg, u=0.2, state=bad)
+        assert not rep["pass"] and rep["metrics"]["bound_violations"] == 1
+        [listed] = rep["metrics"]["violations"]
+        assert listed["field"] == field
+        assert (listed["level"], listed["cell"]) == (3, 1)
 
 
 def test_reports_deterministic(cfg, small):

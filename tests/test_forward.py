@@ -118,7 +118,7 @@ def test_solve_state_stationary_triple(cfg):
     st = pc.solve_state(prob, 0.0, cfg)
     assert np.max(np.abs(st.rho - 0.5)) == 0.0
     assert np.max(np.abs(st.mu)) == 0.0
-    assert st.diagnostics.m_matrix_ok
+    assert min(st.diagnostics.min_coefficient) > 0.0
     assert not st.diagnostics.bound_violations
 
 
@@ -133,7 +133,7 @@ def test_solve_state_diagnostics_bounds(cfg):
     d = st.diagnostics
     assert 0.0 < min(d.rho_min) and max(d.rho_max) < 1.0
     assert min(d.mu_min) >= -cfg.bound_tol
-    assert d.m_matrix_ok and min(d.min_coefficient) > 0.0
+    assert min(d.min_coefficient) > 0.0
 
 
 def test_diagnostics_reduce_the_trajectory(cfg):
@@ -154,7 +154,6 @@ def test_diagnostics_reduce_the_trajectory(cfg):
     coeff = [tau * float(np.min(forward.mu_diagonal(
         prob.epsilon, tau, st.rho[n], st.rho[n + 1]))) for n in range(16)]
     assert d.min_coefficient == coeff
-    assert d.m_matrix_ok == [c > 0.0 for c in coeff]
     assert d.bound_violations == 0
     assert len(d.newton_iters) == len(d.newton_residuals) == 16
     assert max(d.newton_residuals) <= cfg.newton_tol

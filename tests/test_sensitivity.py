@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -93,6 +96,27 @@ def test_discrete_mode_zero_level(cfg):
     st = pc.solve_state(prob, 0.1, cfg)
     adj = pc.solve_adjoint(prob, st, cfg, mode="discrete")
     assert np.max(np.abs(adj.q[0])) == 0.0
+    assert np.array_equal(adj.p[0], adj.p[1])  # the level-0 padding
+
+
+def test_discrete_adjoint_holds_one_pair_of_stacks(cfg):
+    """The discrete adjoint returns the arrays it marched: above its
+    starting level it allocates under three (N+1, cells) stacks."""
+    N = 32
+    prob = build_problem(dim=2, n=(32, 32), N=N, mu0=0.1)
+    x, y = prob.grid.cell_centers().T
+    rho0 = 0.45 + 0.1 * np.cos(np.pi * x) * np.cos(np.pi * y)
+    prob = replace(prob, rho0=rho0)
+    st = pc.solve_state(prob, 0.3, cfg)
+    stack = (N + 1) * prob.grid.num_cells * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pc.solve_adjoint(prob, st, cfg, mode="discrete")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 3 * stack
 
 
 def test_mode_gap_shrinks_in_tau(cfg):

@@ -17,10 +17,9 @@ import json
 from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
-import scipy.integrate
 
 from . import mesh
-from .errors import InfeasibleControl, ShapeMismatch
+from .errors import InfeasibleControl, ShapeMismatch, SolverStepError
 from .forward import ProblemData, SolverConfig, out_of_bounds, solve_state
 from .mesh import Grid, TimeGrid, as_trajectory
 from .optimize import cost, reduced_gradient
@@ -375,6 +374,7 @@ def ode_oracle_solution(problem: ProblemData, u_levels: np.ndarray
     sampled at the time levels it spans.  Returns (N+1, 2) samples of
     (rho, mu) at the time levels.
     """
+    import scipy.integrate  # here, so importing phasectl does not pay for it
     eps, delta = problem.epsilon, problem.delta
     pot = problem.potential
 
@@ -400,7 +400,7 @@ def ode_oracle_solution(problem: ProblemData, u_levels: np.ndarray
             t_eval=times[start:stop + 1], rtol=1e-10, atol=1e-13,
             args=(float(level),))
         if not sol.success:
-            raise RuntimeError("ode oracle failed: %s" % sol.message)
+            raise SolverStepError("ode oracle failed: %s" % sol.message)
         out[start:stop + 1] = sol.y.T
         y = list(out[stop])
         start = stop

@@ -3,9 +3,11 @@ import json
 import os
 import re
 from dataclasses import MISSING
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.integrate
 import yaml
 
 import phasectl as pc
@@ -423,6 +425,21 @@ control: {u_init: 0.1}
     out = str(tmp_path / "fail")
     assert run_cli(["check", "oracle", "--config", cfg, "--out", out]) == 1
     assert "check oracle: FAIL" in capsys.readouterr().out
+
+
+def test_cli_check_oracle_integrator_failure_exits_two(tmp_path, capsys,
+                                                       monkeypatch):
+    """An unsuccessful solve_ivp is a typed error, not a FAIL verdict."""
+    def failed(*args, **kwargs):
+        return SimpleNamespace(success=False, message="step size too small")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", failed)
+    text = MINIMAL + "init: {rho0: 0.4, mu0: 0.2}\n"
+    cfg = write(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert run_cli(["check", "oracle", "--config", cfg, "--out", out]) == 2
+    assert ("error: ode oracle failed: step size too small"
+            in capsys.readouterr().err)
 
 
 def test_readme_python_names_resolve():

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import mesh
 from .errors import InfeasibleControl, ShapeMismatch, SolverStepError
-from .forward import ProblemData, SolverConfig, out_of_bounds, solve_state
+from .forward import (BOUND_TOL, ProblemData, SolverConfig, out_of_bounds,
+                      solve_state)
 from .mesh import Grid, TimeGrid, as_trajectory
 from .optimize import cost, reduced_gradient
 from .sensitivity import duality_pairing, solve_adjoint, solve_tangent
@@ -209,7 +210,7 @@ def tangent_remainder_check(problem: ProblemData,
     u, h = check_instance(problem, seed, u, h)
     controls = _ladder(problem, u, h, lambdas)
     state0 = solve_state(problem, u, cfg)
-    tangent = solve_tangent(problem, state0, h, cfg)
+    tangent = solve_tangent(problem, state0, h)
     remainders = []
     for lam, v in zip(lambdas, controls):
         state_l = solve_state(problem, v, cfg)
@@ -268,8 +269,8 @@ def duality_gap_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
 
     def gap_on(prob, uu, hh):
         state = solve_state(prob, uu, cfg)
-        tangent = solve_tangent(prob, state, hh, cfg)
-        adjoint = solve_adjoint(prob, state, cfg, mode=mode)
+        tangent = solve_tangent(prob, state, hh)
+        adjoint = solve_adjoint(prob, state, mode=mode)
         lhs, rhs = duality_pairing(prob, state, tangent, adjoint, hh)
         return lhs, rhs, abs(lhs - rhs)
 
@@ -337,14 +338,16 @@ def stability_ratios(problem: ProblemData, u1, u2,
 def stability_ratio_check(problem: ProblemData,
                           cfg: SolverConfig = SolverConfig(),
                           seed: int = 0, u1=None, u2=None) -> dict:
-    """Ratios for one seeded pair of feasible controls; must be finite."""
+    """Ratios for one seeded pair of feasible controls; they must be
+    finite, and a degenerate pair fails, as a zero ladder direction does."""
     rng = np.random.default_rng(seed)
     if u1 is None:
         u1 = random_control(problem, rng)
     if u2 is None:
         u2 = random_control(problem, rng)
     metrics = stability_ratios(problem, u1, u2, cfg)
-    passed = (np.isfinite(metrics["energy_ratio"])
+    passed = (not metrics["degenerate"]
+              and np.isfinite(metrics["energy_ratio"])
               and np.isfinite(metrics["strong_ratio"]))
     return make_report("stability", passed, metrics, seed, problem, cfg)
 
@@ -435,7 +438,7 @@ def bounds_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
     rho, mu = state.rho, state.mu
     rho_min, rho_max = float(np.min(rho)), float(np.max(rho))
     mu_min = float(np.min(mu))
-    count = out_of_bounds(rho, mu, cfg.bound_tol)
+    count = out_of_bounds(rho, mu)
     metrics = {"rho_min": rho_min, "rho_max": rho_max, "mu_min": mu_min,
                "mu_max": float(np.max(mu)), "bound_violations": count}
     if count:
@@ -444,7 +447,7 @@ def bounds_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
         for name, a, at, bad in (
                 ("rho", rho, np.argmin(rho), not rho_min > 0.0),
                 ("rho", rho, np.argmax(rho), rho_max >= 1.0),
-                ("mu", mu, np.argmin(mu), not mu_min >= -cfg.bound_tol)):
+                ("mu", mu, np.argmin(mu), not mu_min >= -BOUND_TOL)):
             if bad:
                 level, cell = divmod(int(at), a.shape[1])
                 metrics["violations"].append({"field": name, "level": level,

@@ -155,8 +155,8 @@ def _dump_sensitivity(rc: RunConfig, problem, seed: int,
     write them; the adjoint in the check's mode, if it takes one."""
     u, h = checks_mod.check_instance(problem, seed)
     state = solve_state(problem, u, rc.solver)
-    tangent = solve_tangent(problem, state, h, rc.solver)
-    adjoint = solve_adjoint(problem, state, rc.solver, mode=mode)
+    tangent = solve_tangent(problem, state, h)
+    adjoint = solve_adjoint(problem, state, mode=mode)
     _write_fields(rc, rho=state.rho, mu=state.mu, xi=tangent.xi,
                   eta=tangent.eta, p=adjoint.p, q=adjoint.q)
 

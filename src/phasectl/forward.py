@@ -70,25 +70,24 @@ class ProblemData:
             require(lo >= 0.0, key, "%s >= 0" % key, lo)
 
 
+# The share of its distance to 0 or 1 that a Newton step leaves each cell.
+BOUNDARY_MARGIN = 0.1
+# The slack of the bounds mu >= 0 and 0 <= u <= u_max.
+BOUND_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class SolverConfig:
+    """The Newton iteration of the order-parameter step."""
+
     newton_tol: float = 1e-10
     newton_max: int = 30
-    boundary_margin: float = 0.1
-    linear_tol: float = 1e-8
-    bound_tol: float = 1e-10
 
     def __post_init__(self):
         require(self.newton_tol > 0.0, "newton_tol", "newton_tol > 0",
                 self.newton_tol)
         require(self.newton_max >= 1, "newton_max", "newton_max >= 1",
                 self.newton_max)
-        require(0.0 < self.boundary_margin < 1.0, "boundary_margin",
-                "0 < boundary_margin < 1", self.boundary_margin)
-        require(self.linear_tol > 0.0, "linear_tol", "linear_tol > 0",
-                self.linear_tol)
-        require(self.bound_tol >= 0.0, "bound_tol", "bound_tol >= 0",
-                self.bound_tol)
 
 
 @dataclass
@@ -129,10 +128,10 @@ def mu_carry(epsilon: float, tau: float, rho_new: np.ndarray) -> np.ndarray:
     return (epsilon + 2.0 * rho_new) / tau
 
 
-def out_of_bounds(rho: np.ndarray, mu: np.ndarray, bound_tol: float) -> int:
-    """Entries with rho outside (0, 1) or mu below -bound_tol; NaN counts."""
+def out_of_bounds(rho: np.ndarray, mu: np.ndarray) -> int:
+    """Entries with rho outside (0, 1) or mu below -BOUND_TOL; NaN counts."""
     return int(np.count_nonzero(~((rho > 0.0) & (rho < 1.0)))
-               + np.count_nonzero(~(mu >= -bound_tol)))
+               + np.count_nonzero(~(mu >= -BOUND_TOL)))
 
 
 def _rho_residual(grid, pot, delta, tau, rho_prev, rho, mu_prev):
@@ -170,7 +169,7 @@ def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
 
     Newton iteration warm-started at the previous level.  Steps are
     scaled by the largest factor in (0, 1] that keeps every cell at
-    least boundary_margin times its current distance from each endpoint,
+    least BOUNDARY_MARGIN times its current distance from each endpoint,
     so iterates can approach 0 and 1 but never jump onto them.  Returns
     the new level and the residual norm of every iterate.  Raises
     NewtonDivergence if the residual norm fails to reach newton_tol
@@ -178,7 +177,6 @@ def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
     SolverStepError raised here carries the residual norms so far in
     ``newton_residuals``.
     """
-    theta = cfg.boundary_margin
     rho = rho_prev.copy()
     history = []
     try:
@@ -197,7 +195,7 @@ def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
                         "Newton shift delta/tau + f''(rho) overflows at "
                         "iterate %d" % (len(history) - 1)) from None
             step = mesh.solve_shifted(grid, shift, -res)
-            rho = rho + _damping(rho, step, theta) * step
+            rho = rho + _damping(rho, step, BOUNDARY_MARGIN) * step
         raise NewtonDivergence(
             "Newton residual %.3e above tolerance %.3e after %d iterations"
             % (history[-1], cfg.newton_tol, cfg.newton_max))
@@ -207,8 +205,8 @@ def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
 
 
 def step_mu(grid: Grid, epsilon: float, tau: float, rho_prev: np.ndarray,
-            rho_new: np.ndarray, mu_prev: np.ndarray, u_new: np.ndarray,
-            cfg: SolverConfig) -> np.ndarray:
+            rho_new: np.ndarray, mu_prev: np.ndarray, u_new: np.ndarray
+            ) -> np.ndarray:
     """Advance the chemical potential by one linear implicit step."""
     diag = mu_diagonal(epsilon, tau, rho_prev, rho_new)
     lo = diag.min()
@@ -216,11 +214,11 @@ def step_mu(grid: Grid, epsilon: float, tau: float, rho_prev: np.ndarray,
         raise NonpositiveCoefficient(
             "potential step diagonal min %.3e is nonpositive" % lo)
     rhs = u_new + mu_carry(epsilon, tau, rho_new) * mu_prev
-    return mesh.solve_shifted(grid, diag, rhs, tol=cfg.linear_tol)
+    return mesh.solve_shifted(grid, diag, rhs, check=True)
 
 
 def _diagnose(problem: ProblemData, rho: np.ndarray, mu: np.ndarray,
-             histories: list, bound_tol: float) -> Diagnostics:
+              histories: list) -> Diagnostics:
     """Diagnostics of the levels ``rho``, ``mu`` reached by the steps
     whose Newton residual histories are given, one step per history."""
     eps, tau = problem.epsilon, problem.tgrid.tau
@@ -232,7 +230,7 @@ def _diagnose(problem: ProblemData, rho: np.ndarray, mu: np.ndarray,
         min_coefficient=coeff.tolist(),
         rho_min=rho.min(axis=1).tolist(), rho_max=rho.max(axis=1).tolist(),
         mu_min=mu.min(axis=1).tolist(), mu_max=mu.max(axis=1).tolist(),
-        bound_violations=out_of_bounds(rho, mu, bound_tol))
+        bound_violations=out_of_bounds(rho, mu))
 
 
 def solve_state(problem: ProblemData, u, cfg: SolverConfig = SolverConfig()
@@ -257,15 +255,15 @@ def solve_state(problem: ProblemData, u, cfg: SolverConfig = SolverConfig()
             rho[n + 1], hist = step_rho(grid, problem.potential, problem.delta,
                                         tau, rho[n], mu[n], cfg)
             mu[n + 1] = step_mu(grid, problem.epsilon, tau, rho[n], rho[n + 1],
-                                mu[n], u[n + 1], cfg)
+                                mu[n], u[n + 1])
         except SolverStepError as exc:
             exc.step, exc.steps = n + 1, tg.N
             exc.diagnostics = _diagnose(problem, rho[:n + 1], mu[:n + 1],
-                                       histories, cfg.bound_tol)
+                                        histories)
             raise
         histories.append(hist)
     return StateTrajectory(rho=rho, mu=mu, diagnostics=_diagnose(
-        problem, rho, mu, histories, cfg.bound_tol))
+        problem, rho, mu, histories))
 
 
 def residual_norms(problem: ProblemData, u, state: StateTrajectory) -> dict:

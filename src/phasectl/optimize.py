@@ -20,7 +20,8 @@ import numpy as np
 from . import mesh
 from .errors import (DomainViolation, InfeasibleControl, SolverStepError,
                      require)
-from .forward import ProblemData, SolverConfig, StateTrajectory, solve_state
+from .forward import (BOUND_TOL, ProblemData, SolverConfig, StateTrajectory,
+                      solve_state)
 from .mesh import as_trajectory
 from .sensitivity import AdjointTrajectory, solve_adjoint
 
@@ -28,12 +29,14 @@ TERMINATION_STATIONARY = "Stationary"
 TERMINATION_MAX_ITERS = "MaxIters"
 TERMINATION_STALLED = "Stalled"
 
+# The line search's sufficient-decrease factor and per-miss step shrink.
+ARMIJO_C = 1e-4
+ARMIJO_SHRINK = 0.5
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 200
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
     step0: float = 1.0
     stat_tol: float = 1e-6
     min_step: float = 1e-12
@@ -41,10 +44,6 @@ class OptimizerConfig:
     def __post_init__(self):
         require(self.max_iters >= 0, "max_iters", "max_iters >= 0",
                 self.max_iters)
-        require(0.0 < self.armijo_c < 1.0, "armijo_c", "0 < armijo_c < 1",
-                self.armijo_c)
-        require(0.0 < self.armijo_shrink < 1.0, "armijo_shrink",
-                "0 < armijo_shrink < 1", self.armijo_shrink)
         require(self.step0 > 0.0, "step0", "step0 > 0", self.step0)
         require(self.stat_tol >= 0.0, "stat_tol", "stat_tol >= 0",
                 self.stat_tol)
@@ -103,26 +102,26 @@ def reduced_gradient(problem: ProblemData, u, state: StateTrajectory = None,
     u = as_trajectory(problem.tgrid, problem.grid, u)
     if state is None:
         state = solve_state(problem, u, cfg)
-    adjoint = solve_adjoint(problem, state, cfg)
+    adjoint = solve_adjoint(problem, state)
     return problem.beta2 * u + adjoint.q, adjoint, state
 
 
-def kkt_residual(problem: ProblemData, u, gradient,
-                 bound_tol: float = SolverConfig.bound_tol) -> float:
+def kkt_residual(problem: ProblemData, u, gradient) -> float:
     """Space-time norm of the pointwise first-order violation.
 
     Interior cells contribute |g|, cells at the lower bound contribute
-    max(0, -g), cells at the upper bound contribute max(0, g).
+    max(0, -g), cells at the upper bound contribute max(0, g).  A cell
+    within BOUND_TOL of a bound counts as lying on it.
     """
     grid, tg = problem.grid, problem.tgrid
     u = as_trajectory(tg, grid, u)
     g = as_trajectory(tg, grid, gradient)
     upper = problem.u_max
-    if np.min(u) < -bound_tol or np.max(u - upper) > bound_tol:
+    if np.min(u) < -BOUND_TOL or np.max(u - upper) > BOUND_TOL:
         raise InfeasibleControl(
-            "control leaves [0, u_max] by more than %.1e" % bound_tol)
-    at_lo = u <= bound_tol
-    at_hi = u >= upper - bound_tol
+            "control leaves [0, u_max] by more than %.1e" % BOUND_TOL)
+    at_lo = u <= BOUND_TOL
+    at_hi = u >= upper - BOUND_TOL
     viol = np.abs(g)
     viol = np.where(at_lo, np.maximum(0.0, -g), viol)
     # Cells with coincident bounds are fully constrained: no violation.
@@ -138,12 +137,13 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
 
     Each iteration prices the gradient with one discrete adjoint solve, then
     backtracks along the projection arc until the accepted point decreases
-    the cost by at least armijo_c / step * |u - u_new|_Q^2.  The search
-    starts from the Barzilai-Borwein step <s,s>_Q / <s,y>_Q of the last
-    control and gradient changes s, y (taken as 0 when <s,y>_Q <= 0), or
-    from step0 on the first iteration and when that step is not in
-    [min_step, inf).  Each search records its seed in ``step_source`` and
-    its forward solves in ``trials``.  A trial whose forward solve fails
+    the cost by at least ARMIJO_C / step * |u - u_new|_Q^2, shrinking the
+    step by ARMIJO_SHRINK after each miss.  The search starts from the
+    Barzilai-Borwein step <s,s>_Q / <s,y>_Q of the last control and
+    gradient changes s, y (taken as 0 when <s,y>_Q <= 0), or from step0
+    on the first iteration and when that step is not in [min_step, inf).
+    Each search records its seed in ``step_source`` and its forward
+    solves in ``trials``.  A trial whose forward solve fails
     (SolverStepError or DomainViolation) is rejected like one that misses
     the decrease, and counted in ``rejected_trials``.  Terminates when the
     stationarity measure falls to stat_tol (Stationary), the iteration
@@ -163,7 +163,7 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
     while True:
         tic = time.perf_counter()
         gradient, adjoint, _ = reduced_gradient(problem, u, state, cfg)
-        kkt = kkt_residual(problem, u, gradient, cfg.bound_tol)
+        kkt = kkt_residual(problem, u, gradient)
         kkt_history.append(kkt)
         if callback is not None:
             callback(iterations, u, J, kkt)
@@ -195,10 +195,10 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
                     rejected_trials += 1
                 else:
                     J_try = cost(problem, state_try, u_try)
-                    if J_try <= J - opt.armijo_c * decrease / step:
+                    if J_try <= J - ARMIJO_C * decrease / step:
                         accepted = True
                         break
-            step *= opt.armijo_shrink
+            step *= ARMIJO_SHRINK
         if not accepted:
             termination = TERMINATION_STALLED
             break

@@ -35,8 +35,8 @@ import numpy as np
 
 from . import mesh
 from .errors import SolverStepError, require
-from .forward import (ProblemData, SolverConfig, StateTrajectory, mu_carry,
-                      mu_diagonal, newton_shift)
+from .forward import (ProblemData, StateTrajectory, mu_carry, mu_diagonal,
+                      newton_shift)
 from .mesh import as_trajectory
 
 ADJOINT_MODES = ("discrete", "pde")
@@ -99,8 +99,8 @@ class StepOperators:
                 self.state.mu[n + 1] / tau)
 
 
-def solve_tangent(problem: ProblemData, state: StateTrajectory, h,
-                  cfg: SolverConfig = SolverConfig()) -> TangentTrajectory:
+def solve_tangent(problem: ProblemData, state: StateTrajectory, h
+                  ) -> TangentTrajectory:
     """Differentiate the forward march along control direction h."""
     grid, tg = problem.grid, problem.tgrid
     h = as_trajectory(tg, grid, h)
@@ -112,26 +112,24 @@ def solve_tangent(problem: ProblemData, state: StateTrajectory, h,
             shift, diag, a = ops.solved(n)
             d, carry, b = ops.carried(n)
             xi[n + 1] = mesh.solve_shifted(grid, shift, d * xi[n] + eta[n],
-                                           tol=cfg.linear_tol)
+                                           check=True)
             rhs = h[n + 1] + a * xi[n + 1] + b * xi[n] + carry * eta[n]
-            eta[n + 1] = mesh.solve_shifted(grid, diag, rhs,
-                                            tol=cfg.linear_tol)
+            eta[n + 1] = mesh.solve_shifted(grid, diag, rhs, check=True)
     except SolverStepError as exc:
         exc.step, exc.steps = n + 1, tg.N
         raise
     return TangentTrajectory(xi=xi, eta=eta)
 
 
-def solve_adjoint(problem: ProblemData, state: StateTrajectory,
-                  cfg: SolverConfig = SolverConfig(),
+def solve_adjoint(problem: ProblemData, state: StateTrajectory, *,
                   mode: str = "discrete") -> AdjointTrajectory:
     """Solve the adjoint pair backward from the tracking misfits."""
     if check_adjoint_mode(mode) == "discrete":
-        return _adjoint_discrete(problem, state, cfg)
-    return _adjoint_pde(problem, state, cfg)
+        return _adjoint_discrete(problem, state)
+    return _adjoint_pde(problem, state)
 
 
-def _adjoint_discrete(problem, state, cfg):
+def _adjoint_discrete(problem, state):
     # Backward substitution through the transposed tangent steps.  x and
     # y are the multipliers of the two equations of each step, indexed
     # by the level that step solves for.  Both diagonal blocks are
@@ -153,9 +151,9 @@ def _adjoint_discrete(problem, state, cfg):
                 rhs_y = rhs_y + x[k + 1] + carry * y[k + 1]
                 rhs_x = d * x[k + 1] + b * y[k + 1]
             shift, diag, a = ops.solved(k - 1)
-            y[k] = mesh.solve_shifted(grid, diag, rhs_y, tol=cfg.linear_tol)
+            y[k] = mesh.solve_shifted(grid, diag, rhs_y, check=True)
             x[k] = mesh.solve_shifted(grid, shift, a * y[k] + rhs_x,
-                                      tol=cfg.linear_tol)
+                                      check=True)
     except SolverStepError as exc:
         exc.step, exc.steps = k, tg.N
         raise
@@ -166,7 +164,7 @@ def _adjoint_discrete(problem, state, cfg):
     return AdjointTrajectory(p=x, q=y)
 
 
-def _adjoint_pde(problem, state, cfg):
+def _adjoint_pde(problem, state):
     grid, tg = problem.grid, problem.tgrid
     tau = tg.tau
     delta = problem.delta
@@ -181,21 +179,19 @@ def _adjoint_pde(problem, state, cfg):
             carry = mu_carry(problem.epsilon, tau, rho[n])
             rhs_q = carry * q[n + 1] + (1.0 + rho_t) * q[n + 1] \
                 + p[n + 1] + problem.beta1 * (mu[n] - problem.mu_target[n])
-            q[n] = mesh.solve_shifted(grid, carry + 1.0, rhs_q,
-                                      tol=cfg.linear_tol)
+            q[n] = mesh.solve_shifted(grid, carry + 1.0, rhs_q, check=True)
             rhs_p = (delta / tau) * p[n + 1] \
                 + mu[n] * (q[n + 1] - q[n]) / tau - mu_t * q[n]
             p[n] = mesh.solve_shifted(
                 grid, newton_shift(problem.potential, delta, tau, rho[n]),
-                rhs_p, tol=cfg.linear_tol)
+                rhs_p, check=True)
     except SolverStepError as exc:
         exc.step, exc.steps = n + 1, tg.N
         raise
     return AdjointTrajectory(p=p, q=q)
 
 
-def adjoint_mode_gap(problem: ProblemData, state: StateTrajectory,
-                     cfg: SolverConfig = SolverConfig()) -> float:
+def adjoint_mode_gap(problem: ProblemData, state: StateTrajectory) -> float:
     """Largest per-level cell-norm gap between the two adjoint modes.
 
     Compared over the multiplier levels 1..N: level 0 of the discrete
@@ -204,8 +200,8 @@ def adjoint_mode_gap(problem: ProblemData, state: StateTrajectory,
     integrates to t=0.  Over the compared levels the gap shrinks first
     order in tau on a fixed spatial grid.
     """
-    qd = solve_adjoint(problem, state, cfg, mode="discrete").q
-    qp = solve_adjoint(problem, state, cfg, mode="pde").q
+    qd = solve_adjoint(problem, state, mode="discrete").q
+    qp = solve_adjoint(problem, state, mode="pde").q
     return float(np.max(mesh.norm_h(problem.grid, qd[1:] - qp[1:])))
 
 

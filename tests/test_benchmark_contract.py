@@ -72,11 +72,18 @@ def test_tracer_install_round_trip(cfg):
         prob = build_problem(N=4)
         h = np.full((5, prob.grid.num_cells), 0.1)
         state = pc.forward.solve_state(prob, 0.2, cfg)
-        pc.sensitivity.solve_tangent(prob, state, h, cfg)
-        pc.sensitivity.solve_adjoint(prob, state, cfg, "discrete")
+        pc.sensitivity.solve_tangent(prob, state, h)
+        for mode in ("discrete", "pde"):
+            pc.sensitivity.solve_adjoint(prob, state, mode=mode)
     finally:
         t.uninstall()
-    for name, (got, expected) in tracer.identities(t.take()).items():
+    spans = t.take()
+    # The tracer reads mode by keyword, so each march gets its own layer.
+    layers = [s.layer for s in spans if s.layer.startswith(
+        "sensitivity.solve_adjoint")]
+    assert layers == ["sensitivity.solve_adjoint.discrete",
+                      "sensitivity.solve_adjoint.pde"]
+    for name, (got, expected) in tracer.identities(spans).items():
         assert got == expected, name
     assert {k: resolve(*k) for k in originals} == originals
     assert package_bindings() == before

@@ -89,6 +89,7 @@ def test_stability_degenerate_pair(cfg, small):
     rep = checks.stability_ratio_check(small, cfg, seed=0, u1=0.3, u2=0.3)
     assert rep["metrics"]["degenerate"] is True
     assert rep["metrics"]["energy_ratio"] == 0.0
+    assert not rep["pass"]
 
 
 def test_stability_sampling(cfg):

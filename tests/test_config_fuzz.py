@@ -24,10 +24,8 @@ VALID = {
     "control": {"u_max": "1.0", "u_init": "0.2"},
     "targets": {"rho_T": "0.5", "mu_T": "0.0"},
     "solver": {"newton_tol": "1.0e-10", "newton_max": "30",
-               "boundary_margin": "0.1", "linear_tol": "1.0e-8",
-               "bound_tol": "1.0e-10", "adjoint_mode": "discrete"},
-    "optimizer": {"max_iters": "2", "armijo_c": "1.0e-4",
-                  "armijo_shrink": "0.5", "step0": "1.0", "stat_tol": "1.0e-6",
+               "adjoint_mode": "discrete"},
+    "optimizer": {"max_iters": "2", "step0": "1.0", "stat_tol": "1.0e-6",
                   "min_step": "1.0e-12"},
     "output": {"directory": "out", "snapshot_stride": "1", "seed": "0",
                "iter_snapshots": "false"},

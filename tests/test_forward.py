@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 import phasectl as pc
-from phasectl import checks, forward
+from phasectl import checks, forward, mesh
 from phasectl.errors import (LinearSolveFailure, NonpositiveCoefficient,
                              SolverStepError)
 from conftest import build_problem, traj
@@ -76,24 +76,24 @@ def test_damping_matches_two_mask_formula():
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
-def test_step_mu_homogeneous(cfg):
+def test_step_mu_homogeneous():
     g = pc.Grid(1, 8, 1.0)
     rho = np.full(8, 0.4)
-    out = forward.step_mu(g, 0.5, 0.01, rho, rho, np.zeros(8), np.zeros(8), cfg)
+    out = forward.step_mu(g, 0.5, 0.01, rho, rho, np.zeros(8), np.zeros(8))
     np.testing.assert_array_equal(out, np.zeros(8))
 
 
-def test_step_mu_uniform_closed_form(cfg):
+def test_step_mu_uniform_closed_form():
     g = pc.Grid(1, 8, 1.0)
     eps, tau = 0.5, 0.02
     rp, rn, mp, u = 0.35, 0.4, 0.25, 0.7
     out = forward.step_mu(g, eps, tau, np.full(8, rp), np.full(8, rn),
-                          np.full(8, mp), np.full(8, u), cfg)
+                          np.full(8, mp), np.full(8, u))
     expect = (tau * u + (eps + 2 * rn) * mp) / (eps + 2 * rn + rn - rp)
     np.testing.assert_allclose(out, expect, rtol=1e-14)
 
 
-def test_step_mu_nonnegativity(cfg):
+def test_step_mu_nonnegativity():
     """Positive diagonal makes the step an M-matrix solve."""
     g = pc.Grid(2, (5, 4), (1.0, 1.0))
     rng = np.random.default_rng(4)
@@ -102,15 +102,15 @@ def test_step_mu_nonnegativity(cfg):
         rn = rp + 0.05 * (rng.random(20) - 0.3)
         mu = rng.random(20)
         u = rng.random(20)
-        out = forward.step_mu(g, 0.5, 0.01, rp, rn, mu, u, cfg)
+        out = forward.step_mu(g, 0.5, 0.01, rp, rn, mu, u)
         assert np.min(out) >= 0.0
 
 
-def test_step_mu_rejects_nonpositive_coefficient(cfg):
+def test_step_mu_rejects_nonpositive_coefficient():
     g = pc.Grid(1, 4, 1.0)
     with pytest.raises(NonpositiveCoefficient):
         forward.step_mu(g, 0.5, 0.01, np.full(4, 0.9), np.full(4, 0.1),
-                        np.zeros(4), np.zeros(4), cfg)
+                        np.zeros(4), np.zeros(4))
 
 
 def test_solve_state_stationary_triple(cfg):
@@ -132,7 +132,7 @@ def test_solve_state_diagnostics_bounds(cfg):
     st = pc.solve_state(prob, 0.5, cfg)
     d = st.diagnostics
     assert 0.0 < min(d.rho_min) and max(d.rho_max) < 1.0
-    assert min(d.mu_min) >= -cfg.bound_tol
+    assert min(d.mu_min) >= -forward.BOUND_TOL
     assert min(d.min_coefficient) > 0.0
 
 
@@ -168,7 +168,7 @@ def test_residuals_stationary(cfg, small):
     prob = build_problem(rho0=0.5, mu0=0.0)
     st = pc.solve_state(prob, 0.0, cfg)
     r = forward.residual_norms(prob, traj(prob, 0.0), st)
-    tol = cfg.newton_tol + cfg.linear_tol
+    tol = cfg.newton_tol + mesh.LINEAR_TOL
     assert np.max(r["rho"]) <= tol and np.max(r["mu"]) <= tol
 
 

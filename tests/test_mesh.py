@@ -160,7 +160,7 @@ def test_solve_shifted_residual_check_holds_at_large_values(monkeypatch):
     g = pc.Grid(1, 8, 1.0)
     shift = 0.5 + rng.random(g.num_cells)
     rhs = 1e300 * (0.5 + rng.random(g.num_cells))
-    mesh.solve_shifted(g, shift, rhs, tol=1e-8)  # the exact solve passes
+    mesh.solve_shifted(g, shift, rhs, check=True)  # the exact solve passes
     dptsv = mesh.dptsv
 
     def off_by_one_percent(*args, **kwargs):
@@ -169,7 +169,7 @@ def test_solve_shifted_residual_check_holds_at_large_values(monkeypatch):
 
     monkeypatch.setattr(mesh, "dptsv", off_by_one_percent)
     with pytest.raises(LinearSolveFailure, match="linear residual"):
-        mesh.solve_shifted(g, shift, rhs, tol=1e-8)
+        mesh.solve_shifted(g, shift, rhs, check=True)
 
 
 @pytest.mark.parametrize("g", [pc.Grid(1, 8, 1.0),
@@ -180,7 +180,7 @@ def test_solve_shifted_residual_check_at_ordinary_values(g, monkeypatch):
     rng = np.random.default_rng(8)
     shift = 0.5 + rng.random(g.num_cells)
     rhs = rng.standard_normal(g.num_cells)
-    mesh.solve_shifted(g, shift, rhs, tol=1e-8)
+    mesh.solve_shifted(g, shift, rhs, check=True)
     name = "dptsv" if g.dim == 1 else "_pcg"
     solve = getattr(mesh, name)
 
@@ -192,7 +192,7 @@ def test_solve_shifted_residual_check_at_ordinary_values(g, monkeypatch):
 
     monkeypatch.setattr(mesh, name, one_ppm_off)
     with pytest.raises(LinearSolveFailure, match="linear residual"):
-        mesh.solve_shifted(g, shift, rhs, tol=1e-8)
+        mesh.solve_shifted(g, shift, rhs, check=True)
 
 
 def test_norm_w_is_literal_sum():

@@ -78,8 +78,8 @@ def test_directional_derivative_tangent_route(cfg):
     u = traj(prob, 0.35)
     h = checks.random_direction(prob, np.random.default_rng(5))
     st = pc.solve_state(prob, u, cfg)
-    adj = pc.solve_adjoint(prob, st, cfg)
-    tan = pc.solve_tangent(prob, st, h, cfg)
+    adj = pc.solve_adjoint(prob, st)
+    tan = pc.solve_tangent(prob, st, h)
     lhs, _ = sensitivity.duality_pairing(prob, st, tan, adj, h)
     reg = prob.beta2 * inner_q(prob.tgrid, prob.grid, u, h)
     g, _, _ = pc.reduced_gradient(prob, u, st, cfg)
@@ -202,7 +202,7 @@ def test_descent_backtracks_past_failed_trial(cfg, monkeypatch, failure):
     assert ref.rejected_trials == 0 and res.rejected_trials == 1
     assert ref.step_history[0] == opt.step0
     assert res.iterations == 3
-    assert res.step_history[0] == opt.step0 * opt.armijo_shrink
+    assert res.step_history[0] == opt.step0 * optimize.ARMIJO_SHRINK
     assert np.all(np.diff(res.J_history) <= 0.0)
 
 

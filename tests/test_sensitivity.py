@@ -12,7 +12,7 @@ from conftest import build_problem, manufactured
 
 def test_tangent_zero_direction(cfg, small):
     st = pc.solve_state(small, 0.3, cfg)
-    tan = pc.solve_tangent(small, st, 0.0, cfg)
+    tan = pc.solve_tangent(small, st, 0.0)
     assert np.max(np.abs(tan.xi)) == 0.0
     assert np.max(np.abs(tan.eta)) == 0.0
 
@@ -20,8 +20,8 @@ def test_tangent_zero_direction(cfg, small):
 def test_tangent_linearity(cfg, small):
     st = pc.solve_state(small, 0.3, cfg)
     h = checks.random_direction(small, np.random.default_rng(0))
-    one = pc.solve_tangent(small, st, h, cfg)
-    two = pc.solve_tangent(small, st, 2.0 * h, cfg)
+    one = pc.solve_tangent(small, st, h)
+    two = pc.solve_tangent(small, st, 2.0 * h)
     np.testing.assert_allclose(two.xi, 2.0 * one.xi, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(two.eta, 2.0 * one.eta, rtol=1e-12, atol=1e-15)
 
@@ -41,9 +41,9 @@ def test_remainder_quarters_per_halving(cfg, small):
 
 
 @pytest.mark.parametrize("march, step", [
-    (lambda p, st, cfg: pc.solve_tangent(p, st, 0.1, cfg), 3),
-    (lambda p, st, cfg: pc.solve_adjoint(p, st, cfg, "discrete"), 6),
-    (lambda p, st, cfg: pc.solve_adjoint(p, st, cfg, "pde"), 6)],
+    (lambda p, st: pc.solve_tangent(p, st, 0.1), 3),
+    (lambda p, st: pc.solve_adjoint(p, st, mode="discrete"), 6),
+    (lambda p, st: pc.solve_adjoint(p, st, mode="pde"), 6)],
     ids=["tangent", "discrete", "pde"])
 def test_march_failure_names_its_step(cfg, small, monkeypatch, march, step):
     """A solve failing inside a tangent or adjoint march carries its step
@@ -60,7 +60,7 @@ def test_march_failure_names_its_step(cfg, small, monkeypatch, march, step):
 
     monkeypatch.setattr(mesh, "solve_shifted", sixth_fails)
     with pytest.raises(LinearSolveFailure) as info:
-        march(small, st, cfg)
+        march(small, st)
     assert (info.value.step, info.value.steps) == (step, 8)
 
 
@@ -68,14 +68,14 @@ def test_unknown_adjoint_mode_rejected(cfg, small):
     st = pc.solve_state(small, 0.3, cfg)
     with pytest.raises(ValidationError, match=r"^adjoint_mode: requires "
                        r"adjoint_mode in \{discrete, pde\}, got 'dual'$"):
-        pc.solve_adjoint(small, st, cfg, "dual")
+        pc.solve_adjoint(small, st, mode="dual")
 
 
 def test_adjoint_vanishes_when_targets_met(cfg):
     prob, _ = manufactured(u_dag=0.3)
     st = pc.solve_state(prob, 0.3, cfg)
     for mode in sensitivity.ADJOINT_MODES:
-        adj = pc.solve_adjoint(prob, st, cfg, mode=mode)
+        adj = pc.solve_adjoint(prob, st, mode=mode)
         assert np.max(np.abs(adj.p)) == 0.0
         assert np.max(np.abs(adj.q)) == 0.0
 
@@ -83,7 +83,7 @@ def test_adjoint_vanishes_when_targets_met(cfg):
 def test_pde_mode_terminal_conditions(cfg):
     prob, _ = manufactured(u_dag=0.4)
     st = pc.solve_state(prob, 0.1, cfg)
-    adj = pc.solve_adjoint(prob, st, cfg, mode="pde")
+    adj = pc.solve_adjoint(prob, st, mode="pde")
     N = prob.tgrid.N
     assert np.max(np.abs(adj.q[N])) == 0.0
     np.testing.assert_allclose(prob.delta * adj.p[N],
@@ -94,7 +94,7 @@ def test_discrete_mode_zero_level(cfg):
     # the forward march never reads the level-0 control
     prob, _ = manufactured(u_dag=0.4)
     st = pc.solve_state(prob, 0.1, cfg)
-    adj = pc.solve_adjoint(prob, st, cfg, mode="discrete")
+    adj = pc.solve_adjoint(prob, st, mode="discrete")
     assert np.max(np.abs(adj.q[0])) == 0.0
     assert np.array_equal(adj.p[0], adj.p[1])  # the level-0 padding
 
@@ -112,7 +112,7 @@ def test_discrete_adjoint_holds_one_pair_of_stacks(cfg):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        pc.solve_adjoint(prob, st, cfg, mode="discrete")
+        pc.solve_adjoint(prob, st, mode="discrete")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -124,15 +124,15 @@ def test_mode_gap_shrinks_in_tau(cfg):
     for N in (16, 32, 64):
         prob, _ = manufactured(n=16, N=N, T=0.2, u_dag=0.4)
         st = pc.solve_state(prob, 0.1, cfg)
-        gaps.append(sensitivity.adjoint_mode_gap(prob, st, cfg))
+        gaps.append(sensitivity.adjoint_mode_gap(prob, st))
     assert gaps[0] / gaps[1] >= 1.2
     assert gaps[1] / gaps[2] >= 1.2
 
 
 def test_duality_zero_direction(cfg, small):
     st = pc.solve_state(small, 0.2, cfg)
-    tan = pc.solve_tangent(small, st, 0.0, cfg)
-    adj = pc.solve_adjoint(small, st, cfg)
+    tan = pc.solve_tangent(small, st, 0.0)
+    adj = pc.solve_adjoint(small, st)
     lhs, rhs = sensitivity.duality_pairing(small, st, tan, adj, 0.0)
     assert lhs == 0.0 and rhs == 0.0
 

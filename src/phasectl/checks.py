@@ -263,9 +263,11 @@ def duality_gap_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
     instance.  The delayed backward construction is consistent rather
     than exactly dual, so for pde mode the instance is refined
     ``refinements`` times and the check passes when every halving of
-    (h, tau) shrinks the gap by at least 1.5.
+    (h, tau) shrinks the gap by at least 1.5.  A zero direction closes
+    any identity trivially, so it is degenerate and fails in both modes.
     """
     u, h = check_instance(problem, seed, u, h)
+    nonzero = bool(np.any(h))
 
     def gap_on(prob, uu, hh):
         state = solve_state(prob, uu, cfg)
@@ -278,8 +280,11 @@ def duality_gap_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
     rel = gap / (1.0 + abs(lhs))
     metrics = {"mode": mode, "lhs": lhs, "rhs": rhs, "gap": gap,
                "rel_gap": rel}
+    if not nonzero:
+        metrics["degenerate"] = True
     if mode == "discrete":
-        return make_report("duality", rel <= 1e-8, metrics, seed, problem, cfg)
+        return make_report("duality", nonzero and rel <= 1e-8, metrics, seed,
+                           problem, cfg)
     gaps = [gap]
     prob_r, u_r, h_r = problem, u, h
     for _ in range(refinements):
@@ -291,7 +296,7 @@ def duality_gap_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
               for i in range(len(gaps) - 1)]
     metrics["gaps"] = gaps
     metrics["ratios"] = ratios
-    passed = all(r >= 1.5 for r in ratios)
+    passed = nonzero and all(r >= 1.5 for r in ratios)
     return make_report("duality", passed, metrics, seed, problem, cfg)
 
 

@@ -149,10 +149,11 @@ def solve_shifted(grid: Grid, shift: np.ndarray, rhs: np.ndarray,
     """Solve (diag(shift) - L) x = rhs for the zero-flux Laplacian L.
 
     Uses the LAPACK ``ptsv`` (LDL^T) tridiagonal solve in 1D.  In 2D it
-    runs conjugate gradients preconditioned by the exact DCT solve at
-    the mean shift, which is already the solution when the shift is
-    constant.  In either dimension the operator must be positive
-    definite, or LinearSolveFailure is raised.
+    runs conjugate gradients on DCT coefficients, preconditioned by the
+    exact DCT solve at the mean shift, which is already the solution
+    when the shift is constant; only the check applies the stencil.  In
+    either dimension the operator must be positive definite, or
+    LinearSolveFailure is raised.
     With ``check`` set, the residual is verified against
     LINEAR_TOL * (1 + |rhs|) in the cell norm, both sides over max|rhs|
     so that no square overflows, and LinearSolveFailure is raised on
@@ -206,24 +207,29 @@ _CG_RTOL = 1e-14
 _CG_MAXITER = 500
 
 
-def _dct_solve(grid: Grid, shift: float, rhs: np.ndarray) -> np.ndarray:
-    """Exact solve of (shift - L) x = rhs for a constant shift > 0.
+def _dct(a: np.ndarray) -> np.ndarray:
+    return scipy.fft.dctn(a, type=2, norm="ortho")
 
-    The type-II DCT diagonalizes the zero-flux Laplacian on this grid.
-    """
-    coef = scipy.fft.dctn(rhs, type=2, norm="ortho")
-    coef /= shift + grid._dct_eigenvalues
-    return scipy.fft.idctn(coef, type=2, norm="ortho")
+
+def _idct(c: np.ndarray) -> np.ndarray:
+    return scipy.fft.idctn(c, type=2, norm="ortho")
 
 
 def _pcg(grid: Grid, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (diag(shift) - L) x = rhs on fields shaped ``grid.n``.
 
-    Conjugate gradients preconditioned by the DCT solve at the mean
-    shift, started from that solve.  Raises LinearSolveFailure when the
-    mean shift is not positive, on a curvature breakdown (the operator
-    is not positive definite) or when the iteration budget runs out;
-    an unconverged iterate is never returned.
+    Conjugate gradients on orthonormal type-II DCT coefficients, in
+    which m - L is the diagonal ``diag`` for the mean shift m: the
+    preconditioner divides by it, and the operator adds the transformed
+    product with shift - m, so an iteration costs one transform pair
+    and no stencil.  CG starts from the exact solve at the mean shift,
+    the solution when the shift is constant, and keeps its iterate in
+    real space.  The right-hand side is divided by the least power of
+    two above max|rhs| and the solution multiplied back: exact, and no
+    norm overflows or underflows to zero.  Raises LinearSolveFailure
+    when the mean shift is not positive, on a curvature breakdown (the
+    operator is not positive definite) or when the iteration budget
+    runs out; an unconverged iterate is never returned.
     """
     mean = float(np.mean(shift))
 
@@ -235,31 +241,38 @@ def _pcg(grid: Grid, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     if not mean > 0.0:
         fail("mean shift is not positive", 0, 1.0)
-    x = _dct_solve(grid, mean, rhs)
+    exponent = int(np.frexp(np.max(np.abs(rhs)))[1])
+    rhs_hat = _dct(np.ldexp(rhs, -exponent))
+    diag = mean + grid._dct_eigenvalues
+    x = _idct(rhs_hat / diag)
     if np.ptp(shift) == 0.0:
-        return x
-    r = rhs - (shift * x - _laplacian(grid, x))
-    scale = np.linalg.norm(rhs)
+        return np.ldexp(x, exponent)
+    dev = shift - mean
+    r = -_dct(dev * x)
+    scale = np.linalg.norm(rhs_hat)
     rel = np.linalg.norm(r) / scale if scale > 0.0 else 0.0
     it = 0
     while rel > _CG_RTOL:
         if it == _CG_MAXITER:
             fail("no convergence", it, rel)
-        z = _dct_solve(grid, mean, r)
+        z = r / diag
         rz_new = np.vdot(r, z)
-        p = z if it == 0 else z + (rz_new / rz) * p
-        rz = rz_new
-        ap = shift * p - _laplacian(grid, p)
+        if it:
+            z += (rz_new / rz) * p
+        p, rz = z, rz_new
+        p_real = _idct(p)
+        ap = _dct(dev * p_real)
+        ap += diag * p
         pap = np.vdot(p, ap)
         if not pap > 0.0:
             fail("curvature p.Ap = %.3e, operator not positive definite"
                  % pap, it, rel)
         alpha = rz / pap
-        x = x + alpha * p
-        r = r - alpha * ap
+        x += alpha * p_real
+        r -= alpha * ap
         it += 1
         rel = np.linalg.norm(r) / scale
-    return x
+    return np.ldexp(x, exponent)
 
 
 def inner_h(grid: Grid, a: np.ndarray, b: np.ndarray):

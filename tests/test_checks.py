@@ -35,6 +35,16 @@ def test_tangent_check_zero_direction(cfg, small):
     assert rep["metrics"]["degenerate"] is True
 
 
+@pytest.mark.parametrize("mode", ["discrete", "pde"])
+def test_duality_check_zero_direction(cfg, mode):
+    """u_max = 0 makes the seeded direction zero: 0 = 0 proves nothing."""
+    rep = checks.duality_gap_check(build_problem(u_max=0.0), cfg, seed=0,
+                                   mode=mode)
+    assert rep["metrics"]["gap"] == 0.0
+    assert rep["metrics"]["degenerate"] is True
+    assert not rep["pass"]
+
+
 @pytest.mark.parametrize("check", [checks.fd_gradient_check,
                                    checks.tangent_remainder_check])
 def test_ladder_checks_refuse_controls_outside_the_box(cfg, small, check):

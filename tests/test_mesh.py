@@ -119,6 +119,83 @@ def test_solve_shifted_dense_oracle():
                                    rtol=1e-10, atol=1e-12)
 
 
+def reference_pcg(g, shift, rhs):
+    """Textbook real-space PCG on dense matrices, preconditioned by the
+    solve at the mean shift and started from it, with the stopping rule
+    of ``mesh._CG_RTOL``; returns the solution and the iteration count."""
+    lap = dense_laplacian(g)
+    a = np.diag(shift) - lap
+    m = np.mean(shift) * np.eye(g.num_cells) - lap
+    x = np.linalg.solve(m, rhs)
+    r = rhs - a @ x
+    k = 0
+    while np.linalg.norm(r) > mesh._CG_RTOL * np.linalg.norm(rhs):
+        z = np.linalg.solve(m, r)
+        rz_new = r @ z
+        p = z if k == 0 else z + rz_new / rz * p
+        rz = rz_new
+        ap = a @ p
+        alpha = rz / (p @ ap)
+        x, r, k = x + alpha * p, r - alpha * ap, k + 1
+    return x, k
+
+
+@pytest.mark.parametrize("spread", ["0.3%", "30%", "two decades"])
+def test_pcg_matches_textbook_real_space_pcg(spread, monkeypatch):
+    """CG on DCT coefficients is CG in real space in another orthonormal
+    basis: the same solution and the same number of iterations."""
+    rng = np.random.default_rng(12)
+    g = pc.Grid(2, (12, 7), (1.0, 2.5))
+    u = rng.uniform(-1.0, 1.0, g.num_cells)
+    shift = {"0.3%": 2.0 * (1.0 + 0.0015 * u),
+             "30%": 2.0 * (1.0 + 0.15 * u),
+             "two decades": 10.0 ** u}[spread]
+    rhs = rng.standard_normal(g.num_cells)
+    ref, k = reference_pcg(g, shift, rhs)
+    assert k >= 2
+    x = mesh.solve_shifted(g, shift, rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    monkeypatch.setattr(mesh, "_CG_MAXITER", k - 1)
+    with pytest.raises(LinearSolveFailure,
+                       match="no convergence after %d CG" % (k - 1)):
+        mesh.solve_shifted(g, shift, rhs)
+    monkeypatch.setattr(mesh, "_CG_MAXITER", k)
+    assert np.array_equal(mesh.solve_shifted(g, shift, rhs), x)
+
+
+def test_solve_shifted_2d_applies_the_stencil_only_in_its_check(monkeypatch):
+    calls = []
+    laplacian = mesh._laplacian
+
+    def counted(grid, a):
+        calls.append(a.shape)
+        return laplacian(grid, a)
+
+    monkeypatch.setattr(mesh, "_laplacian", counted)
+    rng = np.random.default_rng(13)
+    g = pc.Grid(2, (12, 7), (1.0, 2.5))
+    shift = np.exp(rng.uniform(np.log(0.1), np.log(50.0), g.num_cells))
+    rhs = rng.standard_normal(g.num_cells)
+    mesh.solve_shifted(g, shift, rhs)
+    assert calls == []
+    mesh.solve_shifted(g, shift, rhs, check=True)
+    assert calls == [g.n]
+
+
+@pytest.mark.parametrize("size", [1e160, 1e200, 1e-170])
+def test_solve_shifted_2d_converges_when_rhs_squares_leave_the_range(size):
+    """|rhs|^2 overflows (or underflows to 0), so an unscaled relative
+    residual would read 0 or NaN and stop CG at its start."""
+    rng = np.random.default_rng(3)
+    g = pc.Grid(2, (12, 7), (1.0, 2.5))
+    shift = np.exp(rng.uniform(np.log(0.1), np.log(50.0), g.num_cells))
+    rhs = rng.standard_normal(g.num_cells)
+    x = mesh.solve_shifted(g, shift, size * rhs)
+    dense = np.diag(shift) - dense_laplacian(g)
+    np.testing.assert_allclose(x / size, np.linalg.solve(dense, rhs),
+                               rtol=1e-10, atol=1e-12)
+
+
 def test_solve_shifted_2d_rejects_indefinite():
     rng = np.random.default_rng(4)
     g = pc.Grid(2, (12, 7), (1.0, 2.5))

@@ -143,6 +143,8 @@ def test_duality_discrete_exact(cfg):
     rep = checks.duality_gap_check(prob, cfg, seed=0, mode="discrete")
     assert rep["pass"], rep["metrics"]
     assert rep["metrics"]["rel_gap"] <= 1e-8
+    # Only a zero direction adds the key, so reports keep one shape.
+    assert "degenerate" not in rep["metrics"]
 
 
 def test_duality_discrete_exact_2d(cfg):

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 
 from . import mesh
 from .errors import InfeasibleControl, ShapeMismatch, SolverStepError
-from .forward import (BOUND_TOL, ProblemData, SolverConfig, out_of_bounds,
-                      solve_state)
+from .forward import BOUND_TOL, ProblemData, out_of_bounds, solve_state
 from .mesh import Grid, TimeGrid, as_trajectory
 from .optimize import cost, reduced_gradient
 from .sensitivity import duality_pairing, solve_adjoint, solve_tangent
@@ -45,21 +44,20 @@ def _encode(value):
     return value
 
 
-def problem_hash(problem: ProblemData, cfg: SolverConfig) -> str:
-    """Short stable hash of every ProblemData field plus the solver."""
-    payload = {"problem": _encode(problem), "solver": asdict(cfg)}
-    text = json.dumps(payload, sort_keys=True)
+def problem_hash(problem: ProblemData) -> str:
+    """Short stable hash of every ProblemData field."""
+    text = json.dumps(_encode(problem), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def make_report(name: str, passed: bool, metrics: dict, seed,
-                problem: ProblemData, cfg: SolverConfig) -> dict:
+                problem: ProblemData) -> dict:
     return {
         "name": name,
         "pass": bool(passed),
         "metrics": metrics,
         "seed": seed,
-        "config_hash": problem_hash(problem, cfg),
+        "config_hash": problem_hash(problem),
     }
 
 
@@ -140,8 +138,7 @@ def _ladder_verdict(metrics: dict, lambdas, values, h, band) -> bool:
     return band[0] <= metrics["slope"] <= band[1]
 
 
-def fd_gradient_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
-                      seed: int = 0, u=None, h=None,
+def fd_gradient_check(problem: ProblemData, seed: int = 0, u=None, h=None,
                       lambdas=GRAD_LAMBDAS) -> dict:
     """Compare the pairing of the reduced gradient with a direction
     against finite differences of the cost.
@@ -152,10 +149,10 @@ def fd_gradient_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
     """
     u, h = check_instance(problem, seed, u, h)
     controls = _ladder(problem, u, h, lambdas)
-    gradient, _, state = reduced_gradient(problem, u, None, cfg)
+    gradient, _, state = reduced_gradient(problem, u)
     deriv = mesh.inner_q(problem.tgrid, problem.grid, gradient, h)
     J0 = cost(problem, state, u)
-    J = np.array([cost(problem, solve_state(problem, v, cfg), v)
+    J = np.array([cost(problem, solve_state(problem, v), v)
                   for v in controls])
     lams = np.array(lambdas)
     fd_values = (J - J0) / lams
@@ -171,7 +168,7 @@ def fd_gradient_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
         "fit_lambdas": lams[fit].tolist(),
     }
     passed = _ladder_verdict(metrics, lams[fit], errors[fit], h, (0.8, 1.2))
-    return make_report("grad", passed, metrics, seed, problem, cfg)
+    return make_report("grad", passed, metrics, seed, problem)
 
 
 def _traj_diff_quot(tg: TimeGrid, a: np.ndarray) -> np.ndarray:
@@ -198,10 +195,8 @@ def remainder_norm(problem: ProblemData, y: np.ndarray, z: np.ndarray) -> float:
     return float(np.sqrt(total))
 
 
-def tangent_remainder_check(problem: ProblemData,
-                            cfg: SolverConfig = SolverConfig(), seed: int = 0,
-                            u=None, h=None,
-                            lambdas=TANGENT_LAMBDAS) -> dict:
+def tangent_remainder_check(problem: ProblemData, seed: int = 0, u=None,
+                            h=None, lambdas=TANGENT_LAMBDAS) -> dict:
     """Second-order Taylor remainder of the state map along a direction.
 
     Passes when the log-log slope of the remainder against lambda lies
@@ -209,17 +204,17 @@ def tangent_remainder_check(problem: ProblemData,
     """
     u, h = check_instance(problem, seed, u, h)
     controls = _ladder(problem, u, h, lambdas)
-    state0 = solve_state(problem, u, cfg)
+    state0 = solve_state(problem, u)
     tangent = solve_tangent(problem, state0, h)
     remainders = []
     for lam, v in zip(lambdas, controls):
-        state_l = solve_state(problem, v, cfg)
+        state_l = solve_state(problem, v)
         y = state_l.rho - state0.rho - lam * tangent.xi
         z = state_l.mu - state0.mu - lam * tangent.eta
         remainders.append(remainder_norm(problem, y, z))
     metrics = {"lambdas": list(lambdas), "remainders": remainders}
     passed = _ladder_verdict(metrics, lambdas, remainders, h, (1.7, 2.3))
-    return make_report("tangent", passed, metrics, seed, problem, cfg)
+    return make_report("tangent", passed, metrics, seed, problem)
 
 
 def prolong_field(grid, v: np.ndarray) -> np.ndarray:
@@ -254,8 +249,8 @@ def refine_problem(problem: ProblemData) -> ProblemData:
         for key, base in ProblemData.ARRAY_FIELDS.items()})
 
 
-def duality_gap_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
-                      seed: int = 0, mode: str = "discrete", u=None, h=None,
+def duality_gap_check(problem: ProblemData, seed: int = 0,
+                      mode: str = "discrete", u=None, h=None,
                       refinements: int = 2) -> dict:
     """Tangent-adjoint duality identity for the configured adjoint mode.
 
@@ -270,7 +265,7 @@ def duality_gap_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
     nonzero = bool(np.any(h))
 
     def gap_on(prob, uu, hh):
-        state = solve_state(prob, uu, cfg)
+        state = solve_state(prob, uu)
         tangent = solve_tangent(prob, state, hh)
         adjoint = solve_adjoint(prob, state, mode=mode)
         lhs, rhs = duality_pairing(prob, state, tangent, adjoint, hh)
@@ -284,7 +279,7 @@ def duality_gap_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
         metrics["degenerate"] = True
     if mode == "discrete":
         return make_report("duality", nonzero and rel <= 1e-8, metrics, seed,
-                           problem, cfg)
+                           problem)
     gaps = [gap]
     prob_r, u_r, h_r = problem, u, h
     for _ in range(refinements):
@@ -297,11 +292,10 @@ def duality_gap_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
     metrics["gaps"] = gaps
     metrics["ratios"] = ratios
     passed = nonzero and all(r >= 1.5 for r in ratios)
-    return make_report("duality", passed, metrics, seed, problem, cfg)
+    return make_report("duality", passed, metrics, seed, problem)
 
 
-def stability_ratios(problem: ProblemData, u1, u2,
-                     cfg: SolverConfig = SolverConfig()) -> dict:
+def stability_ratios(problem: ProblemData, u1, u2) -> dict:
     """Continuous-dependence ratios of state differences to control gap.
 
     The energy ratio tracks the difference uniformly in the cell norm
@@ -314,8 +308,8 @@ def stability_ratios(problem: ProblemData, u1, u2,
     grid, tg = problem.grid, problem.tgrid
     u1 = as_trajectory(tg, grid, u1)
     u2 = as_trajectory(tg, grid, u2)
-    s1 = solve_state(problem, u1, cfg)
-    s2 = solve_state(problem, u2, cfg)
+    s1 = solve_state(problem, u1)
+    s2 = solve_state(problem, u2)
     ud = u1 - u2
     rd = s1.rho - s2.rho
     md = s1.mu - s2.mu
@@ -340,9 +334,8 @@ def stability_ratios(problem: ProblemData, u1, u2,
             "strong_ratio": strong / denom, "degenerate": False}
 
 
-def stability_ratio_check(problem: ProblemData,
-                          cfg: SolverConfig = SolverConfig(),
-                          seed: int = 0, u1=None, u2=None) -> dict:
+def stability_ratio_check(problem: ProblemData, seed: int = 0, u1=None,
+                          u2=None) -> dict:
     """Ratios for one seeded pair of feasible controls; they must be
     finite, and a degenerate pair fails, as a zero ladder direction does."""
     rng = np.random.default_rng(seed)
@@ -350,11 +343,11 @@ def stability_ratio_check(problem: ProblemData,
         u1 = random_control(problem, rng)
     if u2 is None:
         u2 = random_control(problem, rng)
-    metrics = stability_ratios(problem, u1, u2, cfg)
+    metrics = stability_ratios(problem, u1, u2)
     passed = (not metrics["degenerate"]
               and np.isfinite(metrics["energy_ratio"])
               and np.isfinite(metrics["strong_ratio"]))
-    return make_report("stability", passed, metrics, seed, problem, cfg)
+    return make_report("stability", passed, metrics, seed, problem)
 
 
 def _uniform_value(name, v):
@@ -415,31 +408,29 @@ def ode_oracle_solution(problem: ProblemData, u_levels: np.ndarray
     return out
 
 
-def ode_oracle_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
-                     seed: int = 0, u=None) -> dict:
+def ode_oracle_check(problem: ProblemData, seed: int = 0, u=None) -> dict:
     """March the full scheme on uniform data against the ODE oracle."""
     grid, tg = problem.grid, problem.tgrid
     u = as_trajectory(tg, grid, 0.0 if u is None else u)
     u_levels = _uniform_value("u", u)
-    state = solve_state(problem, u, cfg)
+    state = solve_state(problem, u)
     oracle = ode_oracle_solution(problem, u_levels)
     err_rho = float(np.max(np.abs(state.rho[:, 0] - oracle[:, 0])))
     err_mu = float(np.max(np.abs(state.mu[:, 0] - oracle[:, 1])))
     err = max(err_rho, err_mu)
     metrics = {"max_err_rho": err_rho, "max_err_mu": err_mu,
                "max_err": err, "tol": ORACLE_TOL}
-    return make_report("oracle", err <= ORACLE_TOL, metrics, seed, problem,
-                       cfg)
+    return make_report("oracle", err <= ORACLE_TOL, metrics, seed, problem)
 
 
-def bounds_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
-                 seed: int = 0, u=None, state=None) -> dict:
+def bounds_check(problem: ProblemData, seed: int = 0, u=None,
+                 state=None) -> dict:
     """Interior confinement of rho and nonnegativity of mu on a run."""
     if state is None:
         if u is None:
             rng = np.random.default_rng(seed)
             u = random_control(problem, rng)
-        state = solve_state(problem, u, cfg)
+        state = solve_state(problem, u)
     rho, mu = state.rho, state.mu
     rho_min, rho_max = float(np.min(rho)), float(np.max(rho))
     mu_min = float(np.min(mu))
@@ -458,4 +449,4 @@ def bounds_check(problem: ProblemData, cfg: SolverConfig = SolverConfig(),
                 metrics["violations"].append({"field": name, "level": level,
                                               "cell": cell,
                                               "value": float(a.flat[at])})
-    return make_report("bounds", count == 0, metrics, seed, problem, cfg)
+    return make_report("bounds", count == 0, metrics, seed, problem)

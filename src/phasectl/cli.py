@@ -90,15 +90,16 @@ def _write_fields(rc: RunConfig, **trajectories) -> None:
 def cmd_forward(rc: RunConfig) -> int:
     problem = rc.problem
     diagnostics_path = os.path.join(rc.output.directory, "diagnostics.json")
-    config_hash = checks_mod.problem_hash(problem, rc.solver)
+    config_hash = checks_mod.problem_hash(problem)
     tic = time.perf_counter()
     try:
-        state = solve_state(problem, rc.u_init, rc.solver)
+        state = solve_state(problem, rc.u_init)
     except SolverStepError as exc:
         # The records of the levels solved before the failing step.
         write_json(diagnostics_path, dict(
             asdict(exc.diagnostics), failed_step=exc.step, error=str(exc),
             failed_newton_residuals=exc.newton_residuals,
+            failed_min_coefficient=exc.min_coefficient,
             config_hash=config_hash))
         raise
     runtime = time.perf_counter() - tic
@@ -130,7 +131,7 @@ def cmd_optimize(rc: RunConfig) -> int:
 
     tic = time.perf_counter()
     result = projected_gradient_descent(problem, rc.u_init, rc.optimizer,
-                                        rc.solver, callback=callback)
+                                        callback=callback)
     runtime = time.perf_counter() - tic
     _write_fields(rc, u=result.u, rho=result.state.rho, mu=result.state.mu)
     # Every result field but the trajectories, which are snapshots.
@@ -140,7 +141,7 @@ def cmd_optimize(rc: RunConfig) -> int:
         "final_J": result.J_history[-1],
         "final_kkt": result.kkt_history[-1],
         "runtime_seconds": runtime,
-        "config_hash": checks_mod.problem_hash(problem, rc.solver),
+        "config_hash": checks_mod.problem_hash(problem),
     })
     write_json(os.path.join(out, "optimize_summary.json"), summary)
     print("optimize: %s after %d iterations, J=%.6e, kkt=%.3e"
@@ -154,7 +155,7 @@ def _dump_sensitivity(rc: RunConfig, problem, seed: int,
     """Re-solve the state, tangent and adjoint of the check instance and
     write them; the adjoint in the check's mode, if it takes one."""
     u, h = checks_mod.check_instance(problem, seed)
-    state = solve_state(problem, u, rc.solver)
+    state = solve_state(problem, u)
     tangent = solve_tangent(problem, state, h)
     adjoint = solve_adjoint(problem, state, mode=mode)
     _write_fields(rc, rho=state.rho, mu=state.mu, xi=tangent.xi,
@@ -165,8 +166,7 @@ def cmd_check(rc: RunConfig, which: str, dump_fields: bool) -> int:
     problem = rc.problem
     func, options, sensitivity = CHECKS[which]
     kwargs = {key: getattr(rc, field) for key, field in options.items()}
-    report = getattr(checks_mod, func)(problem, rc.solver, rc.output.seed,
-                                       **kwargs)
+    report = getattr(checks_mod, func)(problem, rc.output.seed, **kwargs)
     write_json(os.path.join(rc.output.directory, "check_%s.json" % which),
                report)
     if dump_fields:
@@ -180,6 +180,8 @@ def cmd_check(rc: RunConfig, which: str, dump_fields: bool) -> int:
     brief = {k: v for k, v in report["metrics"].items()
              if isinstance(v, (int, float)) and not isinstance(v, bool)}
     detail = ", ".join("%s=%.4g" % (k, v) for k, v in sorted(brief.items()))
+    if report["metrics"].get("degenerate"):
+        detail = "; ".join(filter(None, ("degenerate", detail)))
     print("check %s: %s (%s)" % (which, status, detail))
     return 0 if report["pass"] else 1
 

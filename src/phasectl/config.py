@@ -84,7 +84,6 @@ class RunConfig:
 
     problem: ProblemData
     u_init: np.ndarray
-    solver: SolverConfig
     adjoint_mode: str
     optimizer: OptimizerConfig
     output: OutputConfig
@@ -210,12 +209,12 @@ def parse_config(path: str) -> RunConfig:
     problem = ProblemData(
         grid=grid, tgrid=tgrid,
         potential=Potential(**_typed(merged, "potential", Potential)),
+        solver=SolverConfig(**_typed(merged, "solver", SolverConfig)),
         **{key: load(key, base)
            for key, base in ProblemData.ARRAY_FIELDS.items()},
         **{key: _number(value, _PATHS[key])
            for key, value in merged["params"].items()})
     u_init = as_trajectory(tgrid, grid, load("u_init", "u"))
-    solver = SolverConfig(**_typed(merged, "solver", SolverConfig))
 
     # targets.from_state: the state the given control reaches sets both
     # targets, so the optimum is known reachable.
@@ -228,12 +227,12 @@ def parse_config(path: str) -> RunConfig:
                     "%s unset with from_state" % key, data["targets"].get(key))
         u = _load(fs["u"], _PATHS["from_state"] + ".u", cfg_dir, grid, tgrid,
                   "u")
-        state = solve_state(problem, u, solver)
+        state = solve_state(problem, u)
         problem = replace(problem, rho_target=state.rho[-1],
                           mu_target=state.mu)
 
     return RunConfig(
-        problem=problem, u_init=u_init, solver=solver,
+        problem=problem, u_init=u_init,
         adjoint_mode=check_adjoint_mode(merged["solver"]["adjoint_mode"]),
         optimizer=OptimizerConfig(**_typed(merged, "optimizer",
                                            OptimizerConfig)),

@@ -3,9 +3,11 @@
 Solver failures raised inside a time loop (the forward, tangent or adjoint
 march) carry the failing step index in ``step`` and the number of steps in
 ``steps``.  The forward march adds the records of the levels solved before
-it in ``diagnostics`` and, when the order-parameter Newton iteration
-failed, its residual norms in ``newton_residuals``, so callers can report
-where and how a run died.
+it in ``diagnostics``, so callers can report where and how a run died.  A
+failed order-parameter Newton iteration also carries its residual norms
+in ``newton_residuals``; a potential step that lost positivity carries
+the minimum of its diagonal times the step length, the units of
+``Diagnostics.min_coefficient``, in ``min_coefficient``.
 
 Each object checks its own fields with ``require``; ``renamed_keys``
 rewrites the field a ValidationError names to the config key or option.
@@ -33,6 +35,7 @@ class SolverStepError(PhasectlError, RuntimeError):
     steps = None
     diagnostics = None
     newton_residuals = None
+    min_coefficient = None
 
 
 class NewtonDivergence(SolverStepError):

@@ -27,9 +27,24 @@ from .mesh import Grid, TimeGrid, as_field, as_trajectory
 from .potential import Potential
 
 
+@dataclass(frozen=True)
+class SolverConfig:
+    """The Newton iteration of the order-parameter step."""
+
+    newton_tol: float = 1e-10
+    newton_max: int = 30
+
+    def __post_init__(self):
+        require(self.newton_tol > 0.0, "newton_tol", "newton_tol > 0",
+                self.newton_tol)
+        require(self.newton_max >= 1, "newton_max", "newton_max >= 1",
+                self.newton_max)
+
+
 @dataclass
 class ProblemData:
-    """Everything defining one control problem instance.
+    """Everything defining one control problem instance, the Newton
+    iteration of its order-parameter steps (``solver``) included.
 
     Initial data, targets and the box bound are normalized to new arrays
     on construction; scalars broadcast.  The order-parameter initial datum
@@ -41,6 +56,7 @@ class ProblemData:
     epsilon: float
     delta: float
     potential: Potential = Potential()
+    solver: SolverConfig = SolverConfig()
     rho0: np.ndarray = 0.5
     mu0: np.ndarray = 0.0
     u_max: np.ndarray = 1.0
@@ -74,20 +90,6 @@ class ProblemData:
 BOUNDARY_MARGIN = 0.1
 # The slack of the bounds mu >= 0 and 0 <= u <= u_max.
 BOUND_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The Newton iteration of the order-parameter step."""
-
-    newton_tol: float = 1e-10
-    newton_max: int = 30
-
-    def __post_init__(self):
-        require(self.newton_tol > 0.0, "newton_tol", "newton_tol > 0",
-                self.newton_tol)
-        require(self.newton_max >= 1, "newton_max", "newton_max >= 1",
-                self.newton_max)
 
 
 @dataclass
@@ -211,8 +213,10 @@ def step_mu(grid: Grid, epsilon: float, tau: float, rho_prev: np.ndarray,
     diag = mu_diagonal(epsilon, tau, rho_prev, rho_new)
     lo = diag.min()
     if lo <= 0.0:
-        raise NonpositiveCoefficient(
+        exc = NonpositiveCoefficient(
             "potential step diagonal min %.3e is nonpositive" % lo)
+        exc.min_coefficient = tau * lo
+        raise exc
     rhs = u_new + mu_carry(epsilon, tau, rho_new) * mu_prev
     return mesh.solve_shifted(grid, diag, rhs, check=True)
 
@@ -233,12 +237,12 @@ def _diagnose(problem: ProblemData, rho: np.ndarray, mu: np.ndarray,
         bound_violations=out_of_bounds(rho, mu))
 
 
-def solve_state(problem: ProblemData, u, cfg: SolverConfig = SolverConfig()
-                ) -> StateTrajectory:
+def solve_state(problem: ProblemData, u) -> StateTrajectory:
     """March the coupled system from the initial data under control u.
 
     Per step: the order-parameter step against the previous potential,
-    then the potential step.  Errors raised inside a step carry that
+    with the Newton settings of ``problem.solver``, then the potential
+    step.  Errors raised inside a step carry that
     step's index, the number of steps and the Diagnostics of the levels
     already solved.
     """
@@ -253,7 +257,7 @@ def solve_state(problem: ProblemData, u, cfg: SolverConfig = SolverConfig()
     for n in range(tg.N):
         try:
             rho[n + 1], hist = step_rho(grid, problem.potential, problem.delta,
-                                        tau, rho[n], mu[n], cfg)
+                                        tau, rho[n], mu[n], problem.solver)
             mu[n + 1] = step_mu(grid, problem.epsilon, tau, rho[n], rho[n + 1],
                                 mu[n], u[n + 1])
         except SolverStepError as exc:

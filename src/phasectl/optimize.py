@@ -20,8 +20,7 @@ import numpy as np
 from . import mesh
 from .errors import (DomainViolation, InfeasibleControl, SolverStepError,
                      require)
-from .forward import (BOUND_TOL, ProblemData, SolverConfig, StateTrajectory,
-                      solve_state)
+from .forward import BOUND_TOL, ProblemData, StateTrajectory, solve_state
 from .mesh import as_trajectory
 from .sensitivity import AdjointTrajectory, solve_adjoint
 
@@ -91,8 +90,7 @@ def project_control(problem: ProblemData, u) -> np.ndarray:
     return np.minimum(problem.u_max, np.maximum(0.0, u))
 
 
-def reduced_gradient(problem: ProblemData, u, state: StateTrajectory = None,
-                     cfg: SolverConfig = SolverConfig()):
+def reduced_gradient(problem: ProblemData, u, state: StateTrajectory = None):
     """Gradient beta2 * u + q at a control, q from the discrete adjoint, so
     its Q pairing with a direction is the exact derivative of the discrete
     cost; reuses a state if given.
@@ -101,7 +99,7 @@ def reduced_gradient(problem: ProblemData, u, state: StateTrajectory = None,
     """
     u = as_trajectory(problem.tgrid, problem.grid, u)
     if state is None:
-        state = solve_state(problem, u, cfg)
+        state = solve_state(problem, u)
     adjoint = solve_adjoint(problem, state)
     return problem.beta2 * u + adjoint.q, adjoint, state
 
@@ -131,7 +129,6 @@ def kkt_residual(problem: ProblemData, u, gradient) -> float:
 
 def projected_gradient_descent(problem: ProblemData, u0=0.0,
                                opt: OptimizerConfig = OptimizerConfig(),
-                               cfg: SolverConfig = SolverConfig(),
                                callback=None) -> OptimizeResult:
     """Minimize the reduced cost over the box by projected gradient.
 
@@ -153,7 +150,7 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
     """
     grid, tg = problem.grid, problem.tgrid
     u = project_control(problem, as_trajectory(tg, grid, u0))
-    state = solve_state(problem, u, cfg)
+    state = solve_state(problem, u)
     J = cost(problem, state, u)
     J_history = [J]
     kkt_history, step_history, iter_seconds = [], [], []
@@ -162,7 +159,7 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
     step_source, trials = [], []
     while True:
         tic = time.perf_counter()
-        gradient, adjoint, _ = reduced_gradient(problem, u, state, cfg)
+        gradient, adjoint, _ = reduced_gradient(problem, u, state)
         kkt = kkt_residual(problem, u, gradient)
         kkt_history.append(kkt)
         if callback is not None:
@@ -190,7 +187,7 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
             if decrease > 0.0:
                 trials[-1] += 1
                 try:
-                    state_try = solve_state(problem, u_try, cfg)
+                    state_try = solve_state(problem, u_try)
                 except (SolverStepError, DomainViolation):
                     rejected_trials += 1
                 else:

@@ -17,11 +17,10 @@ def build_problem(n=16, N=8, T=0.1, dim=1, epsilon=0.5, delta=1.0,
 
 
 def manufactured(n=16, N=16, T=0.05, u_dag=0.5, beta1=1.0, beta2=1e-4,
-                 cfg=None, **kw):
+                 **kw):
     """Problem whose targets come from forward-solving a known control."""
-    cfg = cfg or pc.SolverConfig()
     base = build_problem(n=n, N=N, T=T, rho0=0.5, mu0=0.0, **kw)
-    ref = pc.solve_state(base, u_dag, cfg)
+    ref = pc.solve_state(base, u_dag)
     return replace(base, beta1=beta1, beta2=beta2,
                    rho_target=ref.rho[base.tgrid.N], mu_target=ref.mu), ref
 
@@ -31,13 +30,9 @@ def traj(problem, value):
 
 
 @pytest.fixture
-def cfg():
-    return pc.SolverConfig()
-
-@pytest.fixture
-def small(cfg):
+def small():
     return build_problem()
 
 @pytest.fixture
-def small2d(cfg):
+def small2d():
     return build_problem(dim=2, n=(6, 5), N=6)

@@ -22,7 +22,6 @@ DELTA = 1.0
 HORIZON = 1.0
 TIME_BUDGET = 60.0
 
-_cfg = pc.SolverConfig()
 
 
 def base_problem(T=HORIZON, N=N_STEPS, n=N_CELLS, rho0=0.5, mu0=0.0, **kw):
@@ -35,7 +34,7 @@ def base_problem(T=HORIZON, N=N_STEPS, n=N_CELLS, rho0=0.5, mu0=0.0, **kw):
 
 def manufactured_problem(T, u_dag, beta1=1.0, beta2=1e-4, N=N_STEPS):
     base = base_problem(T=T, N=N)
-    ref = pc.solve_state(base, u_dag, _cfg)
+    ref = pc.solve_state(base, u_dag)
     return replace(base, beta1=beta1, beta2=beta2,
                    rho_target=ref.rho[base.tgrid.N], mu_target=ref.mu)
 
@@ -55,7 +54,7 @@ def budget(num, slug, tic):
 def test_criterion_01_stationarity():
     tic = time.perf_counter()
     prob = base_problem()
-    st = pc.solve_state(prob, 0.0, _cfg)
+    st = pc.solve_state(prob, 0.0)
     dev = max(float(np.max(np.abs(st.rho - 0.5))),
               float(np.max(np.abs(st.mu))))
     gate(1, "stationarity", dev <= 1e-12, "max deviation %.3e" % dev)
@@ -68,7 +67,7 @@ def test_criterion_02_bounds():
     worst = None
     ok = True
     for seed in range(10):
-        rep = checks.bounds_check(prob, _cfg, seed=seed)
+        rep = checks.bounds_check(prob, seed=seed)
         ok = ok and rep["pass"]
         m = rep["metrics"]
         lo = min(m["rho_min"], 1.0 - m["rho_max"])
@@ -82,7 +81,7 @@ def test_criterion_03_ode_oracle():
     errs = {}
     for N in (128, 256):
         prob = base_problem(N=N, rho0=0.4, mu0=0.2)
-        rep = checks.ode_oracle_check(prob, _cfg, u=0.1)
+        rep = checks.ode_oracle_check(prob, u=0.1)
         errs[N] = rep["metrics"]["max_err"]
         if N == 128:
             ok_tol = rep["pass"] and errs[N] <= 5e-3
@@ -99,7 +98,7 @@ def test_criterion_04_tangent_remainder():
     ok = True
     prob = base_problem()
     for seed in range(5):
-        rep = checks.tangent_remainder_check(prob, _cfg, seed=seed)
+        rep = checks.tangent_remainder_check(prob, seed=seed)
         slopes.append(rep["metrics"]["slope"])
         ok = ok and rep["pass"] and 1.7 <= rep["metrics"]["slope"] <= 2.3
     gate(4, "tangent remainder", ok,
@@ -113,11 +112,11 @@ def test_criterion_05_duality():
     worst = 0.0
     ok = True
     for seed in range(5):
-        rep = checks.duality_gap_check(prob, _cfg, seed=seed, mode="discrete")
+        rep = checks.duality_gap_check(prob, seed=seed, mode="discrete")
         worst = max(worst, rep["metrics"]["rel_gap"])
         ok = ok and rep["pass"] and rep["metrics"]["rel_gap"] <= 1e-8
     small = base_problem(n=32, N=64, T=0.5)
-    pde = checks.duality_gap_check(small, _cfg, seed=0, mode="pde",
+    pde = checks.duality_gap_check(small, seed=0, mode="pde",
                                    refinements=2)
     ratios = pde["metrics"]["ratios"]
     ok = ok and pde["pass"] and all(r >= 1.5 for r in ratios)
@@ -133,7 +132,7 @@ def test_criterion_06_gradient():
     ok = True
     slopes, mismatches = [], []
     for seed in range(5):
-        rep = checks.fd_gradient_check(prob, _cfg, seed=seed)
+        rep = checks.fd_gradient_check(prob, seed=seed)
         m = rep["metrics"]
         slopes.append(m["slope"])
         mismatches.append(m["rel_mismatch_smallest"])
@@ -150,7 +149,7 @@ def test_criterion_07_adjoint_mode_consistency():
     gaps = []
     for N in (64, 128, 256):
         prob = base_problem(N=N, rho0=0.45, mu0=0.1)
-        st = pc.solve_state(prob, 0.3, _cfg)
+        st = pc.solve_state(prob, 0.3)
         gaps.append(sensitivity.adjoint_mode_gap(prob, st))
     r1, r2 = gaps[0] / gaps[1], gaps[1] / gaps[2]
     ok = gaps[0] > gaps[1] > gaps[2] and r1 >= 1.3 and r2 >= 1.3
@@ -164,9 +163,9 @@ def test_criterion_08_optimization():
     tic = time.perf_counter()
     prob = manufactured_problem(T=0.05, u_dag=0.5)
     opt = pc.OptimizerConfig(max_iters=200, stat_tol=1e-9, step0=2e3)
-    res = pc.projected_gradient_descent(prob, 0.0, opt, _cfg)
+    res = pc.projected_gradient_descent(prob, 0.0, opt)
     u0 = as_trajectory(prob.tgrid, prob.grid, 0.0)
-    parts0 = pc.cost_parts(prob, pc.solve_state(prob, u0, _cfg), u0)
+    parts0 = pc.cost_parts(prob, pc.solve_state(prob, u0), u0)
     partsF = pc.cost_parts(prob, res.state, res.u)
     track0 = parts0["terminal"] + parts0["tracking"]
     trackF = partsF["terminal"] + partsF["tracking"]
@@ -188,7 +187,7 @@ def test_criterion_08_optimization():
 def test_criterion_09_bang_bang():
     tic = time.perf_counter()
     base = base_problem(T=0.25)
-    ref = pc.solve_state(base, 0.0, _cfg)
+    ref = pc.solve_state(base, 0.0)
     x = base.grid.axis_centers(0)
     split = np.where(x < 0.5, 2.0, -2.0)
     mu_target = np.broadcast_to(
@@ -196,7 +195,7 @@ def test_criterion_09_bang_bang():
     prob = replace(base, beta2=0.0, rho_target=ref.rho[base.tgrid.N],
                    mu_target=mu_target)
     opt = pc.OptimizerConfig(max_iters=50, stat_tol=1e-12, step0=1e6)
-    res = pc.projected_gradient_descent(prob, 0.5, opt, _cfg)
+    res = pc.projected_gradient_descent(prob, 0.5, opt)
     q = res.adjoint.q
     upper = np.asarray(prob.u_max)
     covered = np.abs(q) > 1e-6
@@ -223,13 +222,13 @@ def test_criterion_10_stability():
         rng = np.random.default_rng(seed)
         u1 = checks.random_control(prob, rng)
         u2 = checks.random_control(prob, rng)
-        r = checks.stability_ratios(prob, u1, u2, _cfg)
+        r = checks.stability_ratios(prob, u1, u2)
         finite = finite and np.isfinite(r["energy_ratio"]) \
             and np.isfinite(r["strong_ratio"]) and not r["degenerate"]
         coarse_max = max(coarse_max, r["energy_ratio"], r["strong_ratio"])
         rf = checks.stability_ratios(
             fine, checks.prolong_trajectory(prob.grid, prob.tgrid, u1),
-            checks.prolong_trajectory(prob.grid, prob.tgrid, u2), _cfg)
+            checks.prolong_trajectory(prob.grid, prob.tgrid, u2))
         fine_max = max(fine_max, rf["energy_ratio"], rf["strong_ratio"])
     growth = fine_max / coarse_max
     ok = finite and growth < 10.0

@@ -60,7 +60,7 @@ def test_traced_names_resolve():
     assert not missing
 
 
-def test_tracer_install_round_trip(cfg):
+def test_tracer_install_round_trip():
     tracer = load_tracer()
     before = package_bindings()
     originals = {(m, a): resolve(m, a) for m, a, _, _ in tracer.TRACED}
@@ -71,7 +71,7 @@ def test_tracer_install_round_trip(cfg):
                                                        "solve_state"]
         prob = build_problem(N=4)
         h = np.full((5, prob.grid.num_cells), 0.1)
-        state = pc.forward.solve_state(prob, 0.2, cfg)
+        state = pc.forward.solve_state(prob, 0.2)
         pc.sensitivity.solve_tangent(prob, state, h)
         for mode in ("discrete", "pde"):
             pc.sensitivity.solve_adjoint(prob, state, mode=mode)

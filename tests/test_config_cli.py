@@ -33,7 +33,7 @@ def test_minimal_config_defaults(tmp_path):
     rc = config.parse_config(write(tmp_path, MINIMAL))
     prob = rc.problem
     assert prob.potential.c_log == 0.5 and prob.potential.c_quad == 2.0
-    assert rc.solver.newton_tol == 1e-10
+    assert prob.solver.newton_tol == 1e-10
     assert rc.adjoint_mode == "discrete"
     assert np.all(rc.u_init == 0.0)
     assert np.all(prob.u_max == 1.0)
@@ -295,7 +295,7 @@ def test_from_state_targets(tmp_path):
     rc = config.parse_config(path)
     prob = rc.problem
     assert config.build_problem(rc) is prob
-    st = pc.solve_state(prob, 0.3, rc.solver)
+    st = pc.solve_state(prob, 0.3)
     assert np.array_equal(prob.rho_target, st.rho[prob.tgrid.N])
     assert np.array_equal(prob.mu_target, st.mu)
 
@@ -515,8 +515,70 @@ def test_cli_solver_error_names_step(tmp_path, capsys):
     # The first Newton system was refused after one residual evaluation.
     assert len(diag["failed_newton_residuals"]) == 1
     assert diag["failed_newton_residuals"][0] > 0.0
+    assert diag["failed_min_coefficient"] is None
     assert diag["rho_min"][0] == pytest.approx(0.45, rel=1e-2)
     assert "config_hash" in diag
+
+
+def test_cli_forward_records_failing_coefficient(tmp_path, capsys):
+    """A potential step that loses positivity leaves its coefficient, in
+    the units of min_coefficient, next to the diagnostics."""
+    text = MINIMAL.replace("n: 16", "n: 8").replace(
+        "T: 0.1, N: 8", "T: 0.98, N: 2").replace(
+        "epsilon: 0.5", "epsilon: 0.01") + "init: {rho0: 0.3}\n"
+    out = str(tmp_path / "out")
+    assert run_cli(["forward", "--config", write(tmp_path, text),
+                    "--out", out]) == 2
+    assert "error: step 1 of 2: " in capsys.readouterr().err
+    diag = json.load(open(os.path.join(out, "diagnostics.json")))
+    assert diag["failed_step"] == 1 and diag["min_coefficient"] == []
+    assert diag["failed_newton_residuals"] is None
+    lo = float(re.search(r"min (\S+) is nonpositive", diag["error"]).group(1))
+    assert lo < 0.0
+    assert diag["failed_min_coefficient"] == pytest.approx(0.49 * lo,
+                                                           rel=1e-3)
+
+
+def test_cli_solver_key_reaches_the_march(tmp_path, capsys):
+    """solver.newton_max bounds the Newton iteration of every march a
+    command runs: the first step here needs two iterations."""
+    text = MINIMAL + "init: {rho0: 0.3, mu0: 1.0}\ncontrol: {u_init: 0.3}\n"
+    strict = text + "solver: {newton_max: 1}\n"
+    runs = [("forward", text, 0), ("forward", strict, 2),
+            ("check bounds", strict, 2),
+            ("forward", strict + "targets: {from_state: {u: 0.3}}\n", 2)]
+    for i, (command, config_text, code) in enumerate(runs):
+        cfg = write(tmp_path, config_text, "run%d.yaml" % i)
+        out = str(tmp_path / ("out%d" % i))
+        assert run_cli(command.split() + ["--config", cfg,
+                                          "--out", out]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: step 1 of 8: Newton residual ")
+            assert err.rstrip().endswith("after 1 iterations")
+
+
+def test_cli_check_summary_names_degeneracy(tmp_path, capsys):
+    """A zero direction or pair of controls fails as degenerate, and the
+    summary line says so; a check without the flag prints its metrics."""
+    cfg = write(tmp_path, MINIMAL + "control: {u_max: 0.0}\n")
+    lines = {}
+    for which in ("grad", "tangent", "duality", "stability", "oracle"):
+        code = run_cli(["check", which, "--config", cfg,
+                        "--out", str(tmp_path / which)])
+        assert code == (0 if which == "oracle" else 1)
+        lines[which] = capsys.readouterr().out.strip()
+    assert lines["grad"] == ("check grad: FAIL (degenerate; derivative=0, "
+                             "rel_mismatch_smallest=0)")
+    assert lines["tangent"] == "check tangent: FAIL (degenerate)"
+    for which in ("duality", "stability"):
+        assert lines[which].startswith(
+            "check %s: FAIL (degenerate; " % which)
+    assert lines["oracle"].startswith("check oracle: PASS (max_err=0, ")
+    cfg = write(tmp_path, MINIMAL, "nondegenerate.yaml")
+    assert run_cli(["check", "stability", "--config", cfg,
+                    "--out", str(tmp_path / "ok")]) == 0
+    assert "degenerate" not in capsys.readouterr().out
 
 
 def test_cli_check_tangent_names_failing_step(tmp_path, capsys, monkeypatch):
@@ -569,7 +631,7 @@ def test_cli_dump_fields(tmp_path):
     rc = config.parse_config(cfg)
     prob = rc.problem
     u, _ = checks.check_instance(prob, rc.output.seed)
-    state = pc.solve_state(prob, u, rc.solver)
+    state = pc.solve_state(prob, u)
     for which, mode in (("grad", "discrete"), ("duality", "pde")):
         out = str(tmp_path / which)
         assert run_cli(["check", which, "--config", cfg, "--out", out,

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,22 +11,23 @@ from phasectl.errors import (LinearSolveFailure, NonpositiveCoefficient,
 from conftest import build_problem, traj
 
 
-def test_step_rho_stationary(cfg):
+def test_step_rho_stationary():
     g = pc.Grid(1, 8, 1.0)
     rho = np.full(8, 0.5)
     out, hist = forward.step_rho(g, pc.Potential(), 1.0, 0.01, rho,
-                                 np.zeros(8), cfg)
+                                 np.zeros(8), pc.SolverConfig())
     np.testing.assert_array_equal(out, rho)
     assert hist == [0.0]
 
 
-def test_step_rho_matches_scalar_root(cfg):
+def test_step_rho_matches_scalar_root():
     """Uniform data reduce the cell system to one scalar equation."""
     g = pc.Grid(1, 8, 1.0)
     pot, delta, tau = pc.Potential(), 1.0, 0.02
     rho_prev, mu = 0.3, 0.1
     out, _ = forward.step_rho(g, pot, delta, tau,
-                              np.full(8, rho_prev), np.full(8, mu), cfg)
+                              np.full(8, rho_prev), np.full(8, mu),
+                              pc.SolverConfig())
     def residual(r):
         return delta * (r - rho_prev) / tau + pot.d1(np.array([r]))[0] - mu
     root = scipy.optimize.brentq(residual, 1e-12, 1 - 1e-12,
@@ -35,10 +36,11 @@ def test_step_rho_matches_scalar_root(cfg):
     assert out[0] == pytest.approx(root, abs=1e-12)
 
 
-def test_newton_residuals_quadratic(cfg):
+def test_newton_residuals_quadratic():
     g = pc.Grid(1, 8, 1.0)
     _, hist = forward.step_rho(g, pc.Potential(), 1.0, 0.05,
-                               np.full(8, 0.35), np.full(8, 0.4), cfg)
+                               np.full(8, 0.35), np.full(8, 0.4),
+                               pc.SolverConfig())
     hist = [h for h in hist if h > 0.0]
     assert len(hist) >= 2
     ratios = [hist[i + 1] / hist[i] for i in range(len(hist) - 1)]
@@ -108,35 +110,37 @@ def test_step_mu_nonnegativity():
 
 def test_step_mu_rejects_nonpositive_coefficient():
     g = pc.Grid(1, 4, 1.0)
-    with pytest.raises(NonpositiveCoefficient):
+    with pytest.raises(NonpositiveCoefficient) as err:
         forward.step_mu(g, 0.5, 0.01, np.full(4, 0.9), np.full(4, 0.1),
                         np.zeros(4), np.zeros(4))
+    # In the units of Diagnostics.min_coefficient: epsilon + 3 * 0.1 - 0.9.
+    assert err.value.min_coefficient == pytest.approx(-0.1, rel=1e-12)
 
 
-def test_solve_state_stationary_triple(cfg):
+def test_solve_state_stationary_triple():
     prob = build_problem(rho0=0.5, mu0=0.0)
-    st = pc.solve_state(prob, 0.0, cfg)
+    st = pc.solve_state(prob, 0.0)
     assert np.max(np.abs(st.rho - 0.5)) == 0.0
     assert np.max(np.abs(st.mu)) == 0.0
     assert min(st.diagnostics.min_coefficient) > 0.0
     assert not st.diagnostics.bound_violations
 
 
-def test_solve_state_diagnostics_bounds(cfg):
+def test_solve_state_diagnostics_bounds():
     g = pc.Grid(1, 16, 1.0)
     x = g.axis_centers(0)
     prob = pc.ProblemData(grid=g, tgrid=pc.TimeGrid(0.2, 16),
                           epsilon=0.5, delta=1.0, potential=pc.Potential(),
                           rho0=0.5 + 0.2 * np.cos(2 * np.pi * x),
                           mu0=0.1, u_max=1.0)
-    st = pc.solve_state(prob, 0.5, cfg)
+    st = pc.solve_state(prob, 0.5)
     d = st.diagnostics
     assert 0.0 < min(d.rho_min) and max(d.rho_max) < 1.0
     assert min(d.mu_min) >= -forward.BOUND_TOL
     assert min(d.min_coefficient) > 0.0
 
 
-def test_diagnostics_reduce_the_trajectory(cfg):
+def test_diagnostics_reduce_the_trajectory():
     """Diagnostics are reductions of the returned levels, per level and
     per step, and a failed march keeps those of the levels it solved."""
     g = pc.Grid(1, 16, 1.0)
@@ -145,7 +149,7 @@ def test_diagnostics_reduce_the_trajectory(cfg):
                           epsilon=0.5, delta=1.0, potential=pc.Potential(),
                           rho0=0.5 + 0.2 * np.cos(2 * np.pi * x),
                           mu0=0.1, u_max=1.0)
-    st = pc.solve_state(prob, 0.5, cfg)
+    st = pc.solve_state(prob, 0.5)
     d, tau = st.diagnostics, prob.tgrid.tau
     assert d.rho_min == st.rho.min(axis=1).tolist()
     assert d.rho_max == st.rho.max(axis=1).tolist()
@@ -156,33 +160,35 @@ def test_diagnostics_reduce_the_trajectory(cfg):
     assert d.min_coefficient == coeff
     assert d.bound_violations == 0
     assert len(d.newton_iters) == len(d.newton_residuals) == 16
-    assert max(d.newton_residuals) <= cfg.newton_tol
+    assert max(d.newton_residuals) <= prob.solver.newton_tol
+    strict = replace(prob, solver=pc.SolverConfig(newton_max=1))
     with pytest.raises(SolverStepError) as err:
-        pc.solve_state(prob, 0.5, pc.SolverConfig(newton_max=1))
+        pc.solve_state(strict, 0.5)
     failed = err.value.diagnostics
     assert failed.rho_min == [float(np.min(prob.rho0))]
     assert failed.newton_iters == [] and failed.min_coefficient == []
 
 
-def test_residuals_stationary(cfg, small):
+def test_residuals_stationary(small):
     prob = build_problem(rho0=0.5, mu0=0.0)
-    st = pc.solve_state(prob, 0.0, cfg)
+    st = pc.solve_state(prob, 0.0)
     r = forward.residual_norms(prob, traj(prob, 0.0), st)
-    tol = cfg.newton_tol + mesh.LINEAR_TOL
+    tol = prob.solver.newton_tol + mesh.LINEAR_TOL
     assert np.max(r["rho"]) <= tol and np.max(r["mu"]) <= tol
 
 
-def test_residuals_detect_tampering(cfg, small):
+def test_residuals_detect_tampering(small):
     u = traj(small, 0.2)
-    st = pc.solve_state(small, u, cfg)
+    st = pc.solve_state(small, u)
     mu = st.mu.copy()
     mu[3] = mu[3] + 0.01
     bad = forward.StateTrajectory(rho=st.rho, mu=mu, diagnostics=st.diagnostics)
     r = forward.residual_norms(small, u, bad)
-    assert r["mu"][2] > 10 * cfg.newton_tol  # residual of the corrupted step
+    # The residual of the corrupted step.
+    assert r["mu"][2] > 10 * small.solver.newton_tol
 
 
-def test_residuals_first_order_consistency(cfg):
+def test_residuals_first_order_consistency():
     """The oracle trajectory leaves an O(tau) defect in the scheme."""
     maxima = []
     for N in (32, 64):
@@ -191,7 +197,7 @@ def test_residuals_first_order_consistency(cfg):
         vals = checks.ode_oracle_solution(prob, u[:, 0])
         rho = np.repeat(vals[:, 0:1], prob.grid.num_cells, axis=1)
         mu = np.repeat(vals[:, 1:2], prob.grid.num_cells, axis=1)
-        st = pc.solve_state(prob, u, cfg)  # only for a diagnostics carrier
+        st = pc.solve_state(prob, u)  # only for a diagnostics carrier
         oracle = forward.StateTrajectory(rho=rho, mu=mu,
                                          diagnostics=st.diagnostics)
         r = forward.residual_norms(prob, u, oracle)
@@ -200,14 +206,14 @@ def test_residuals_first_order_consistency(cfg):
     assert 1.4 <= ratio <= 2.8
 
 
-def test_problem_data_owns_its_arrays(cfg):
+def test_problem_data_owns_its_arrays():
     """Writes to the array a problem was built from change nothing."""
     rho0 = np.full(16, 0.45)
     prob = build_problem(rho0=rho0)
-    before = pc.solve_state(prob, 0.3, cfg)
+    before = pc.solve_state(prob, 0.3)
     rho0[:] = 1.5
     np.testing.assert_array_equal(prob.rho0, np.full(16, 0.45))
-    after = pc.solve_state(prob, 0.3, cfg)
+    after = pc.solve_state(prob, 0.3)
     np.testing.assert_array_equal(after.rho, before.rho)
     np.testing.assert_array_equal(after.mu, before.mu)
 
@@ -218,16 +224,16 @@ def test_array_fields_table_names_every_array_field():
     assert set(pc.ProblemData.ARRAY_FIELDS) == typed
 
 
-def test_step_error_carries_level(cfg):
+def test_step_error_carries_level():
     prob = build_problem(rho0=0.4, mu0=0.3, N=4, T=2.0)
-    strict = pc.SolverConfig(newton_max=1)
+    strict = replace(prob, solver=pc.SolverConfig(newton_max=1))
     with pytest.raises(SolverStepError) as err:
-        pc.solve_state(prob, 0.5, strict)
+        pc.solve_state(strict, 0.5)
     assert err.value.step == 1 and err.value.steps == 4
-    assert len(err.value.newton_residuals) == strict.newton_max + 1
+    assert len(err.value.newton_residuals) == strict.solver.newton_max + 1
 
 
-def test_indefinite_newton_step_raises_1d(cfg):
+def test_indefinite_newton_step_raises_1d():
     """One step of length 1 leaves delta/tau below 2 c_quad - 4 c_log."""
     g = pc.Grid(1, 16, 1.0)
     x = g.axis_centers(0)
@@ -236,5 +242,5 @@ def test_indefinite_newton_step_raises_1d(cfg):
                           rho0=0.5 + 0.05 * np.cos(np.pi * x), mu0=0.0,
                           u_max=1.0)
     with pytest.raises(LinearSolveFailure) as err:
-        pc.solve_state(prob, 0.3, cfg)
+        pc.solve_state(prob, 0.3)
     assert err.value.step == 1

@@ -100,6 +100,7 @@ def cmd_forward(rc: RunConfig) -> int:
             asdict(exc.diagnostics), failed_step=exc.step, error=str(exc),
             failed_newton_residuals=exc.newton_residuals,
             failed_min_coefficient=exc.min_coefficient,
+            failed_min_newton_shift=exc.min_newton_shift,
             config_hash=config_hash))
         raise
     runtime = time.perf_counter() - tic

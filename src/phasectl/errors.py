@@ -5,8 +5,10 @@ march) carry the failing step index in ``step`` and the number of steps in
 ``steps``.  The forward march adds the records of the levels solved before
 it in ``diagnostics``, so callers can report where and how a run died.  A
 failed order-parameter Newton iteration also carries its residual norms
-in ``newton_residuals``; a potential step that lost positivity carries
-the minimum of its diagonal times the step length, the units of
+in ``newton_residuals`` and the minimum of its last Newton shift times
+the step length, the units of ``Diagnostics.min_newton_shift``, in
+``min_newton_shift``; a potential step that lost positivity carries the
+minimum of its diagonal times the step length, the units of
 ``Diagnostics.min_coefficient``, in ``min_coefficient``.
 
 Each object checks its own fields with ``require``; ``renamed_keys``
@@ -36,6 +38,7 @@ class SolverStepError(PhasectlError, RuntimeError):
     diagnostics = None
     newton_residuals = None
     min_coefficient = None
+    min_newton_shift = None
 
 
 class NewtonDivergence(SolverStepError):

@@ -7,11 +7,18 @@ second.  The order-parameter equation
 
 is solved by a damped Newton iteration whose steps are scaled to keep
 every cell a fixed fraction of its current distance away from the
-singular endpoints 0 and 1.  The chemical-potential equation is linear
-once rho^{n+1} is known; the time derivative of the product mu * rho is
-discretized as mu^{n+1} * (rho^{n+1} - rho^n) / tau, which folds into the
-diagonal and preserves an M-matrix, hence nonnegativity of mu for
-nonnegative data and sources.
+singular endpoints 0 and 1.  Newton starts at the previous level rho^n,
+or at the quadratic extrapolation rho^{n-2} + 3 (rho^n - rho^{n-1}),
+damped as a Newton step is, when the step before needed two or more
+Newton iterations, or itself extrapolated and needed at least one: where
+the previous level converges in one iteration, extrapolating cannot
+do better.
+
+The chemical-potential equation is linear once rho^{n+1} is known; the
+time derivative of the product mu * rho is discretized as
+mu^{n+1} * (rho^{n+1} - rho^n) / tau, which folds into the diagonal and
+preserves an M-matrix, hence nonnegativity of mu for nonnegative data
+and sources.
 """
 
 from __future__ import annotations
@@ -74,6 +81,11 @@ class ProblemData:
         require(self.delta > 0.0, "delta", "delta > 0", self.delta)
         require(self.beta1 >= 0.0, "beta1", "beta1 >= 0", self.beta1)
         require(self.beta2 >= 0.0, "beta2", "beta2 >= 0", self.beta2)
+        # The step diagonals scale as delta / tau and (epsilon + 3) / tau.
+        tau = self.tgrid.tau
+        require(tau > 0.0 and max(self.delta, self.epsilon + 3.0) / tau
+                < np.inf, "T", "delta / tau and (epsilon + 3) / tau finite at "
+                "tau = T / N", tau)
         for key, base in self.ARRAY_FIELDS.items():
             value = getattr(self, key)
             setattr(self, key, as_field(self.grid, value) if base is None
@@ -98,7 +110,9 @@ class Diagnostics:
 
     newton_iters: list
     newton_residuals: list
+    extrapolated: list
     min_coefficient: list
+    min_newton_shift: list
     rho_min: list
     rho_max: list
     mu_min: list
@@ -164,23 +178,32 @@ def _damping(rho: np.ndarray, step: np.ndarray, theta: float):
     return min(1.0, (1.0 - theta) * (dist / np.abs(step)).min())
 
 
+def _extrapolate(levels: np.ndarray) -> np.ndarray:
+    """The quadratic extrapolation of three levels, its increment over the
+    last damped as a Newton step is, so it stays inside (0, 1)."""
+    step = levels[0] + 3.0 * (levels[2] - levels[1]) - levels[2]
+    return levels[2] + _damping(levels[2], step, BOUNDARY_MARGIN) * step
+
+
 def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
-             rho_prev: np.ndarray, mu_prev: np.ndarray, cfg: SolverConfig
-             ) -> tuple:
+             rho_prev: np.ndarray, mu_prev: np.ndarray, cfg: SolverConfig,
+             start: np.ndarray = None) -> tuple:
     """Advance the order parameter by one implicit step.
 
-    Newton iteration warm-started at the previous level.  Steps are
-    scaled by the largest factor in (0, 1] that keeps every cell at
-    least BOUNDARY_MARGIN times its current distance from each endpoint,
-    so iterates can approach 0 and 1 but never jump onto them.  Returns
-    the new level and the residual norm of every iterate.  Raises
+    Newton iteration started at ``start``, a level inside (0, 1), or at
+    the previous level if ``start`` is None.  Steps are scaled by the
+    largest factor in (0, 1] that keeps every cell at least
+    BOUNDARY_MARGIN times its current distance from each endpoint, so
+    iterates can approach 0 and 1 but never jump onto them.  Returns the
+    new level and the residual norm of every iterate.  Raises
     NewtonDivergence if the residual norm fails to reach newton_tol
     within newton_max iterations or the Newton shift overflows; any
     SolverStepError raised here carries the residual norms so far in
-    ``newton_residuals``.
+    ``newton_residuals`` and tau times the minimum of the last Newton
+    shift formed, if any, in ``min_newton_shift``.
     """
-    rho = rho_prev.copy()
-    history = []
+    rho = (rho_prev if start is None else start).copy()
+    history, shift = [], None
     try:
         for _ in range(cfg.newton_max + 1):
             res = _rho_residual(grid, pot, delta, tau, rho_prev, rho, mu_prev)
@@ -203,6 +226,8 @@ def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
             % (history[-1], cfg.newton_tol, cfg.newton_max))
     except SolverStepError as exc:
         exc.newton_residuals = history
+        if shift is not None:
+            exc.min_newton_shift = tau * float(shift.min())
         raise
 
 
@@ -222,16 +247,20 @@ def step_mu(grid: Grid, epsilon: float, tau: float, rho_prev: np.ndarray,
 
 
 def _diagnose(problem: ProblemData, rho: np.ndarray, mu: np.ndarray,
-              histories: list) -> Diagnostics:
+              histories: list, extrapolated: list) -> Diagnostics:
     """Diagnostics of the levels ``rho``, ``mu`` reached by the steps
-    whose Newton residual histories are given, one step per history."""
+    whose Newton residual histories and starts are given, one entry per
+    step."""
     eps, tau = problem.epsilon, problem.tgrid.tau
-    # Recorded in the units of epsilon: the diagonal times tau.
+    # Recorded in the units of epsilon: the diagonals times tau.
     coeff = tau * mu_diagonal(eps, tau, rho[:-1], rho[1:]).min(axis=1)
+    shift = tau * newton_shift(problem.potential, problem.delta, tau,
+                               rho[1:]).min(axis=1)
     return Diagnostics(
         newton_iters=[len(h) - 1 for h in histories],
         newton_residuals=[h[-1] for h in histories],
-        min_coefficient=coeff.tolist(),
+        extrapolated=extrapolated,
+        min_coefficient=coeff.tolist(), min_newton_shift=shift.tolist(),
         rho_min=rho.min(axis=1).tolist(), rho_max=rho.max(axis=1).tolist(),
         mu_min=mu.min(axis=1).tolist(), mu_max=mu.max(axis=1).tolist(),
         bound_violations=out_of_bounds(rho, mu))
@@ -241,10 +270,10 @@ def solve_state(problem: ProblemData, u) -> StateTrajectory:
     """March the coupled system from the initial data under control u.
 
     Per step: the order-parameter step against the previous potential,
-    with the Newton settings of ``problem.solver``, then the potential
-    step.  Errors raised inside a step carry that
-    step's index, the number of steps and the Diagnostics of the levels
-    already solved.
+    with the Newton settings of ``problem.solver`` and the start of the
+    module docstring, then the potential step.  Errors raised inside a
+    step carry that step's index, the number of steps and the
+    Diagnostics of the levels already solved.
     """
     grid, tg = problem.grid, problem.tgrid
     u = as_trajectory(tg, grid, u)
@@ -253,21 +282,26 @@ def solve_state(problem: ProblemData, u) -> StateTrajectory:
     mu = np.zeros_like(rho)
     rho[0] = problem.rho0
     mu[0] = problem.mu0
-    histories = []
+    histories, extrapolated = [], []
     for n in range(tg.N):
+        iters = len(histories[-1]) - 1 if histories else 0
+        start = _extrapolate(rho[n - 2:n + 1]) if n >= 2 and (
+            iters >= 2 or extrapolated[-1] and iters >= 1) else None
         try:
             rho[n + 1], hist = step_rho(grid, problem.potential, problem.delta,
-                                        tau, rho[n], mu[n], problem.solver)
+                                        tau, rho[n], mu[n], problem.solver,
+                                        start)
             mu[n + 1] = step_mu(grid, problem.epsilon, tau, rho[n], rho[n + 1],
                                 mu[n], u[n + 1])
         except SolverStepError as exc:
             exc.step, exc.steps = n + 1, tg.N
             exc.diagnostics = _diagnose(problem, rho[:n + 1], mu[:n + 1],
-                                        histories)
+                                        histories, extrapolated)
             raise
         histories.append(hist)
+        extrapolated.append(start is not None)
     return StateTrajectory(rho=rho, mu=mu, diagnostics=_diagnose(
-        problem, rho, mu, histories))
+        problem, rho, mu, histories, extrapolated))
 
 
 def residual_norms(problem: ProblemData, u, state: StateTrajectory) -> dict:

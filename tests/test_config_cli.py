@@ -516,6 +516,8 @@ def test_cli_solver_error_names_step(tmp_path, capsys):
     assert len(diag["failed_newton_residuals"]) == 1
     assert diag["failed_newton_residuals"][0] > 0.0
     assert diag["failed_min_coefficient"] is None
+    # An indefinite 1D step system has a nonpositive shift entry.
+    assert diag["failed_min_newton_shift"] <= 0.0
     assert diag["rho_min"][0] == pytest.approx(0.45, rel=1e-2)
     assert "config_hash" in diag
 
@@ -533,10 +535,46 @@ def test_cli_forward_records_failing_coefficient(tmp_path, capsys):
     diag = json.load(open(os.path.join(out, "diagnostics.json")))
     assert diag["failed_step"] == 1 and diag["min_coefficient"] == []
     assert diag["failed_newton_residuals"] is None
+    assert diag["failed_min_newton_shift"] is None
     lo = float(re.search(r"min (\S+) is nonpositive", diag["error"]).group(1))
     assert lo < 0.0
     assert diag["failed_min_coefficient"] == pytest.approx(0.49 * lo,
                                                            rel=1e-3)
+
+
+def test_cli_forward_records_newton_shift_and_start(tmp_path):
+    """A desk forward records, per step, tau times the least Newton shift
+    at the level reached, and whether Newton started from the
+    extrapolation."""
+    text = MINIMAL.replace("n: 16", "n: 64").replace(
+        "T: 0.1, N: 8", "T: 1.0, N: 128") + (
+        "init: {rho0: 0.4, mu0: 0.2}\ncontrol: {u_init: 0.1}\n")
+    out = str(tmp_path / "out")
+    assert run_cli(["forward", "--config", write(tmp_path, text),
+                    "--out", out]) == 0
+    diag = json.load(open(os.path.join(out, "diagnostics.json")))
+    assert len(diag["min_newton_shift"]) == 128
+    assert min(diag["min_newton_shift"]) > 0.0
+    assert len(diag["extrapolated"]) == 128 and any(diag["extrapolated"])
+    assert "failed_min_newton_shift" not in diag
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_rejects_time_step_overflowing_the_coefficients(tmp_path, capsys):
+    """A step length whose delta / tau or (epsilon + 3) / tau is not finite
+    is refused before any step, naming time.T."""
+    base = MINIMAL.replace("n: 16", "n: 8") + "init: {rho0: 0.3, mu0: 0.2}\n"
+    for i, (old, new) in enumerate([
+            ("T: 0.1, N: 8", "T: 1.0e-310, N: 4"),
+            ("T: 0.1, N: 8", "T: 5.0e-324, N: 4"),
+            ("delta: 1.0", "delta: 1.0e+308")]):
+        out = str(tmp_path / ("out%d" % i))
+        cfg = write(tmp_path, base.replace(old, new), "run%d.yaml" % i)
+        assert run_cli(["forward", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: time.T: requires delta / tau and "
+                              "(epsilon + 3) / tau finite"), err
+        assert not os.path.exists(os.path.join(out, "diagnostics.json"))
 
 
 def test_cli_solver_key_reaches_the_march(tmp_path, capsys):

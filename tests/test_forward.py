@@ -3,6 +3,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phasectl as pc
 from phasectl import checks, forward, mesh
@@ -158,8 +160,12 @@ def test_diagnostics_reduce_the_trajectory():
     coeff = [tau * float(np.min(forward.mu_diagonal(
         prob.epsilon, tau, st.rho[n], st.rho[n + 1]))) for n in range(16)]
     assert d.min_coefficient == coeff
+    shift = [tau * float(np.min(forward.newton_shift(
+        prob.potential, prob.delta, tau, st.rho[n + 1]))) for n in range(16)]
+    assert d.min_newton_shift == shift
     assert d.bound_violations == 0
     assert len(d.newton_iters) == len(d.newton_residuals) == 16
+    assert len(d.extrapolated) == 16
     assert max(d.newton_residuals) <= prob.solver.newton_tol
     strict = replace(prob, solver=pc.SolverConfig(newton_max=1))
     with pytest.raises(SolverStepError) as err:
@@ -167,6 +173,7 @@ def test_diagnostics_reduce_the_trajectory():
     failed = err.value.diagnostics
     assert failed.rho_min == [float(np.min(prob.rho0))]
     assert failed.newton_iters == [] and failed.min_coefficient == []
+    assert failed.min_newton_shift == [] and failed.extrapolated == []
 
 
 def test_residuals_stationary(small):
@@ -244,3 +251,70 @@ def test_indefinite_newton_step_raises_1d():
     with pytest.raises(LinearSolveFailure) as err:
         pc.solve_state(prob, 0.3)
     assert err.value.step == 1
+
+
+def test_extrapolated_start_halves_the_desk_newton_count():
+    """From the previous level the desk march takes 2.0 Newton iterations
+    per step; from the extrapolated start at most 1.1."""
+    prob = build_problem(n=64, N=128, T=1.0, rho0=0.4, mu0=0.2)
+    u, _ = checks.check_instance(prob, 1)
+    d = pc.solve_state(prob, u).diagnostics
+    assert sum(d.newton_iters) <= 1.1 * 128
+    assert len(d.extrapolated) == 128 and not any(d.extrapolated[:2])
+    assert all(d.extrapolated[2:])
+
+
+def test_no_extrapolation_where_the_previous_level_converges_in_one():
+    """On the optimize_1d instance every step converges in one Newton
+    iteration from the previous level, so no step extrapolates."""
+    prob = build_problem(n=64, N=128, T=0.05, rho0=0.5, mu0=0.0)
+    x = prob.grid.axis_centers(0)
+    d = pc.solve_state(prob, 0.5 + 0.3 * np.cos(np.pi * x)).diagnostics
+    assert not any(d.extrapolated)
+    assert sum(d.newton_iters) == 127
+
+
+def test_extrapolated_start_is_damped_inside():
+    """An extrapolation that leaves (0, 1) is scaled back by the rule of a
+    Newton step: no cell comes closer than a tenth of its distance to the
+    endpoint it heads for."""
+    levels = np.array([[0.5, 0.5, 0.3], [0.2, 0.7, 0.3], [0.01, 0.98, 0.3]])
+    start = forward._extrapolate(levels)
+    # The increments are -0.08, 0.36 and 0; the second cell binds.
+    lam = 0.9 * 0.02 / 0.36
+    np.testing.assert_allclose(start, [0.01 - lam * 0.08, 0.998, 0.3],
+                               rtol=1e-12)
+    # The first cell alone is left with a tenth of 0.01.
+    assert forward._extrapolate(levels[:, :1]) == pytest.approx([0.001],
+                                                                rel=1e-12)
+    # A march whose levels fall fast towards the well near 0.02.
+    prob = build_problem(n=8, N=16, T=4.0, rho0=0.3, mu0=0.0)
+    state = pc.solve_state(prob, 0.0)
+    r, d = state.rho, state.diagnostics
+    raw = [r[n - 2] + 3.0 * (r[n] - r[n - 1])
+           for n in range(2, 16) if d.extrapolated[n]]
+    assert np.min(raw) < 0.0
+    assert d.bound_violations == 0 and min(d.rho_min) > 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 24), delta=st.floats(0.05, 5.0),
+       ratio=st.floats(0.01, 0.99), epsilon=st.floats(0.5, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_extrapolated_start_reaches_the_same_level(n, delta, ratio, epsilon,
+                                                   seed):
+    """Where tau < 0.5 delta the step system is positive definite, and both
+    starts reach one level, each to the Newton tolerance."""
+    rng = np.random.default_rng(seed)
+    tau = ratio * 0.5 * delta
+    prob = build_problem(n=n, N=3, T=3.0 * tau, epsilon=epsilon, delta=delta,
+                         rho0=rng.uniform(0.2, 0.8, n),
+                         mu0=rng.uniform(0.0, 1.0, n))
+    state = pc.solve_state(prob, rng.uniform(0.0, 1.0, (4, n)))
+    args = (prob.grid, prob.potential, delta, prob.tgrid.tau, state.rho[2],
+            state.mu[2], prob.solver)
+    warm, warm_hist = forward.step_rho(*args)
+    extra, extra_hist = forward.step_rho(
+        *args, forward._extrapolate(state.rho[:3]))
+    np.testing.assert_allclose(extra, warm, rtol=0.0, atol=1e-9)
+    assert max(warm_hist[-1], extra_hist[-1]) <= prob.solver.newton_tol

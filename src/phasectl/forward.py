@@ -232,9 +232,13 @@ def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
 
 
 def step_mu(grid: Grid, epsilon: float, tau: float, rho_prev: np.ndarray,
-            rho_new: np.ndarray, mu_prev: np.ndarray, u_new: np.ndarray
-            ) -> np.ndarray:
-    """Advance the chemical potential by one linear implicit step."""
+            rho_new: np.ndarray, mu_prev: np.ndarray, u_new: np.ndarray,
+            solves: mesh.CheckedSolves = None) -> np.ndarray:
+    """Advance the chemical potential by one linear implicit step.
+
+    The solve is handed to ``solves``, the checked solves of the march
+    this step belongs to, or checked at once when it is None.
+    """
     diag = mu_diagonal(epsilon, tau, rho_prev, rho_new)
     lo = diag.min()
     if lo <= 0.0:
@@ -243,7 +247,10 @@ def step_mu(grid: Grid, epsilon: float, tau: float, rho_prev: np.ndarray,
         exc.min_coefficient = tau * lo
         raise exc
     rhs = u_new + mu_carry(epsilon, tau, rho_new) * mu_prev
-    return mesh.solve_shifted(grid, diag, rhs, check=True)
+    if solves is None:
+        with mesh.CheckedSolves(grid) as solves:
+            return solves.solve(diag, rhs)
+    return solves.solve(diag, rhs)
 
 
 def _diagnose(problem: ProblemData, rho: np.ndarray, mu: np.ndarray,
@@ -271,9 +278,11 @@ def solve_state(problem: ProblemData, u) -> StateTrajectory:
 
     Per step: the order-parameter step against the previous potential,
     with the Newton settings of ``problem.solver`` and the start of the
-    module docstring, then the potential step.  Errors raised inside a
-    step carry that step's index, the number of steps and the
-    Diagnostics of the levels already solved.
+    module docstring, then the potential step, whose residuals are
+    checked a block of steps at a time.  Errors raised inside a step
+    carry that step's index, the number of steps and the Diagnostics of
+    the levels solved before it; a residual found too large later still
+    names the step that made it.
     """
     grid, tg = problem.grid, problem.tgrid
     u = as_trajectory(tg, grid, u)
@@ -283,23 +292,25 @@ def solve_state(problem: ProblemData, u) -> StateTrajectory:
     rho[0] = problem.rho0
     mu[0] = problem.mu0
     histories, extrapolated = [], []
-    for n in range(tg.N):
-        iters = len(histories[-1]) - 1 if histories else 0
-        start = _extrapolate(rho[n - 2:n + 1]) if n >= 2 and (
-            iters >= 2 or extrapolated[-1] and iters >= 1) else None
-        try:
-            rho[n + 1], hist = step_rho(grid, problem.potential, problem.delta,
-                                        tau, rho[n], mu[n], problem.solver,
-                                        start)
-            mu[n + 1] = step_mu(grid, problem.epsilon, tau, rho[n], rho[n + 1],
-                                mu[n], u[n + 1])
-        except SolverStepError as exc:
-            exc.step, exc.steps = n + 1, tg.N
-            exc.diagnostics = _diagnose(problem, rho[:n + 1], mu[:n + 1],
-                                        histories, extrapolated)
-            raise
-        histories.append(hist)
-        extrapolated.append(start is not None)
+    try:
+        with mesh.CheckedSolves(grid, tg.N) as solves:
+            for n in range(tg.N):
+                solves.step = n + 1
+                iters = len(histories[-1]) - 1 if histories else 0
+                start = _extrapolate(rho[n - 2:n + 1]) if n >= 2 and (
+                    iters >= 2 or extrapolated[-1] and iters >= 1) else None
+                rho[n + 1], hist = step_rho(grid, problem.potential,
+                                            problem.delta, tau, rho[n], mu[n],
+                                            problem.solver, start)
+                mu[n + 1] = step_mu(grid, problem.epsilon, tau, rho[n],
+                                    rho[n + 1], mu[n], u[n + 1], solves)
+                histories.append(hist)
+                extrapolated.append(start is not None)
+    except SolverStepError as exc:
+        done = exc.step - 1
+        exc.diagnostics = _diagnose(problem, rho[:done + 1], mu[:done + 1],
+                                    histories[:done], extrapolated[:done])
+        raise
     return StateTrajectory(rho=rho, mu=mu, diagnostics=_diagnose(
         problem, rho, mu, histories, extrapolated))
 

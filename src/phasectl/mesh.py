@@ -10,6 +10,12 @@ symmetric with respect to the cell inner product.  ``as_field`` and
 ``as_trajectory`` build new arrays from scalars or data, with the shape
 tests of ``Grid.check_field`` and ``check_trajectory``.
 
+``solve_shifted`` solves the shifted Laplacian systems of every step.
+The marches hand their potential-step, tangent and adjoint solves to
+``CheckedSolves``, which checks each residual against LINEAR_TOL with
+``check_residuals`` a block of rows at a time: one stencil apply per
+block instead of one per solve.
+
 Grid and TimeGrid objects are read-only after construction and safe to
 share across threads.
 """
@@ -18,14 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod, sqrt
+from math import prod
 
 import numpy as np
 import scipy.fft
 from scipy.linalg.lapack import dptsv
 
-from .errors import (LinearSolveFailure, ShapeMismatch, UnsupportedDimension,
-                     require)
+from .errors import (LinearSolveFailure, ShapeMismatch, SolverStepError,
+                     UnsupportedDimension, require)
 
 # The most float64 entries numpy can index, bounding cells and time levels.
 _MAX_COUNT = np.iinfo(np.intp).max // np.dtype(float).itemsize
@@ -144,21 +150,18 @@ def _laplacian(grid: Grid, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_shifted(grid: Grid, shift: np.ndarray, rhs: np.ndarray,
-                  check: bool = False) -> np.ndarray:
+def solve_shifted(grid: Grid, shift: np.ndarray, rhs: np.ndarray
+                  ) -> np.ndarray:
     """Solve (diag(shift) - L) x = rhs for the zero-flux Laplacian L.
 
     Uses the LAPACK ``ptsv`` (LDL^T) tridiagonal solve in 1D.  In 2D it
     runs conjugate gradients on DCT coefficients, preconditioned by the
     exact DCT solve at the mean shift, which is already the solution
-    when the shift is constant; only the check applies the stencil.  In
-    either dimension the operator must be positive definite, or
-    LinearSolveFailure is raised.
-    With ``check`` set, the residual is verified against
-    LINEAR_TOL * (1 + |rhs|) in the cell norm, both sides over max|rhs|
-    so that no square overflows, and LinearSolveFailure is raised on
-    excess.  The check is one stencil apply and two dot products,
-    formed in place.
+    when the shift is constant; no stencil is applied.  In either
+    dimension the operator must be positive definite and the solution
+    finite, or LinearSolveFailure is raised.  The residual is not
+    checked here: a march hands its solves to CheckedSolves, which
+    checks them a block at a time with check_residuals.
     """
     shift = grid.check_field(shift)
     rhs = grid.check_field(rhs)
@@ -185,22 +188,110 @@ def solve_shifted(grid: Grid, shift: np.ndarray, rhs: np.ndarray,
                 % info)
     if not np.isfinite(x).all():
         raise LinearSolveFailure("shifted Laplacian solve returned non-finite values")
-    if check:
-        scale = float(np.abs(rhs).max()) or 1.0
-        xs, rs = x / scale, rhs / scale
-        r = shift * xs
-        r -= _laplacian(grid, xs.reshape(grid.n)).reshape(m)
-        r -= rs
-        res = sqrt(grid.weight * np.vecdot(r, r))
-        if not res <= LINEAR_TOL * (1.0 / scale
-                                    + sqrt(grid.weight * np.vecdot(rs, rs))):
-            raise LinearSolveFailure("scaled linear residual %.3e exceeds %.3e"
-                                     % (res, LINEAR_TOL))
     return x
 
 
-# A checked solve fails on a scaled residual above LINEAR_TOL * (1 + |rhs|).
+def check_residuals(grid: Grid, shift: np.ndarray, x: np.ndarray,
+                    rhs: np.ndarray, steps) -> None:
+    """Check a block of solves (diag(shift) - L) x = rhs, one per row.
+
+    ``shift``, ``x`` and ``rhs`` are stacks (rows, cells).  Each row's
+    residual must be at most LINEAR_TOL * (1 + |rhs|) in the cell norm,
+    both sides over that row's max|rhs| so that no square overflows; a
+    NaN fails.  The first row that fails raises LinearSolveFailure with
+    its entry of ``steps`` in ``step``.  The check is one stencil apply
+    and two row dot products over the whole block.
+    """
+    scale = np.abs(rhs).max(axis=-1)
+    scale[scale == 0.0] = 1.0
+    # r = (shift - L) xs - rs for xs = x / scale, formed in place on xs.
+    r = x / scale[:, None]
+    lap = _laplacian(grid, grid.reshape(r)).reshape(r.shape)
+    r *= shift
+    r -= lap
+    rs = rhs / scale[:, None]
+    r -= rs
+    # A residual far above its bound may square to inf, which fails; a
+    # subnormal scale sends the bound to inf, which passes.
+    with np.errstate(over="ignore"):
+        res = np.sqrt(grid.weight * np.vecdot(r, r))
+        bound = LINEAR_TOL * (1.0 / scale
+                              + np.sqrt(grid.weight * np.vecdot(rs, rs)))
+    failed = ~(res <= bound)
+    if failed.any():
+        i = failed.argmax()
+        exc = LinearSolveFailure("scaled linear residual %.3e exceeds %.3e"
+                                 % (res[i], LINEAR_TOL))
+        exc.step = steps[i]
+        raise exc
+
+
+class CheckedSolves:
+    """The linear solves of one march, their residuals checked in blocks.
+
+    Used as a context manager around the march.  ``solve`` solves as
+    solve_shifted does and queues the row (shift, x, rhs) under the
+    current ``step``, which the march sets.  A block holds as many rows
+    as fit in CHECK_BLOCK_BYTES, at least one; check_residuals runs on it
+    when it fills and when the march ends.  When an exception leaves the
+    march the waiting rows are checked first, so an earlier residual
+    failure replaces a later error.  A SolverStepError leaving the march
+    carries ``steps``, and ``step`` unless it already names one.
+    """
+
+    def __init__(self, grid: Grid, steps: int = None):
+        self.grid, self.steps, self.step = grid, steps, None
+        rows = CHECK_BLOCK_BYTES // (np.dtype(float).itemsize
+                                     * grid.num_cells)
+        # A block of one row is checked at once, on the solve's own
+        # arrays, with no copy.
+        self._block = (np.empty((3, rows, grid.num_cells)) if rows > 1
+                       else None)
+        self._steps = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        exc = exc_info[1]
+        try:
+            self._flush()
+        except SolverStepError as failure:
+            failure.steps = self.steps
+            raise
+        if isinstance(exc, SolverStepError):
+            exc.steps = self.steps
+            if exc.step is None:
+                exc.step = self.step
+
+    def solve(self, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        x = solve_shifted(self.grid, shift, rhs)
+        if self._block is None:
+            check_residuals(self.grid, shift[None], x[None], rhs[None],
+                            (self.step,))
+            return x
+        block, i = self._block, len(self._steps)
+        block[0, i] = shift
+        block[1, i] = x
+        block[2, i] = rhs
+        self._steps.append(self.step)
+        if i + 1 == block.shape[1]:
+            self._flush()
+        return x
+
+    def _flush(self) -> None:
+        """Check the rows waiting, and empty the block."""
+        steps, self._steps = self._steps, []
+        if steps:
+            shift, x, rhs = self._block[:, :len(steps)]
+            check_residuals(self.grid, shift, x, rhs, steps)
+
+
+# A solve fails its check on a scaled residual above
+# LINEAR_TOL * (1 + |rhs|).
 LINEAR_TOL = 1e-8
+# The bytes of one array of a block of rows waiting for that check.
+CHECK_BLOCK_BYTES = 16384
 # Relative residual |rhs - A x| / |rhs| at which CG stops, well below the
 # 1e-8 discrete duality gate, and the iteration budget before it gives up.
 _CG_RTOL = 1e-14

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh
-from .errors import SolverStepError, require
+from .errors import require
 from .forward import (ProblemData, StateTrajectory, mu_carry, mu_diagonal,
                       newton_shift)
 from .mesh import as_trajectory
@@ -107,17 +107,14 @@ def solve_tangent(problem: ProblemData, state: StateTrajectory, h
     ops = StepOperators(problem, state)
     xi = np.zeros_like(h)
     eta = np.zeros_like(h)
-    try:
+    with mesh.CheckedSolves(grid, tg.N) as solves:
         for n in range(tg.N):
+            solves.step = n + 1
             shift, diag, a = ops.solved(n)
             d, carry, b = ops.carried(n)
-            xi[n + 1] = mesh.solve_shifted(grid, shift, d * xi[n] + eta[n],
-                                           check=True)
+            xi[n + 1] = solves.solve(shift, d * xi[n] + eta[n])
             rhs = h[n + 1] + a * xi[n + 1] + b * xi[n] + carry * eta[n]
-            eta[n + 1] = mesh.solve_shifted(grid, diag, rhs, check=True)
-    except SolverStepError as exc:
-        exc.step, exc.steps = n + 1, tg.N
-        raise
+            eta[n + 1] = solves.solve(diag, rhs)
     return TangentTrajectory(xi=xi, eta=eta)
 
 
@@ -141,8 +138,9 @@ def _adjoint_discrete(problem, state):
     mu = state.mu
     y = np.zeros_like(mu)
     x = np.zeros_like(y)
-    try:
+    with mesh.CheckedSolves(grid, tg.N) as solves:
         for k in range(tg.N, 0, -1):
+            solves.step = k
             rhs_y = problem.beta1 * tau * c[k] * (mu[k] - problem.mu_target[k])
             if k == tg.N:
                 rhs_x = state.rho[k] - problem.rho_target
@@ -151,12 +149,8 @@ def _adjoint_discrete(problem, state):
                 rhs_y = rhs_y + x[k + 1] + carry * y[k + 1]
                 rhs_x = d * x[k + 1] + b * y[k + 1]
             shift, diag, a = ops.solved(k - 1)
-            y[k] = mesh.solve_shifted(grid, diag, rhs_y, check=True)
-            x[k] = mesh.solve_shifted(grid, shift, a * y[k] + rhs_x,
-                                      check=True)
-    except SolverStepError as exc:
-        exc.step, exc.steps = k, tg.N
-        raise
+            y[k] = solves.solve(diag, rhs_y)
+            x[k] = solves.solve(shift, a * y[k] + rhs_x)
     y[1:] /= tau * c[1:, None]
     x[1:] /= tau
     # No multiplier exists at level 0; pad with the adjacent level.
@@ -172,22 +166,19 @@ def _adjoint_pde(problem, state):
     q = np.zeros((tg.N + 1, grid.num_cells))
     p = np.zeros_like(q)
     p[tg.N] = (rho[tg.N] - problem.rho_target) / delta
-    try:
+    with mesh.CheckedSolves(grid, tg.N) as solves:
         for n in range(tg.N - 1, -1, -1):
+            solves.step = n + 1
             rho_t = (rho[n + 1] - rho[n]) / tau
             mu_t = (mu[n + 1] - mu[n]) / tau
             carry = mu_carry(problem.epsilon, tau, rho[n])
             rhs_q = carry * q[n + 1] + (1.0 + rho_t) * q[n + 1] \
                 + p[n + 1] + problem.beta1 * (mu[n] - problem.mu_target[n])
-            q[n] = mesh.solve_shifted(grid, carry + 1.0, rhs_q, check=True)
+            q[n] = solves.solve(carry + 1.0, rhs_q)
             rhs_p = (delta / tau) * p[n + 1] \
                 + mu[n] * (q[n + 1] - q[n]) / tau - mu_t * q[n]
-            p[n] = mesh.solve_shifted(
-                grid, newton_shift(problem.potential, delta, tau, rho[n]),
-                rhs_p, check=True)
-    except SolverStepError as exc:
-        exc.step, exc.steps = n + 1, tg.N
-        raise
+            p[n] = solves.solve(
+                newton_shift(problem.potential, delta, tau, rho[n]), rhs_p)
     return AdjointTrajectory(p=p, q=q)
 
 

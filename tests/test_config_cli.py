@@ -11,10 +11,10 @@ import scipy.integrate
 import yaml
 
 import phasectl as pc
-from phasectl import checks, cli, config, fields, sensitivity
+from phasectl import checks, cli, config, fields, forward, sensitivity
 from phasectl.errors import (MissingKey, UnsupportedDimension,
                              ValidationError)
-from conftest import build_problem
+from conftest import build_problem, spoil
 
 MINIMAL = """
 domain: {dim: 1, n: 16, length: 1.0}
@@ -520,6 +520,22 @@ def test_cli_solver_error_names_step(tmp_path, capsys):
     assert diag["failed_min_newton_shift"] <= 0.0
     assert diag["rho_min"][0] == pytest.approx(0.45, rel=1e-2)
     assert "config_hash" in diag
+
+
+def test_cli_forward_names_a_step_found_by_its_block_check(
+        tmp_path, capsys, monkeypatch):
+    """Step 10's potential solve is 1% off; the check of its block, at
+    the end of the 40-step march, names it."""
+    text = MINIMAL.replace("n: 16", "n: 64").replace(
+        "T: 0.1, N: 8", "T: 0.5, N: 40") + "control: {u_init: 0.3}\n"
+    spoil(monkeypatch, forward, "step_mu", 10)
+    out = str(tmp_path / "out")
+    assert run_cli(["forward", "--config", write(tmp_path, text),
+                    "--out", out]) == 2
+    assert "error: step 10 of 40: " in capsys.readouterr().err
+    diag = json.load(open(os.path.join(out, "diagnostics.json")))
+    assert diag["failed_step"] == 10 and "linear residual" in diag["error"]
+    assert len(diag["rho_min"]) == 10 and len(diag["newton_iters"]) == 9
 
 
 def test_cli_forward_records_failing_coefficient(tmp_path, capsys):

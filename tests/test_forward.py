@@ -10,7 +10,7 @@ import phasectl as pc
 from phasectl import checks, forward, mesh
 from phasectl.errors import (LinearSolveFailure, NonpositiveCoefficient,
                              SolverStepError)
-from conftest import build_problem, traj
+from conftest import build_problem, spoil, traj
 
 
 def test_step_rho_stationary():
@@ -238,6 +238,26 @@ def test_step_error_carries_level():
         pc.solve_state(strict, 0.5)
     assert err.value.step == 1 and err.value.steps == 4
     assert len(err.value.newton_residuals) == strict.solver.newton_max + 1
+
+
+@pytest.mark.parametrize("fail", [None, 14], ids=["alone", "then-injected"])
+def test_residual_failure_names_its_step(monkeypatch, fail):
+    """On 64 cells a block holds 32 potential steps.  Step 10's is 1%
+    off; it is named, with the diagnostics of the ten levels before it,
+    whether its block is checked at its end or first by an injected
+    failure at step 14."""
+    prob = build_problem(n=64, N=40, T=0.5)
+    ref = pc.solve_state(prob, 0.3).diagnostics
+    spoil(monkeypatch, forward, "step_mu", 10, fail)
+    with pytest.raises(LinearSolveFailure, match="linear residual") as err:
+        pc.solve_state(prob, 0.3)
+    assert (err.value.step, err.value.steps) == (10, 40)
+    diag = err.value.diagnostics
+    assert diag.rho_min == ref.rho_min[:10] and diag.mu_max == ref.mu_max[:10]
+    assert diag.newton_iters == ref.newton_iters[:9]
+    assert diag.min_coefficient == ref.min_coefficient[:9]
+    if fail:
+        assert str(err.value.__context__) == "injected"
 
 
 def test_indefinite_newton_step_raises_1d():

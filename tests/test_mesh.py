@@ -7,6 +7,7 @@ import phasectl as pc
 from phasectl import mesh
 from phasectl.errors import (LinearSolveFailure, ShapeMismatch,
                              UnsupportedDimension)
+from conftest import off_by
 
 
 def dense_laplacian(g):
@@ -164,6 +165,8 @@ def test_pcg_matches_textbook_real_space_pcg(spread, monkeypatch):
 
 
 def test_solve_shifted_2d_applies_the_stencil_only_in_its_check(monkeypatch):
+    """The solve applies no stencil; the residual check applies one to
+    its whole block of rows."""
     calls = []
     laplacian = mesh._laplacian
 
@@ -176,10 +179,11 @@ def test_solve_shifted_2d_applies_the_stencil_only_in_its_check(monkeypatch):
     g = pc.Grid(2, (12, 7), (1.0, 2.5))
     shift = np.exp(rng.uniform(np.log(0.1), np.log(50.0), g.num_cells))
     rhs = rng.standard_normal(g.num_cells)
-    mesh.solve_shifted(g, shift, rhs)
+    x = mesh.solve_shifted(g, shift, rhs)
     assert calls == []
-    mesh.solve_shifted(g, shift, rhs, check=True)
-    assert calls == [g.n]
+    block = [np.stack([v] * 3) for v in (shift, x, rhs)]
+    mesh.check_residuals(g, *block, range(3))
+    assert calls == [(3,) + g.n]
 
 
 @pytest.mark.parametrize("size", [1e160, 1e200, 1e-170])
@@ -231,22 +235,21 @@ def test_solve_shifted_2d_budget_exhausted(monkeypatch):
         mesh.solve_shifted(g, shift, rng.standard_normal(g.num_cells))
 
 
+def checked_solve(g, shift, rhs):
+    with mesh.CheckedSolves(g) as solves:
+        return solves.solve(shift, rhs)
+
+
 def test_solve_shifted_residual_check_holds_at_large_values(monkeypatch):
     """|rhs|^2 overflows here; a 1% error must still fail the check."""
     rng = np.random.default_rng(7)
     g = pc.Grid(1, 8, 1.0)
     shift = 0.5 + rng.random(g.num_cells)
     rhs = 1e300 * (0.5 + rng.random(g.num_cells))
-    mesh.solve_shifted(g, shift, rhs, check=True)  # the exact solve passes
-    dptsv = mesh.dptsv
-
-    def off_by_one_percent(*args, **kwargs):
-        d, e, x, info = dptsv(*args, **kwargs)
-        return d, e, 1.01 * x, info
-
-    monkeypatch.setattr(mesh, "dptsv", off_by_one_percent)
+    checked_solve(g, shift, rhs)  # the exact solve passes
+    monkeypatch.setattr(mesh, "dptsv", off_by(1.01, mesh.dptsv))
     with pytest.raises(LinearSolveFailure, match="linear residual"):
-        mesh.solve_shifted(g, shift, rhs, check=True)
+        checked_solve(g, shift, rhs)
 
 
 @pytest.mark.parametrize("g", [pc.Grid(1, 8, 1.0),
@@ -257,19 +260,67 @@ def test_solve_shifted_residual_check_at_ordinary_values(g, monkeypatch):
     rng = np.random.default_rng(8)
     shift = 0.5 + rng.random(g.num_cells)
     rhs = rng.standard_normal(g.num_cells)
-    mesh.solve_shifted(g, shift, rhs, check=True)
+    checked_solve(g, shift, rhs)
     name = "dptsv" if g.dim == 1 else "_pcg"
-    solve = getattr(mesh, name)
-
-    def one_ppm_off(*args, **kwargs):
-        if g.dim == 2:
-            return (1.0 + 1e-6) * solve(*args, **kwargs)
-        d, e, x, info = solve(*args, **kwargs)
-        return d, e, (1.0 + 1e-6) * x, info
-
-    monkeypatch.setattr(mesh, name, one_ppm_off)
+    monkeypatch.setattr(mesh, name, off_by(1.0 + 1e-6, getattr(mesh, name)))
     with pytest.raises(LinearSolveFailure, match="linear residual"):
-        mesh.solve_shifted(g, shift, rhs, check=True)
+        checked_solve(g, shift, rhs)
+
+
+def test_residual_check_judges_each_row_on_its_own_scale():
+    """Rows at 1e300 and 1e-300 in one block.  The bound is
+    LINEAR_TOL * (1 + |rhs|) per row: a 1% error fails at 1e300, and at
+    1e-300 an error of 1e-6 fails while one of 1% (1e-302) passes.  Over
+    a shared scale of 1e300 the small row's residual would square to 0,
+    over 1e-300 the large row's would overflow."""
+    rng = np.random.default_rng(9)
+    g = pc.Grid(1, 8, 1.0)
+    shift = 0.5 + rng.random((2, g.num_cells))
+    rhs = np.array([[1e300], [1e-300]]) * (0.5 + rng.random((2, g.num_cells)))
+    x = np.stack([mesh.solve_shifted(g, s, r) for s, r in zip(shift, rhs)])
+    mesh.check_residuals(g, shift, x, rhs, [4, 5])
+    small_ok = x.copy()
+    small_ok[1] *= 1.01
+    mesh.check_residuals(g, shift, small_ok, rhs, [4, 5])
+    for row, error in ((0, 0.01 * x[0]), (1, 1e-6)):
+        wrong = x.copy()
+        wrong[row] += error
+        with pytest.raises(LinearSolveFailure, match="linear residual") as err:
+            mesh.check_residuals(g, shift, wrong, rhs, [4, 5])
+        assert err.value.step == 4 + row
+
+
+def test_residual_check_fails_a_nan_row():
+    rng = np.random.default_rng(10)
+    g = pc.Grid(1, 8, 1.0)
+    shift = 0.5 + rng.random((3, g.num_cells))
+    rhs = rng.standard_normal((3, g.num_cells))
+    x = np.stack([mesh.solve_shifted(g, s, r) for s, r in zip(shift, rhs)])
+    for block in (x, rhs):
+        block[1, 3] = np.nan
+        with pytest.raises(LinearSolveFailure, match="linear residual") as err:
+            mesh.check_residuals(g, shift, x, rhs, [7, 8, 9])
+        assert err.value.step == 8
+        block[1, 3] = 0.0
+
+
+def test_checked_solves_check_a_block_when_it_fills(monkeypatch):
+    """64 cells: a block holds CHECK_BLOCK_BYTES / 512 = 32 rows."""
+    checked = []
+    check = mesh.check_residuals
+
+    def counted(grid, shift, x, rhs, steps):
+        checked.append(list(steps))
+        check(grid, shift, x, rhs, steps)
+
+    monkeypatch.setattr(mesh, "check_residuals", counted)
+    g = pc.Grid(1, 64, 1.0)
+    with mesh.CheckedSolves(g, 40) as solves:
+        for step in range(1, 41):
+            solves.step = step
+            solves.solve(np.ones(64), np.ones(64))
+            assert len(checked) == (step >= 32)
+    assert checked == [list(range(1, 33)), list(range(33, 41))]
 
 
 def test_norm_w_is_literal_sum():

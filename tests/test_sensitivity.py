@@ -7,7 +7,7 @@ import pytest
 import phasectl as pc
 from phasectl import checks, mesh, sensitivity
 from phasectl.errors import LinearSolveFailure, ValidationError
-from conftest import build_problem, manufactured
+from conftest import build_problem, manufactured, spoil, traj
 
 
 def test_tangent_zero_direction(small):
@@ -64,6 +64,30 @@ def test_march_failure_names_its_step(small, monkeypatch, march, step):
     assert (info.value.step, info.value.steps) == (step, 8)
 
 
+BLOCK_MARCHES = {
+    "tangent": lambda p, st: pc.solve_tangent(p, st, 0.1),
+    "discrete": lambda p, st: pc.solve_adjoint(p, st, mode="discrete"),
+    "pde": lambda p, st: pc.solve_adjoint(p, st, mode="pde")}
+
+
+@pytest.mark.parametrize("name, step", [("tangent", 6), ("discrete", 35),
+                                        ("pde", 35)])
+@pytest.mark.parametrize("fail", [None, 15], ids=["alone", "then-injected"])
+def test_march_residual_failure_names_its_step(monkeypatch, name, step,
+                                               fail):
+    """On 64 cells a block holds 32 rows, 16 steps of two solves.  Solve
+    11 of 80, mid-block, is 1% off; it is named whether the block is
+    checked at its end or first by an injected failure at solve 15."""
+    prob = build_problem(n=64, N=40, T=0.5)
+    st = pc.solve_state(prob, 0.3)
+    spoil(monkeypatch, mesh, "solve_shifted", 11, fail)
+    with pytest.raises(LinearSolveFailure, match="linear residual") as info:
+        BLOCK_MARCHES[name](prob, st)
+    assert (info.value.step, info.value.steps) == (step, 40)
+    if fail:
+        assert str(info.value.__context__) == "injected"
+
+
 def test_unknown_adjoint_mode_rejected(small):
     st = pc.solve_state(small, 0.3)
     with pytest.raises(ValidationError, match=r"^adjoint_mode: requires "
@@ -117,6 +141,39 @@ def test_discrete_adjoint_holds_one_pair_of_stacks():
     finally:
         tracemalloc.stop()
     assert peak - base < 3 * stack
+
+
+def peak_stacks(run):
+    """Peak numpy allocation of ``run`` on a 32x32, N = 32 instance, above
+    its starting level, in (N+1, cells) stacks.  ``run`` takes the
+    problem, its state and a direction stack."""
+    N = 32
+    prob = build_problem(dim=2, n=(32, 32), N=N, mu0=0.1)
+    x, y = prob.grid.cell_centers().T
+    prob = replace(prob, rho0=0.45 + 0.1 * np.cos(np.pi * x)
+                   * np.cos(np.pi * y))
+    st = pc.solve_state(prob, 0.3)
+    h = traj(prob, 0.1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(prob, st, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / ((N + 1) * prob.grid.num_cells * 8)
+
+
+@pytest.mark.parametrize("run, bound", [
+    (lambda p, st, h: pc.solve_state(p, 0.3), 5.01 + 0.5),
+    (lambda p, st, h: pc.solve_tangent(p, st, h), 3.53 + 0.5),
+    (lambda p, st, h: pc.solve_adjoint(p, st, mode="pde"), 2.50 + 0.5)],
+    ids=["forward", "tangent", "pde"])
+def test_march_peak_allocation(run, bound):
+    """Each march allocates at most half a stack more than it did when
+    every solve was checked on its own (5.01, 3.53 and 2.50 stacks); its
+    blocks of waiting rows and their check fit in that half."""
+    assert peak_stacks(run) < bound
 
 
 def test_mode_gap_shrinks_in_tau():

@@ -231,13 +231,13 @@ def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
         raise
 
 
-def step_mu(grid: Grid, epsilon: float, tau: float, rho_prev: np.ndarray,
+def step_mu(epsilon: float, tau: float, rho_prev: np.ndarray,
             rho_new: np.ndarray, mu_prev: np.ndarray, u_new: np.ndarray,
-            solves: mesh.CheckedSolves = None) -> np.ndarray:
+            solves: mesh.CheckedSolves) -> np.ndarray:
     """Advance the chemical potential by one linear implicit step.
 
-    The solve is handed to ``solves``, the checked solves of the march
-    this step belongs to, or checked at once when it is None.
+    The solve is handed to ``solves``, the checked solves on the grid of
+    the march this step belongs to.
     """
     diag = mu_diagonal(epsilon, tau, rho_prev, rho_new)
     lo = diag.min()
@@ -247,9 +247,6 @@ def step_mu(grid: Grid, epsilon: float, tau: float, rho_prev: np.ndarray,
         exc.min_coefficient = tau * lo
         raise exc
     rhs = u_new + mu_carry(epsilon, tau, rho_new) * mu_prev
-    if solves is None:
-        with mesh.CheckedSolves(grid) as solves:
-            return solves.solve(diag, rhs)
     return solves.solve(diag, rhs)
 
 
@@ -302,8 +299,8 @@ def solve_state(problem: ProblemData, u) -> StateTrajectory:
                 rho[n + 1], hist = step_rho(grid, problem.potential,
                                             problem.delta, tau, rho[n], mu[n],
                                             problem.solver, start)
-                mu[n + 1] = step_mu(grid, problem.epsilon, tau, rho[n],
-                                    rho[n + 1], mu[n], u[n + 1], solves)
+                mu[n + 1] = step_mu(problem.epsilon, tau, rho[n], rho[n + 1],
+                                    mu[n], u[n + 1], solves)
                 histories.append(hist)
                 extrapolated.append(start is not None)
     except SolverStepError as exc:

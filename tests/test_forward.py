@@ -83,7 +83,9 @@ def test_damping_matches_two_mask_formula():
 def test_step_mu_homogeneous():
     g = pc.Grid(1, 8, 1.0)
     rho = np.full(8, 0.4)
-    out = forward.step_mu(g, 0.5, 0.01, rho, rho, np.zeros(8), np.zeros(8))
+    with mesh.CheckedSolves(g) as solves:
+        out = forward.step_mu(0.5, 0.01, rho, rho, np.zeros(8),
+                              np.zeros(8), solves)
     np.testing.assert_array_equal(out, np.zeros(8))
 
 
@@ -91,8 +93,9 @@ def test_step_mu_uniform_closed_form():
     g = pc.Grid(1, 8, 1.0)
     eps, tau = 0.5, 0.02
     rp, rn, mp, u = 0.35, 0.4, 0.25, 0.7
-    out = forward.step_mu(g, eps, tau, np.full(8, rp), np.full(8, rn),
-                          np.full(8, mp), np.full(8, u))
+    with mesh.CheckedSolves(g) as solves:
+        out = forward.step_mu(eps, tau, np.full(8, rp), np.full(8, rn),
+                              np.full(8, mp), np.full(8, u), solves)
     expect = (tau * u + (eps + 2 * rn) * mp) / (eps + 2 * rn + rn - rp)
     np.testing.assert_allclose(out, expect, rtol=1e-14)
 
@@ -106,15 +109,17 @@ def test_step_mu_nonnegativity():
         rn = rp + 0.05 * (rng.random(20) - 0.3)
         mu = rng.random(20)
         u = rng.random(20)
-        out = forward.step_mu(g, 0.5, 0.01, rp, rn, mu, u)
+        with mesh.CheckedSolves(g) as solves:
+            out = forward.step_mu(0.5, 0.01, rp, rn, mu, u, solves)
         assert np.min(out) >= 0.0
 
 
 def test_step_mu_rejects_nonpositive_coefficient():
     g = pc.Grid(1, 4, 1.0)
-    with pytest.raises(NonpositiveCoefficient) as err:
-        forward.step_mu(g, 0.5, 0.01, np.full(4, 0.9), np.full(4, 0.1),
-                        np.zeros(4), np.zeros(4))
+    with pytest.raises(NonpositiveCoefficient) as err, \
+            mesh.CheckedSolves(g) as solves:
+        forward.step_mu(0.5, 0.01, np.full(4, 0.9), np.full(4, 0.1),
+                        np.zeros(4), np.zeros(4), solves)
     # In the units of Diagnostics.min_coefficient: epsilon + 3 * 0.1 - 0.9.
     assert err.value.min_coefficient == pytest.approx(-0.1, rel=1e-12)
 

@@ -323,6 +323,34 @@ def test_checked_solves_check_a_block_when_it_fills(monkeypatch):
     assert checked == [list(range(1, 33)), list(range(33, 41))]
 
 
+def test_checked_solves_check_each_row_past_the_budget(monkeypatch):
+    """33x32 cells: two rows take more than CHECK_BLOCK_BYTES, so a
+    block holds one row and each solve is checked at once.  A solve made
+    1e-6 wrong at step 3 fails there, with that step and the march's
+    steps."""
+    rng = np.random.default_rng(11)
+    g = pc.Grid(2, (33, 32), (1.0, 1.0))
+    assert 2 * 8 * g.num_cells > mesh.CHECK_BLOCK_BYTES
+    shift = 0.5 + rng.random(g.num_cells)
+    rhs = rng.standard_normal(g.num_cells)
+    pcg = mesh._pcg
+    calls = []
+
+    def wrong_at_step_3(grid, shift, rhs):
+        calls.append(None)
+        x = pcg(grid, shift, rhs)
+        return x * (1.0 + 1e-6) if len(calls) == 3 else x
+
+    monkeypatch.setattr(mesh, "_pcg", wrong_at_step_3)
+    with pytest.raises(LinearSolveFailure, match="linear residual") as err:
+        with mesh.CheckedSolves(g, 5) as solves:
+            for step in range(1, 6):
+                solves.step = step
+                solves.solve(shift, rhs)
+    assert (err.value.step, err.value.steps) == (3, 5)
+    assert len(calls) == 3
+
+
 def test_norm_w_is_literal_sum():
     g = pc.Grid(1, 6, 1.0)
     v = np.random.default_rng(9).standard_normal(6)

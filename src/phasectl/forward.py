@@ -12,7 +12,8 @@ or at the quadratic extrapolation rho^{n-2} + 3 (rho^n - rho^{n-1}),
 damped as a Newton step is, when the step before needed two or more
 Newton iterations, or itself extrapolated and needed at least one: where
 the previous level converges in one iteration, extrapolating cannot
-do better.
+do better.  Where Newton fails from the extrapolated start, the step
+runs it again from the previous level, and the step after starts there.
 
 The chemical-potential equation is linear once rho^{n+1} is known; the
 time derivative of the product mu * rho is discretized as
@@ -111,6 +112,7 @@ class Diagnostics:
     newton_iters: list
     newton_residuals: list
     extrapolated: list
+    fell_back: list
     min_coefficient: list
     min_newton_shift: list
     rho_min: list
@@ -171,7 +173,17 @@ def _residual_norm(grid: Grid, res: np.ndarray):
 
 def _damping(rho: np.ndarray, step: np.ndarray, theta: float):
     """Largest factor in (0, 1] that keeps every cell at least theta times
-    its current distance from the endpoint its step heads for."""
+    its current distance from the endpoint its step heads for.
+
+    Returns 1.0 before any per-cell division when no step exceeds half of
+    (1 - theta) times the least distance of rho to 0 or 1: each ratio
+    below is then at least 2 / (1 - theta) up to rounding (at least
+    1.5 / (1 - theta) where that bound is subnormal), so the full formula
+    gives 1.0 too.  A NaN or infinite step takes the full formula.
+    """
+    bound = (1.0 - theta) * min(rho.min(), 1.0 - rho.max())
+    if 2.0 * np.abs(step).max() <= bound:
+        return 1.0
     dist = np.where(step < 0.0, rho, 1.0 - rho)
     # inf / 0 is inf and raises no divide-by-zero flag.
     dist[step == 0.0] = np.inf
@@ -185,6 +197,15 @@ def _extrapolate(levels: np.ndarray) -> np.ndarray:
     return levels[2] + _damping(levels[2], step, BOUNDARY_MARGIN) * step
 
 
+class NewtonHistory(list):
+    """The residual norm of every Newton iterate of one order-parameter
+    step, in order.  ``restart`` is 0, or the index of the first residual
+    of the second attempt, the one from the previous level, when Newton
+    from the given start failed."""
+
+    restart = 0
+
+
 def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
              rho_prev: np.ndarray, mu_prev: np.ndarray, cfg: SolverConfig,
              start: np.ndarray = None) -> tuple:
@@ -195,30 +216,47 @@ def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
     largest factor in (0, 1] that keeps every cell at least
     BOUNDARY_MARGIN times its current distance from each endpoint, so
     iterates can approach 0 and 1 but never jump onto them.  Returns the
-    new level and the residual norm of every iterate.  Raises
-    NewtonDivergence if the residual norm fails to reach newton_tol
-    within newton_max iterations or the Newton shift overflows; any
-    SolverStepError raised here carries the residual norms so far in
-    ``newton_residuals`` and tau times the minimum of the last Newton
-    shift formed, if any, in ``min_newton_shift``.
+    new level and its NewtonHistory.  If Newton from ``start`` raises
+    NewtonDivergence, the step runs Newton again from the previous
+    level; the history keeps the residuals of both attempts and marks
+    where the second began.  Raises NewtonDivergence if the residual
+    norm fails to reach newton_tol within newton_max iterations or the
+    Newton shift overflows; any SolverStepError raised here carries the
+    residual norms so far in ``newton_residuals`` and tau times the
+    minimum of the last Newton shift formed, if any, in
+    ``min_newton_shift``.
     """
-    rho = (rho_prev if start is None else start).copy()
-    history, shift = [], None
+    history = NewtonHistory()
+    args = (grid, pot, delta, tau, rho_prev, mu_prev, cfg, history)
+    if start is not None:
+        try:
+            return _newton(start, *args), history
+        except NewtonDivergence:
+            history.restart = len(history)
+    return _newton(rho_prev, *args), history
+
+
+def _newton(start, grid, pot, delta, tau, rho_prev, mu_prev, cfg, history):
+    """The damped Newton iteration of step_rho from ``start``; appends the
+    residual norm of every iterate to ``history``."""
+    rho, shift = start.copy(), None
     try:
-        for _ in range(cfg.newton_max + 1):
+        for it in range(cfg.newton_max + 1):
             res = _rho_residual(grid, pot, delta, tau, rho_prev, rho, mu_prev)
             # An overflowing norm is rescaled, an overflowing shift fails.
             with np.errstate(over="raise"):
                 rnorm = _residual_norm(grid, res)
                 history.append(rnorm)
                 if rnorm <= cfg.newton_tol:
-                    return rho, history
+                    return rho
+                if it == cfg.newton_max:
+                    break
                 try:
                     shift = newton_shift(pot, delta, tau, rho)
                 except FloatingPointError:
                     raise NewtonDivergence(
                         "Newton shift delta/tau + f''(rho) overflows at "
-                        "iterate %d" % (len(history) - 1)) from None
+                        "iterate %d" % it) from None
             step = mesh.solve_shifted(grid, shift, -res)
             rho = rho + _damping(rho, step, BOUNDARY_MARGIN) * step
         raise NewtonDivergence(
@@ -253,17 +291,20 @@ def step_mu(epsilon: float, tau: float, rho_prev: np.ndarray,
 def _diagnose(problem: ProblemData, rho: np.ndarray, mu: np.ndarray,
               histories: list, extrapolated: list) -> Diagnostics:
     """Diagnostics of the levels ``rho``, ``mu`` reached by the steps
-    whose Newton residual histories and starts are given, one entry per
-    step."""
+    whose NewtonHistory and starts are given, one entry per step.  A
+    step's Newton iterations count the solves of both its attempts: an
+    attempt that fails with NewtonDivergence solves once per residual
+    but its last."""
     eps, tau = problem.epsilon, problem.tgrid.tau
     # Recorded in the units of epsilon: the diagonals times tau.
     coeff = tau * mu_diagonal(eps, tau, rho[:-1], rho[1:]).min(axis=1)
     shift = tau * newton_shift(problem.potential, problem.delta, tau,
                                rho[1:]).min(axis=1)
     return Diagnostics(
-        newton_iters=[len(h) - 1 for h in histories],
+        newton_iters=[len(h) - 1 - bool(h.restart) for h in histories],
         newton_residuals=[h[-1] for h in histories],
         extrapolated=extrapolated,
+        fell_back=[bool(h.restart) for h in histories],
         min_coefficient=coeff.tolist(), min_newton_shift=shift.tolist(),
         rho_min=rho.min(axis=1).tolist(), rho_max=rho.max(axis=1).tolist(),
         mu_min=mu.min(axis=1).tolist(), mu_max=mu.max(axis=1).tolist(),
@@ -275,7 +316,8 @@ def solve_state(problem: ProblemData, u) -> StateTrajectory:
 
     Per step: the order-parameter step against the previous potential,
     with the Newton settings of ``problem.solver`` and the start of the
-    module docstring, then the potential step, whose residuals are
+    module docstring (no extrapolation right after a step that fell
+    back), then the potential step, whose residuals are
     checked a block of steps at a time.  Errors raised inside a step
     carry that step's index, the number of steps and the Diagnostics of
     the levels solved before it; a residual found too large later still
@@ -293,9 +335,11 @@ def solve_state(problem: ProblemData, u) -> StateTrajectory:
         with mesh.CheckedSolves(grid, tg.N) as solves:
             for n in range(tg.N):
                 solves.step = n + 1
-                iters = len(histories[-1]) - 1 if histories else 0
-                start = _extrapolate(rho[n - 2:n + 1]) if n >= 2 and (
-                    iters >= 2 or extrapolated[-1] and iters >= 1) else None
+                start = None
+                if n >= 2 and not histories[-1].restart:
+                    iters = len(histories[-1]) - 1
+                    if iters >= 2 or extrapolated[-1] and iters >= 1:
+                        start = _extrapolate(rho[n - 2:n + 1])
                 rho[n + 1], hist = step_rho(grid, problem.potential,
                                             problem.delta, tau, rho[n], mu[n],
                                             problem.solver, start)

@@ -14,7 +14,9 @@ tests of ``Grid.check_field`` and ``check_trajectory``.
 The marches hand their potential-step, tangent and adjoint solves to
 ``CheckedSolves``, which checks each residual against LINEAR_TOL with
 ``check_residuals`` a block of rows at a time: one stencil apply per
-block instead of one per solve.
+block instead of one per solve.  ``block_rows`` gives a block's rows
+from the byte budget CHECK_BLOCK_BYTES; the tangent and adjoint marches
+form their step coefficients in blocks cut from the same budget.
 
 Grid and TimeGrid objects are read-only after construction and safe to
 share across threads.
@@ -241,9 +243,7 @@ class CheckedSolves:
 
     def __init__(self, grid: Grid, steps: int = None):
         self.grid, self.steps, self.step = grid, steps, None
-        rows = max(1, CHECK_BLOCK_BYTES // (np.dtype(float).itemsize
-                                            * grid.num_cells))
-        self._block = np.empty((3, rows, grid.num_cells))
+        self._block = np.empty((3, block_rows(grid), grid.num_cells))
         self._steps = []
 
     def __enter__(self):
@@ -283,8 +283,18 @@ class CheckedSolves:
 # A solve fails its check on a scaled residual above
 # LINEAR_TOL * (1 + |rhs|).
 LINEAR_TOL = 1e-8
-# The bytes of one array of a block of rows waiting for that check.
+# The bytes of one array of a block of rows waiting for that check; the
+# marches form their step coefficients in blocks cut from the same budget.
 CHECK_BLOCK_BYTES = 16384
+
+
+def block_rows(grid: Grid, share: int = 1) -> int:
+    """Rows of ``grid.num_cells`` floats that fit in CHECK_BLOCK_BYTES /
+    ``share`` bytes, at least one."""
+    return max(1, CHECK_BLOCK_BYTES // (share * np.dtype(float).itemsize
+                                        * grid.num_cells))
+
+
 # Relative residual |rhs - A x| / |rhs| at which CG stops, well below the
 # 1e-8 discrete duality gate, and the iteration budget before it gives up.
 _CG_RTOL = 1e-14

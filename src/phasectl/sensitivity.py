@@ -30,6 +30,7 @@ exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -65,7 +66,42 @@ class AdjointTrajectory:
     q: np.ndarray
 
 
-@dataclass(frozen=True)
+class _Blocks:
+    """Per-step rows of stacks, formed a block of steps at a time.
+
+    ``form(lo, hi)`` yields stacks with one row per step lo..hi-1, of
+    the ``count`` steps.  Asking for a step outside the current block
+    forms a block of up to ``rows`` steps that ends at it when it lies
+    below the block or is the last step, and starts at it otherwise, so
+    the blocks follow a march up or down.  A block is formed one stack at a time
+    in the buffer of the last, so a march holds one block; the rows
+    handed out before are overwritten.
+    """
+
+    def __init__(self, form, count: int, rows: int):
+        self.form, self.count, self.rows = form, count, min(rows, count)
+        self.lo = self.hi = 0
+        self.buf, self.steps = [], None
+
+    def __getitem__(self, n: int) -> tuple:
+        if not self.lo <= n < self.hi:
+            self._fill(n)
+        return self.steps[n - self.lo]
+
+    def _fill(self, n: int) -> None:
+        if n < self.lo or n == self.count - 1:
+            self.lo, self.hi = max(0, n + 1 - self.rows), n + 1
+        else:
+            self.lo, self.hi = n, min(self.count, n + self.rows)
+        size, view = self.hi - self.lo, []
+        for i, stack in enumerate(self.form(self.lo, self.hi)):
+            if i == len(self.buf):
+                self.buf.append(np.empty((self.rows,) + stack.shape[1:]))
+            self.buf[i][:size] = stack
+            view.append(self.buf[i][:size])
+        self.steps = list(zip(*view))
+
+
 class StepOperators:
     """The forward march linearized about a state, one step at a time.
 
@@ -76,27 +112,45 @@ class StepOperators:
 
     with d = delta/tau, S the Newton shift at rho[n+1], D the potential
     diagonal, C its carry, a = (2 mu[n] - 3 mu[n+1])/tau and
-    b = mu[n+1]/tau.  A step's coefficients are formed from the state
-    when asked for, so no per-level copies are kept.
+    b = mu[n+1]/tau.  The coefficients are formed from the state a block
+    of steps at a time, with one call of each formula over the block's
+    levels; a block holds as many steps as fit in half the budget of the
+    residual check, ``mesh.block_rows(grid, 2)`` (16 steps at 64 cells,
+    one at 32x32 and at 64x64), and follows the march up or down; the
+    rows of a block stay valid until a step outside it is asked for.
     """
 
-    problem: ProblemData
-    state: StateTrajectory
+    def __init__(self, problem: ProblemData, state: StateTrajectory):
+        self.problem, self.state = problem, state
+        self._d = problem.delta / problem.tgrid.tau
+        rows, N = mesh.block_rows(problem.grid, 2), problem.tgrid.N
+        # The forms close over the problem and state, not over self, so
+        # no reference cycle keeps the state alive after the march.
+        self._solved = _Blocks(partial(_solved, problem, state), N, rows)
+        self._carried = _Blocks(partial(_carried, problem, state), N, rows)
 
     def solved(self, n: int) -> tuple:
         """(S, D, a): the diagonals step n inverts and their coupling."""
-        p, tau = self.problem, self.problem.tgrid.tau
-        rho, mu = self.state.rho, self.state.mu
-        return (newton_shift(p.potential, p.delta, tau, rho[n + 1]),
-                mu_diagonal(p.epsilon, tau, rho[n], rho[n + 1]),
-                (2.0 * mu[n] - 3.0 * mu[n + 1]) / tau)
+        return self._solved[n]
 
     def carried(self, n: int) -> tuple:
         """(d, C, b): the weights of level n on the right of step n."""
-        tau = self.problem.tgrid.tau
-        return (self.problem.delta / tau,
-                mu_carry(self.problem.epsilon, tau, self.state.rho[n + 1]),
-                self.state.mu[n + 1] / tau)
+        return (self._d,) + self._carried[n]
+
+
+def _solved(problem, state, lo, hi):
+    """The stacks S, D and a of steps lo..hi-1."""
+    p, tau, rho, mu = problem, problem.tgrid.tau, state.rho, state.mu
+    yield newton_shift(p.potential, p.delta, tau, rho[lo + 1:hi + 1])
+    yield mu_diagonal(p.epsilon, tau, rho[lo:hi], rho[lo + 1:hi + 1])
+    yield (2.0 * mu[lo:hi] - 3.0 * mu[lo + 1:hi + 1]) / tau
+
+
+def _carried(problem, state, lo, hi):
+    """The stacks C and b of steps lo..hi-1."""
+    tau = problem.tgrid.tau
+    yield mu_carry(problem.epsilon, tau, state.rho[lo + 1:hi + 1])
+    yield state.mu[lo + 1:hi + 1] / tau
 
 
 def solve_tangent(problem: ProblemData, state: StateTrajectory, h
@@ -158,6 +212,25 @@ def _adjoint_discrete(problem, state):
     return AdjointTrajectory(p=x, q=y)
 
 
+def _pde_terms(problem, state):
+    """The state-only terms of the pde adjoint march at each level n < N,
+    formed backward a block of levels at a time in a quarter of the
+    residual check's budget: (C, 1 + rho_t, beta1 (mu - mu_target),
+    C + 1, mu_t, S) with C and S the carry and Newton shift at rho[n]."""
+    tau, rho, mu = problem.tgrid.tau, state.rho, state.mu
+
+    def form(lo, hi):
+        carry = mu_carry(problem.epsilon, tau, rho[lo:hi])
+        yield carry
+        yield 1.0 + (rho[lo + 1:hi + 1] - rho[lo:hi]) / tau
+        yield problem.beta1 * (mu[lo:hi] - problem.mu_target[lo:hi])
+        yield carry + 1.0
+        yield (mu[lo + 1:hi + 1] - mu[lo:hi]) / tau
+        yield newton_shift(problem.potential, problem.delta, tau, rho[lo:hi])
+
+    return _Blocks(form, problem.tgrid.N, mesh.block_rows(problem.grid, 4))
+
+
 def _adjoint_pde(problem, state):
     grid, tg = problem.grid, problem.tgrid
     tau = tg.tau
@@ -166,19 +239,17 @@ def _adjoint_pde(problem, state):
     q = np.zeros((tg.N + 1, grid.num_cells))
     p = np.zeros_like(q)
     p[tg.N] = (rho[tg.N] - problem.rho_target) / delta
+    terms = _pde_terms(problem, state)
     with mesh.CheckedSolves(grid, tg.N) as solves:
         for n in range(tg.N - 1, -1, -1):
             solves.step = n + 1
-            rho_t = (rho[n + 1] - rho[n]) / tau
-            mu_t = (mu[n + 1] - mu[n]) / tau
-            carry = mu_carry(problem.epsilon, tau, rho[n])
-            rhs_q = carry * q[n + 1] + (1.0 + rho_t) * q[n + 1] \
-                + p[n + 1] + problem.beta1 * (mu[n] - problem.mu_target[n])
-            q[n] = solves.solve(carry + 1.0, rhs_q)
+            carry, one_rho_t, source, diag, mu_t, shift = terms[n]
+            rhs_q = carry * q[n + 1] + one_rho_t * q[n + 1] + p[n + 1] \
+                + source
+            q[n] = solves.solve(diag, rhs_q)
             rhs_p = (delta / tau) * p[n + 1] \
                 + mu[n] * (q[n + 1] - q[n]) / tau - mu_t * q[n]
-            p[n] = solves.solve(
-                newton_shift(problem.potential, delta, tau, rho[n]), rhs_p)
+            p[n] = solves.solve(shift, rhs_p)
     return AdjointTrajectory(p=p, q=q)
 
 

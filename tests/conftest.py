@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import phasectl as pc
@@ -16,6 +17,24 @@ def build_problem(n=16, N=8, T=0.1, dim=1, epsilon=0.5, delta=1.0,
     return pc.ProblemData(grid=grid, tgrid=tg, epsilon=epsilon, delta=delta,
                           potential=pc.Potential(), rho0=rho0, mu0=mu0,
                           u_max=u_max, **kw)
+
+
+def fallback_instance(N=3):
+    """An instance whose step 3 fails from the extrapolated start and
+    converges from the previous level, with its control.
+
+    The data of test_extrapolated_start_reaches_the_same_level at n=21,
+    delta=5, ratio=0.875, epsilon=1 and seed 0; past step 3 the control
+    repeats its last level.
+    """
+    rng = np.random.default_rng(0)
+    n, delta = 21, 5.0
+    tau = 0.875 * 0.5 * delta
+    prob = build_problem(n=n, N=N, T=N * tau, epsilon=1.0, delta=delta,
+                         rho0=rng.uniform(0.2, 0.8, n),
+                         mu0=rng.uniform(0.0, 1.0, n))
+    u = rng.uniform(0.0, 1.0, (4, n))
+    return prob, np.vstack([u, np.repeat(u[-1:], N - 3, axis=0)])
 
 
 def manufactured(n=16, N=16, T=0.05, u_dag=0.5, beta1=1.0, beta2=1e-4,

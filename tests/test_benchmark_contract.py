@@ -19,7 +19,7 @@ import numpy as np
 
 import phasectl as pc
 import phasectl.cli  # noqa: F401  (traced, and not imported by phasectl)
-from conftest import build_problem
+from conftest import build_problem, fallback_instance
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 TRACER = os.path.join(PERFBENCH, "tracer.py")
@@ -87,6 +87,23 @@ def test_tracer_install_round_trip():
         assert got == expected, name
     assert {k: resolve(*k) for k in originals} == originals
     assert package_bindings() == before
+
+
+def test_tracer_identities_hold_across_a_newton_fallback():
+    """A step whose extrapolated start fails runs Newton again from the
+    previous level inside one step_rho call: both tracer identities
+    count it exactly, one rho step and every solve of both attempts."""
+    tracer = load_tracer()
+    prob, u = fallback_instance()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        state = pc.forward.solve_state(prob, u)
+    finally:
+        t.uninstall()
+    assert state.diagnostics.fell_back == [False, False, True]
+    identities = tracer.identities(t.take())
+    assert identities == {"solves": (53, 53), "steps": (3, 3)}
 
 
 def test_setup_probe_imports_resolve(tmp_path):

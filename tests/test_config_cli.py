@@ -560,8 +560,8 @@ def test_cli_forward_records_failing_coefficient(tmp_path, capsys):
 
 def test_cli_forward_records_newton_shift_and_start(tmp_path):
     """A desk forward records, per step, tau times the least Newton shift
-    at the level reached, and whether Newton started from the
-    extrapolation."""
+    at the level reached, whether Newton started from the extrapolation,
+    and whether it fell back to the previous level."""
     text = MINIMAL.replace("n: 16", "n: 64").replace(
         "T: 0.1, N: 8", "T: 1.0, N: 128") + (
         "init: {rho0: 0.4, mu0: 0.2}\ncontrol: {u_init: 0.1}\n")
@@ -572,6 +572,7 @@ def test_cli_forward_records_newton_shift_and_start(tmp_path):
     assert len(diag["min_newton_shift"]) == 128
     assert min(diag["min_newton_shift"]) > 0.0
     assert len(diag["extrapolated"]) == 128 and any(diag["extrapolated"])
+    assert diag["fell_back"] == [False] * 128
     assert "failed_min_newton_shift" not in diag
 
 

@@ -3,14 +3,14 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phasectl as pc
 from phasectl import checks, forward, mesh
-from phasectl.errors import (LinearSolveFailure, NonpositiveCoefficient,
-                             SolverStepError)
-from conftest import build_problem, spoil, traj
+from phasectl.errors import (LinearSolveFailure, NewtonDivergence,
+                             NonpositiveCoefficient, SolverStepError)
+from conftest import build_problem, fallback_instance, spoil, traj
 
 
 def test_step_rho_stationary():
@@ -66,6 +66,11 @@ def two_mask_damping(rho, step, theta):
 
 @pytest.mark.filterwarnings("error")
 def test_damping_matches_two_mask_formula():
+    """Over random draws, then where the largest step sits at a multiple
+    of the fast exit's bound, (1 - theta) / 2 times the least distance to
+    0 or 1, on the cell of that distance heading for its endpoint: just
+    inside and just outside the bound, and up to four times it, where
+    the damping is below 1; and where that bound is subnormal."""
     rng = np.random.default_rng(12)
     for _ in range(2000):
         n = int(rng.integers(1, 20))
@@ -78,6 +83,38 @@ def test_damping_matches_two_mask_formula():
         got = forward._damping(rho, step, theta)
         want = two_mask_damping(rho, step, theta)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    scales = [0.5 * (1.0 - 2.0**-52), 0.5, 0.5 * (1.0 + 2.0**-52),
+              1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 2.0, 4.0]
+    inside = 0
+    for k in range(800):
+        n = int(rng.integers(1, 20))
+        rho = 1e-9 + (1.0 - 2e-9) * rng.random(n)
+        theta = rng.uniform(0.01, 0.99)
+        dist = np.minimum(rho, 1.0 - rho)
+        i = dist.argmin()
+        big = scales[k % len(scales)] * (1.0 - theta) * dist[i]
+        step = rng.uniform(-0.999, 0.999, n) * big
+        step[i] = big if rho[i] > 0.5 else -big
+        inside += 2.0 * big <= (1.0 - theta) * dist[i]
+        got = forward._damping(rho, step, theta)
+        want = two_mask_damping(rho, step, theta)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert inside >= 150
+    # Subnormal distances and steps heading for 0, where the fast exit's
+    # bound rounds to a whole number of the least subnormal.
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        rho = rng.integers(1, 40, n) * 5e-324
+        step = -rng.integers(0, 25, n) * 5e-324
+        theta = rng.uniform(0.01, 0.99)
+        got = forward._damping(rho, step, theta)
+        want = two_mask_damping(rho, step, theta)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    # A NaN step skips the fast exit: the per-cell ratios propagate the
+    # NaN, and min(1.0, NaN) is 1.0.  An infinite step damps to 0.
+    rho = np.array([0.5, 0.5, 0.5])
+    assert forward._damping(rho, np.array([0.0, np.nan, 1e-3]), 0.1) == 1.0
+    assert forward._damping(rho, np.array([0.0, np.inf, 1e-3]), 0.1) == 0.0
 
 
 def test_step_mu_homogeneous():
@@ -171,6 +208,7 @@ def test_diagnostics_reduce_the_trajectory():
     assert d.bound_violations == 0
     assert len(d.newton_iters) == len(d.newton_residuals) == 16
     assert len(d.extrapolated) == 16
+    assert d.fell_back == [False] * 16
     assert max(d.newton_residuals) <= prob.solver.newton_tol
     strict = replace(prob, solver=pc.SolverConfig(newton_max=1))
     with pytest.raises(SolverStepError) as err:
@@ -179,6 +217,7 @@ def test_diagnostics_reduce_the_trajectory():
     assert failed.rho_min == [float(np.min(prob.rho0))]
     assert failed.newton_iters == [] and failed.min_coefficient == []
     assert failed.min_newton_shift == [] and failed.extrapolated == []
+    assert failed.fell_back == []
 
 
 def test_residuals_stationary(small):
@@ -322,14 +361,72 @@ def test_extrapolated_start_is_damped_inside():
     assert d.bound_violations == 0 and min(d.rho_min) > 0.0
 
 
+def test_extrapolated_start_falls_back_to_the_previous_level():
+    """Newton from the extrapolated start of step 3 stalls near rho = 1 and
+    fails after 30 iterations; the step runs again from the previous
+    level, converges in 6, and the march reaches T.  Its history keeps
+    both attempts, and its Newton count every solve of both."""
+    prob, u = fallback_instance()
+    state = pc.solve_state(prob, u)
+    d = state.diagnostics
+    assert d.extrapolated == [False, False, True]
+    assert d.fell_back == [False, False, True]
+    assert d.newton_iters == [7, 7, 36]
+    assert max(d.newton_residuals) <= prob.solver.newton_tol
+    args = (prob.grid, prob.potential, prob.delta, prob.tgrid.tau,
+            state.rho[2], state.mu[2], prob.solver)
+    warm, warm_hist = forward.step_rho(*args)
+    level, hist = forward.step_rho(*args, forward._extrapolate(state.rho[:3]))
+    assert np.array_equal(level, warm) and np.array_equal(level, state.rho[3])
+    assert hist.restart == 31 and hist[31:] == warm_hist
+    assert min(hist[:31]) > prob.solver.newton_tol and not warm_hist.restart
+
+
+def test_step_after_a_fallback_starts_at_the_previous_level():
+    """Step 3 fell back with 36 Newton iterations, which would have made
+    step 4 extrapolate; it starts at the previous level instead, since
+    extrapolating just failed there.  From the extrapolated start step 4
+    takes 7 iterations, from the previous level 5."""
+    prob, u = fallback_instance(N=4)
+    d = pc.solve_state(prob, u).diagnostics
+    assert d.fell_back == [False, False, True, False]
+    assert d.extrapolated == [False, False, True, False]
+    assert d.newton_iters == [7, 7, 36, 5]
+
+
+def test_both_failed_attempts_keep_their_residuals(monkeypatch):
+    """When Newton fails from the start and from the previous level, the
+    error carries the residuals of both attempts.  Each attempt solves
+    newton_max times: the last iterate's residual ends it unsolved."""
+    prob, u = fallback_instance()
+    state = pc.solve_state(prob, u)
+    strict = pc.SolverConfig(newton_max=2)
+    solve, calls = mesh.solve_shifted, []
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(mesh, "solve_shifted", counted)
+    with pytest.raises(NewtonDivergence) as err:
+        forward.step_rho(prob.grid, prob.potential, prob.delta,
+                         prob.tgrid.tau, state.rho[2], state.mu[2], strict,
+                         forward._extrapolate(state.rho[:3]))
+    res = err.value.newton_residuals
+    assert len(res) == 6 and res.restart == 3 and len(calls) == 4
+
+
 @settings(max_examples=40, deadline=None)
+@example(n=21, delta=5.0, ratio=0.875, epsilon=1.0, seed=0)
 @given(n=st.integers(1, 24), delta=st.floats(0.05, 5.0),
        ratio=st.floats(0.01, 0.99), epsilon=st.floats(0.5, 2.0),
        seed=st.integers(0, 2**32 - 1))
 def test_extrapolated_start_reaches_the_same_level(n, delta, ratio, epsilon,
                                                    seed):
     """Where tau < 0.5 delta the step system is positive definite, and both
-    starts reach one level, each to the Newton tolerance."""
+    starts reach one level, each to the Newton tolerance: where Newton
+    fails from the extrapolated start, as in the example, the step falls
+    back to the previous level."""
     rng = np.random.default_rng(seed)
     tau = ratio * 0.5 * delta
     prob = build_problem(n=n, N=3, T=3.0 * tau, epsilon=epsilon, delta=delta,

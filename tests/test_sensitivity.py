@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 import phasectl as pc
 from phasectl import checks, mesh, sensitivity
 from phasectl.errors import LinearSolveFailure, ValidationError
+from phasectl.forward import mu_carry, mu_diagonal, newton_shift
 from conftest import build_problem, manufactured, spoil, traj
 
 
@@ -86,6 +88,109 @@ def test_march_residual_failure_names_its_step(monkeypatch, name, step,
     assert (info.value.step, info.value.steps) == (step, 40)
     if fail:
         assert str(info.value.__context__) == "injected"
+
+
+def block_instance(grid):
+    """A 1D or 2D instance with N = 37 steps, its state and its blocks'
+    rows: 16 and 8 steps at 64 cells, 34 and 17 at 6x5, none of which
+    divides N."""
+    prob = build_problem(N=37, T=0.5, **{"1d": dict(n=64),
+                                        "2d": dict(dim=2, n=(6, 5))}[grid])
+    x = prob.grid.cell_centers()[:, 0]
+    prob = replace(prob, rho0=0.45 + 0.1 * np.cos(np.pi * x), beta1=0.7,
+                   mu_target=0.05 + 0.01 * np.sin(x))
+    rows = [mesh.block_rows(prob.grid, share) for share in (2, 4)]
+    assert all(1 < r < 37 and 37 % r for r in rows)
+    return prob, pc.solve_state(prob, 0.3)
+
+
+def step_shifts(prob, st):
+    """Per step n, the per-step Newton shift at rho[n+1] and potential
+    diagonal; per level n < N, the pde adjoint's diagonals C + 1 and S."""
+    p, tau, rho = prob, prob.tgrid.tau, st.rho
+    S = [newton_shift(p.potential, p.delta, tau, r) for r in rho]
+    D = [mu_diagonal(p.epsilon, tau, rho[n], rho[n + 1])
+         for n in range(p.tgrid.N)]
+    C = [mu_carry(p.epsilon, tau, r) for r in rho]
+    return S, D, C
+
+
+def same_bits(got, want):
+    return all(np.asarray(g).tobytes() == np.asarray(w).tobytes()
+               for g, w in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("grid", ["1d", "2d"])
+def test_step_blocks_match_the_per_step_formulas(grid):
+    """Every step's coefficients, formed a block at a time, equal the
+    per-step formulas bit for bit, in the tangent's forward order and in
+    the discrete adjoint's backward order."""
+    prob, st = block_instance(grid)
+    tau, mu = prob.tgrid.tau, st.mu
+    S, D, C = step_shifts(prob, st)
+    for order in (range(37), range(36, -1, -1)):
+        ops = sensitivity.StepOperators(prob, st)
+        for n in order:
+            want = (S[n + 1], D[n], (2.0 * mu[n] - 3.0 * mu[n + 1]) / tau,
+                    prob.delta / tau, C[n + 1], mu[n + 1] / tau)
+            assert same_bits(ops.solved(n) + ops.carried(n), want), n
+
+
+@pytest.mark.parametrize("grid", ["1d", "2d"])
+def test_pde_terms_match_the_per_level_formulas(grid):
+    """The pde adjoint's state-only terms, formed backward a block of
+    levels at a time, equal the per-level formulas bit for bit at every
+    level from N - 1 down to 0."""
+    prob, st = block_instance(grid)
+    tau, rho, mu = prob.tgrid.tau, st.rho, st.mu
+    S, _, C = step_shifts(prob, st)
+    terms = sensitivity._pde_terms(prob, st)
+    for n in range(36, -1, -1):
+        want = (C[n], 1.0 + (rho[n + 1] - rho[n]) / tau,
+                prob.beta1 * (mu[n] - prob.mu_target[n]), C[n] + 1.0,
+                (mu[n + 1] - mu[n]) / tau, S[n])
+        assert same_bits(terms[n], want), n
+
+
+@pytest.mark.parametrize("grid", ["1d", "2d"])
+def test_marches_solve_with_the_per_step_diagonals(monkeypatch, grid):
+    """Each march hands its solves the per-step diagonals bit for bit: the
+    tangent forward, the discrete adjoint backward, and the pde adjoint
+    backward down to level 0."""
+    prob, st = block_instance(grid)
+    S, D, C = step_shifts(prob, st)
+    shifts, solve = [], mesh.CheckedSolves.solve
+
+    def recorded(self, shift, rhs):
+        shifts.append(shift.copy())
+        return solve(self, shift, rhs)
+
+    monkeypatch.setattr(mesh.CheckedSolves, "solve", recorded)
+    pc.solve_tangent(prob, st, 0.1)
+    assert same_bits(shifts, [v for n in range(37) for v in (S[n + 1], D[n])])
+    shifts.clear()
+    pc.solve_adjoint(prob, st, mode="discrete")
+    assert same_bits(shifts, [v for n in range(36, -1, -1)
+                              for v in (D[n], S[n + 1])])
+    shifts.clear()
+    pc.solve_adjoint(prob, st, mode="pde")
+    assert same_bits(shifts, [v for n in range(36, -1, -1)
+                              for v in (C[n] + 1.0, S[n])])
+
+
+def test_marches_leave_no_reference_cycles():
+    """No march leaves a reference cycle behind, so a march's blocks and
+    the state they read are freed on return, not at a later collection."""
+    prob, st = block_instance("1d")
+    gc.collect()
+    gc.disable()
+    try:
+        for march in BLOCK_MARCHES.values():
+            march(prob, st)
+        pc.solve_state(prob, 0.3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_unknown_adjoint_mode_rejected(small):

@@ -73,9 +73,9 @@ class _Blocks:
     the ``count`` steps.  Asking for a step outside the current block
     forms a block of up to ``rows`` steps that ends at it when it lies
     below the block or is the last step, and starts at it otherwise, so
-    the blocks follow a march up or down.  A block is formed one stack at a time
-    in the buffer of the last, so a march holds one block; the rows
-    handed out before are overwritten.
+    the blocks follow a march up or down.  A block is formed one stack
+    at a time in the buffer of the last, so a march holds one block;
+    the rows handed out before are overwritten.
     """
 
     def __init__(self, form, count: int, rows: int):

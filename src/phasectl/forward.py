@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh
-from .errors import (NewtonDivergence, NonpositiveCoefficient,
-                     SolverStepError, require)
+from .errors import (DomainViolation, NewtonDivergence,
+                     NonpositiveCoefficient, SolverStepError, require)
 from .mesh import Grid, TimeGrid, as_field, as_trajectory
 from .potential import Potential
 
@@ -185,9 +185,12 @@ def _damping(rho: np.ndarray, step: np.ndarray, theta: float):
     if 2.0 * np.abs(step).max() <= bound:
         return 1.0
     dist = np.where(step < 0.0, rho, 1.0 - rho)
-    # inf / 0 is inf and raises no divide-by-zero flag.
+    # inf / 0 is inf and raises no divide-by-zero flag; a subnormal step
+    # may overflow a ratio to inf, its right value here.
     dist[step == 0.0] = np.inf
-    return min(1.0, (1.0 - theta) * (dist / np.abs(step)).min())
+    with np.errstate(over="ignore"):
+        ratio = dist / np.abs(step)
+    return min(1.0, (1.0 - theta) * ratio.min())
 
 
 def _extrapolate(levels: np.ndarray) -> np.ndarray:
@@ -199,11 +202,13 @@ def _extrapolate(levels: np.ndarray) -> np.ndarray:
 
 class NewtonHistory(list):
     """The residual norm of every Newton iterate of one order-parameter
-    step, in order.  ``restart`` is 0, or the index of the first residual
-    of the second attempt, the one from the previous level, when Newton
-    from the given start failed."""
+    step, in order, and the number of Newton ``solves`` of its attempts.
+    ``restart`` is 0, or the index of the first residual of the second
+    attempt, the one from the previous level, when Newton from the given
+    start failed."""
 
     restart = 0
+    solves = 0
 
 
 def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
@@ -215,16 +220,17 @@ def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
     the previous level if ``start`` is None.  Steps are scaled by the
     largest factor in (0, 1] that keeps every cell at least
     BOUNDARY_MARGIN times its current distance from each endpoint, so
-    iterates can approach 0 and 1 but never jump onto them.  Returns the
-    new level and its NewtonHistory.  If Newton from ``start`` raises
+    iterates approach 0 and 1 but never step past them; one ulp from an
+    endpoint, an iterate can still round onto it.  Returns the new level
+    and its NewtonHistory.  If Newton from ``start`` raises
     NewtonDivergence, the step runs Newton again from the previous
     level; the history keeps the residuals of both attempts and marks
     where the second began.  Raises NewtonDivergence if the residual
-    norm fails to reach newton_tol within newton_max iterations or the
-    Newton shift overflows; any SolverStepError raised here carries the
-    residual norms so far in ``newton_residuals`` and tau times the
-    minimum of the last Newton shift formed, if any, in
-    ``min_newton_shift``.
+    norm fails to reach newton_tol within newton_max iterations, an
+    iterate rounds onto 0 or 1, or the Newton shift overflows; any
+    SolverStepError raised here carries the residual norms so far in
+    ``newton_residuals`` and tau times the minimum of the last Newton
+    shift formed, if any, in ``min_newton_shift``.
     """
     history = NewtonHistory()
     args = (grid, pot, delta, tau, rho_prev, mu_prev, cfg, history)
@@ -242,7 +248,13 @@ def _newton(start, grid, pot, delta, tau, rho_prev, mu_prev, cfg, history):
     rho, shift = start.copy(), None
     try:
         for it in range(cfg.newton_max + 1):
-            res = _rho_residual(grid, pot, delta, tau, rho_prev, rho, mu_prev)
+            try:
+                res = _rho_residual(grid, pot, delta, tau, rho_prev, rho,
+                                    mu_prev)
+            except DomainViolation as exc:
+                # A cell rounded onto an endpoint the damping kept it off.
+                raise NewtonDivergence("Newton iterate %d: %s"
+                                       % (it, exc)) from None
             # An overflowing norm is rescaled, an overflowing shift fails.
             with np.errstate(over="raise"):
                 rnorm = _residual_norm(grid, res)
@@ -257,6 +269,7 @@ def _newton(start, grid, pot, delta, tau, rho_prev, mu_prev, cfg, history):
                     raise NewtonDivergence(
                         "Newton shift delta/tau + f''(rho) overflows at "
                         "iterate %d" % it) from None
+            history.solves += 1
             step = mesh.solve_shifted(grid, shift, -res)
             rho = rho + _damping(rho, step, BOUNDARY_MARGIN) * step
         raise NewtonDivergence(
@@ -292,16 +305,14 @@ def _diagnose(problem: ProblemData, rho: np.ndarray, mu: np.ndarray,
               histories: list, extrapolated: list) -> Diagnostics:
     """Diagnostics of the levels ``rho``, ``mu`` reached by the steps
     whose NewtonHistory and starts are given, one entry per step.  A
-    step's Newton iterations count the solves of both its attempts: an
-    attempt that fails with NewtonDivergence solves once per residual
-    but its last."""
+    step's Newton iterations count the solves of both its attempts."""
     eps, tau = problem.epsilon, problem.tgrid.tau
     # Recorded in the units of epsilon: the diagonals times tau.
     coeff = tau * mu_diagonal(eps, tau, rho[:-1], rho[1:]).min(axis=1)
     shift = tau * newton_shift(problem.potential, problem.delta, tau,
                                rho[1:]).min(axis=1)
     return Diagnostics(
-        newton_iters=[len(h) - 1 - bool(h.restart) for h in histories],
+        newton_iters=[h.solves for h in histories],
         newton_residuals=[h[-1] for h in histories],
         extrapolated=extrapolated,
         fell_back=[bool(h.restart) for h in histories],

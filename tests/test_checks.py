@@ -297,7 +297,7 @@ def test_problem_hash_covers_every_field():
     square = build_problem(dim=2, n=(6, 5), N=2)
     before = checks.problem_hash(square)
     mesh.solve_shifted(square.grid, np.full(30, 2.0), np.ones(30))
-    assert "_dct_eigenvalues" in vars(square.grid)
+    assert {"_dct_eigenvalues", "_dct_matrices"} <= set(vars(square.grid))
     assert checks.problem_hash(square) == before
 
 

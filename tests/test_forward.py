@@ -115,6 +115,10 @@ def test_damping_matches_two_mask_formula():
     rho = np.array([0.5, 0.5, 0.5])
     assert forward._damping(rho, np.array([0.0, np.nan, 1e-3]), 0.1) == 1.0
     assert forward._damping(rho, np.array([0.0, np.inf, 1e-3]), 0.1) == 0.0
+    # A subnormal step beside a distance near 1 overflows its ratio to inf,
+    # which no other cell's ratio exceeds; no warning is raised.
+    assert forward._damping(np.array([1e-3, 0.5]), np.array([1e-310, 0.4]),
+                            0.1) == 1.0
 
 
 def test_step_mu_homogeneous():
@@ -418,6 +422,8 @@ def test_both_failed_attempts_keep_their_residuals(monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @example(n=21, delta=5.0, ratio=0.875, epsilon=1.0, seed=0)
+@example(n=24, delta=2.9943633264406238, ratio=0.9733474003611076,
+         epsilon=0.9150185419422955, seed=344462251)
 @given(n=st.integers(1, 24), delta=st.floats(0.05, 5.0),
        ratio=st.floats(0.01, 0.99), epsilon=st.floats(0.5, 2.0),
        seed=st.integers(0, 2**32 - 1))
@@ -425,8 +431,9 @@ def test_extrapolated_start_reaches_the_same_level(n, delta, ratio, epsilon,
                                                    seed):
     """Where tau < 0.5 delta the step system is positive definite, and both
     starts reach one level, each to the Newton tolerance: where Newton
-    fails from the extrapolated start, as in the example, the step falls
-    back to the previous level."""
+    fails from the extrapolated start, as in the examples, the step falls
+    back to the previous level.  In the second example an iterate from
+    the extrapolated start rounds onto rho = 1."""
     rng = np.random.default_rng(seed)
     tau = ratio * 0.5 * delta
     prob = build_problem(n=n, N=3, T=3.0 * tau, epsilon=epsilon, delta=delta,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,6 +163,47 @@ def test_pcg_matches_textbook_real_space_pcg(spread, monkeypatch):
         mesh.solve_shifted(g, shift, rhs)
     monkeypatch.setattr(mesh, "_CG_MAXITER", k)
     assert np.array_equal(mesh.solve_shifted(g, shift, rhs), x)
+
+
+PAST = (mesh.DCT_MATRIX_MAX + 1, 3)
+
+
+@pytest.mark.parametrize("n", [(1, 5), (3, 4), (12, 7), (33, 32), (64, 64),
+                               PAST], ids=str)
+def test_dct_matrices_agree_with_scipy_fft(n):
+    """Up to the bound the transforms are products with the cached
+    matrices, past it scipy.fft; both paths agree with each other."""
+    rng = np.random.default_rng(14)
+    g = pc.Grid(2, n, (1.0, 2.5))
+    a = rng.standard_normal(n)
+    c0, c1 = g._dct_matrices
+    fft = scipy.fft.dctn(a, type=2, norm="ortho")
+    tol = 1e-13 * np.abs(a).max()
+    for got in (mesh._dct(g, a), c0 @ a @ c1.T):
+        assert np.max(np.abs(got - fft)) <= tol
+    for got in (mesh._idct(g, a), c0.T @ a @ c1):
+        assert np.max(np.abs(got - scipy.fft.idctn(a, type=2, norm="ortho"))
+                      ) <= tol
+    for c, m in zip(g._dct_matrices, n):
+        np.testing.assert_allclose(c @ c.T, np.eye(m), rtol=0.0, atol=1e-14)
+        assert not c.flags.writeable
+
+
+def test_pcg_past_the_matrix_bound_runs_on_scipy_fft(monkeypatch):
+    """Past DCT_MATRIX_MAX the solve is bit-identical to one whose
+    transforms all call scipy.fft, and passes the residual check."""
+    rng = np.random.default_rng(15)
+    g = pc.Grid(2, PAST, (1.0, 2.5))
+    shift = np.exp(rng.uniform(np.log(0.1), np.log(50.0), g.num_cells))
+    rhs = rng.standard_normal(g.num_cells)
+    x = mesh.solve_shifted(g, shift, rhs)
+    mesh.check_residuals(g, shift[None], x[None], rhs[None], [1])
+    monkeypatch.setattr(mesh, "_dct", lambda grid, a: scipy.fft.dctn(
+        a, type=2, norm="ortho"))
+    monkeypatch.setattr(mesh, "_idct", lambda grid, c: scipy.fft.idctn(
+        c, type=2, norm="ortho"))
+    assert np.array_equal(mesh.solve_shifted(g, shift, rhs), x)
+    assert "_dct_matrices" not in vars(g)
 
 
 def test_solve_shifted_2d_applies_the_stencil_only_in_its_check(monkeypatch):

@@ -126,10 +126,14 @@ def _ladder_verdict(metrics: dict, lambdas, values, h, band) -> bool:
     """Whether the log-log slope of ``values`` against ``lambdas`` lies in
     ``band``; the slope goes into ``metrics``.
 
-    With fewer than two points or a value <= 0 the slope is meaningless:
-    the ladder is degenerate, which passes for a nonzero direction (the
+    A NaN or infinite value fails: the ladder measured nothing.  With
+    fewer than two points or a value <= 0 the slope is meaningless: the
+    ladder is degenerate, which passes for a nonzero direction (the
     error sits below round-off) and fails for a zero one.
     """
+    if not np.isfinite(values).all():
+        metrics["slope"] = None
+        return False
     if len(values) < 2 or min(values) <= 0.0:
         metrics["slope"] = None
         metrics["degenerate"] = True
@@ -145,7 +149,7 @@ def fd_gradient_check(problem: ProblemData, seed: int = 0, u=None, h=None,
 
     Points whose error is at round-off level (see ROUNDOFF_K) are left
     out; passes when the log-log slope of the error against the step
-    over the rest lies in [0.8, 1.2].
+    over the rest lies in [0.8, 1.2].  A non-finite error fails.
     """
     u, h = check_instance(problem, seed, u, h)
     controls = _ladder(problem, u, h, lambdas)
@@ -157,8 +161,9 @@ def fd_gradient_check(problem: ProblemData, seed: int = 0, u=None, h=None,
     lams = np.array(lambdas)
     fd_values = (J - J0) / lams
     errors = np.abs(fd_values - deriv)
-    fit = errors > (ROUNDOFF_K * np.finfo(float).eps
-                    * np.maximum(abs(J0), np.abs(J)) / lams)
+    # A NaN error is not at round-off level, so it stays in the fit.
+    fit = ~(errors <= (ROUNDOFF_K * np.finfo(float).eps
+                       * np.maximum(abs(J0), np.abs(J)) / lams))
     metrics = {
         "lambdas": list(lambdas),
         "fd_values": fd_values.tolist(),

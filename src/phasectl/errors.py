@@ -59,6 +59,10 @@ class InfeasibleControl(PhasectlError, ValueError):
     """Control violates the box constraint beyond the stated tolerance."""
 
 
+class NonfiniteValue(PhasectlError, ValueError):
+    """A NaN or infinite number would be written to a JSON file."""
+
+
 class ConfigError(PhasectlError, ValueError):
     """Run configuration could not be parsed or validated."""
 

@@ -4,7 +4,9 @@ A field is a flat float array over grid cells; a trajectory stacks one
 field per time level, shape (N+1, cells); ``phasectl.mesh`` builds and
 checks both.  CSV files carry one row per cell in flat order with a
 coordinate header, written at full float precision so a write/read
-round trip is bit identical.  All writes are atomic: content goes to a
+round trip is bit identical.  JSON files are strict (RFC 8259): a NaN
+or infinite number is refused, not written as a ``NaN`` or ``Infinity``
+token that JSON does not have.  All writes are atomic: content goes to a
 temporary file in the target directory which is then renamed over the
 destination.
 """
@@ -13,12 +15,14 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch, ValidationError
+from .errors import (ConfigError, NonfiniteValue, ShapeMismatch,
+                     ValidationError)
 from .mesh import Grid, TimeGrid
 
 # %.17g prints the shortest decimal that reproduces the exact float64.
@@ -41,7 +45,37 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as strict JSON; a NaN or infinite number raises
+    NonfiniteValue naming its key path, and nothing is written."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        found = _nonfinite(payload, "")
+        if found is None:
+            raise
+        key, value = found
+        raise NonfiniteValue("%s: %s is %s, which JSON cannot hold"
+                             % (path, key, float(value))) from None
+    atomic_write_text(path, text + "\n")
+
+
+def _nonfinite(value, key: str):
+    """(key path, value) of the first NaN or infinite float in ``value``,
+    searching dicts and lists, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (key, value)
+    if isinstance(value, dict):
+        items = (("%s.%s" % (key, k) if key else str(k), v)
+                 for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = (("%s[%d]" % (key, i), v) for i, v in enumerate(value))
+    else:
+        return None
+    for path, item in items:
+        found = _nonfinite(item, path)
+        if found is not None:
+            return found
+    return None
 
 
 def field_header(grid: Grid) -> str:

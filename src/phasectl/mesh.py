@@ -10,19 +10,23 @@ symmetric with respect to the cell inner product.  ``as_field`` and
 ``as_trajectory`` build new arrays from scalars or data, with the shape
 tests of ``Grid.check_field`` and ``check_trajectory``.
 
-``solve_shifted`` solves the shifted Laplacian systems of every step.
-The marches hand their potential-step, tangent and adjoint solves to
-``CheckedSolves``, which checks each residual against LINEAR_TOL with
-``check_residuals`` a block of rows at a time: one stencil apply per
-block instead of one per solve.  ``block_rows`` gives a block's rows
-from the byte budget CHECK_BLOCK_BYTES; the tangent and adjoint marches
-form their step coefficients in blocks cut from the same budget.
+``solve_shifted`` solves the shifted Laplacian systems of every step,
+in 1D with LAPACK ``dptsv``.  That routine comes from scipy's compiled
+LAPACK module, loaded on its own (see ``_load_dptsv``), so importing
+this module imports no scipy package.  The marches hand their
+potential-step, tangent and adjoint solves to ``CheckedSolves``, which
+checks each residual against LINEAR_TOL with ``check_residuals`` a
+block of rows at a time: one stencil apply per block instead of one
+per solve.  ``block_rows`` gives a block's rows from the byte budget
+CHECK_BLOCK_BYTES; the tangent and adjoint marches form their step
+coefficients in blocks cut from the same budget.
 
 In 2D the solve runs on orthonormal type-II DCT coefficients, the
 eigenbasis of the zero-flux Laplacian.  A grid caches the DCT matrix of
 each axis, and while no axis has more than DCT_MATRIX_MAX cells a
 transform is two products with them; past that ``scipy.fft`` computes
-it, since a matrix holds m^2 floats and a product costs m^3.
+it, since a matrix holds m^2 floats and a product costs m^3.  Only
+then is ``scipy.fft`` imported.
 
 Grid and TimeGrid objects are read-only after construction and safe to
 share across threads.
@@ -30,16 +34,50 @@ share across threads.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
 
 import numpy as np
-import scipy.fft
-from scipy.linalg.lapack import dptsv
 
 from .errors import (LinearSolveFailure, ShapeMismatch, SolverStepError,
                      UnsupportedDimension, require)
+
+def _load_dptsv():
+    """The f2py ``dptsv`` of scipy's compiled LAPACK module.
+
+    Importing ``scipy.linalg`` for this one routine costs about 0.17 s
+    (2-vCPU Xeon) of modules phasectl never uses, such as ``numpy.f2py``
+    and ``numpy.testing``.  So the module file
+    ``scipy/linalg/_flapack<suffix>`` is loaded on its own, under a
+    private name: the same compiled function, so the same results bit
+    for bit.  A process that has imported ``scipy.linalg`` already holds
+    that module, and its ``dptsv`` is used instead of a second copy.
+    Without the file this falls back to ``scipy.linalg.lapack``.
+    """
+    loaded = sys.modules.get("scipy.linalg._flapack")
+    if loaded is not None:
+        return loaded.dptsv
+    spec = importlib.util.find_spec("scipy")
+    for directory in spec.submodule_search_locations if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(
+                    "phasectl._flapack", path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(loader.name, loader))
+                loader.exec_module(module)
+                return module.dptsv
+    from scipy.linalg.lapack import dptsv
+    return dptsv
+
+
+dptsv = _load_dptsv()
 
 # The most float64 entries numpy can index, bounding cells and time levels.
 _MAX_COUNT = np.iinfo(np.intp).max // np.dtype(float).itemsize
@@ -339,6 +377,7 @@ def _dct(grid: Grid, a: np.ndarray) -> np.ndarray:
     if max(grid.n) <= DCT_MATRIX_MAX:
         c0, c1 = grid._dct_matrices
         return c0 @ a @ c1.T
+    import scipy.fft  # only here, so a run on smaller grids never imports it
     return scipy.fft.dctn(a, type=2, norm="ortho")
 
 
@@ -347,6 +386,7 @@ def _idct(grid: Grid, c: np.ndarray) -> np.ndarray:
     if max(grid.n) <= DCT_MATRIX_MAX:
         c0, c1 = grid._dct_matrices
         return c0.T @ c @ c1
+    import scipy.fft
     return scipy.fft.idctn(c, type=2, norm="ortho")
 
 

@@ -29,6 +29,29 @@ def test_gradient_check_zero_direction(small):
     assert rep["metrics"]["slope"] is None
 
 
+@pytest.mark.parametrize("bad", [float("nan"), np.inf])
+def test_ladder_verdict_fails_a_nonfinite_value(bad):
+    """A ladder with a NaN or infinite value fails, where a ladder with
+    no point left would pass as degenerate."""
+    metrics = {}
+    assert not checks._ladder_verdict(metrics, np.array([1e-1, 1e-2]),
+                                      np.array([1e-2, bad]), 1.0, (0.8, 1.2))
+    assert metrics == {"slope": None}
+    assert checks._ladder_verdict({}, np.array([]), np.array([]), 1.0,
+                                  (0.8, 1.2))
+
+
+def test_gradient_check_fails_an_overflowing_cost(small):
+    """A target of 1e300 overflows the cost to inf, so every difference
+    quotient is NaN; the check fails instead of passing as degenerate."""
+    problem = replace(small, mu_target=np.full_like(small.mu_target, 1e300))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = checks.fd_gradient_check(problem, seed=0)
+    assert np.isnan(rep["metrics"]["errors"]).all()
+    assert not rep["pass"]
+    assert "degenerate" not in rep["metrics"]
+
+
 def test_tangent_check_zero_direction(small):
     rep = checks.tangent_remainder_check(small, seed=0, h=0.0)
     assert not rep["pass"]

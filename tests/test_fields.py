@@ -6,7 +6,7 @@ import pytest
 
 import phasectl as pc
 from phasectl import fields, mesh
-from phasectl.errors import ShapeMismatch
+from phasectl.errors import NonfiniteValue, PhasectlError, ShapeMismatch
 
 
 def test_as_field_broadcast_and_shape():
@@ -122,3 +122,16 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     fields.write_json(str(path), {"a": 1})
     assert json.loads(path.read_text()) == {"a": 1}
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), np.inf, -np.inf])
+def test_write_json_refuses_a_nonfinite_number(tmp_path, value):
+    """JSON has no NaN or infinity: the error names the key path, and
+    no file is written."""
+    path = tmp_path / "out.json"
+    with pytest.raises(NonfiniteValue,
+                       match=r"out\.json: metrics\.errors\[1\] is -?(nan|inf)"):
+        fields.write_json(str(path), {"name": "grad", "metrics": {
+            "errors": [1.0, value], "slope": None}})
+    assert issubclass(NonfiniteValue, PhasectlError)
+    assert os.listdir(tmp_path) == []

@@ -1,8 +1,14 @@
+import importlib.machinery
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 import phasectl as pc
 from phasectl import mesh
@@ -264,6 +270,75 @@ def test_solve_shifted_1d_rejects_indefinite():
     shift[5] = -1000.0
     with pytest.raises(LinearSolveFailure, match="not positive definite"):
         mesh.solve_shifted(g, shift, rng.standard_normal(g.num_cells))
+
+
+def assert_same_as_lapack(loaded):
+    """``loaded`` agrees with scipy.linalg.lapack.dptsv bit for bit on
+    2000 random SPD 64-cell systems and gives the same info on an
+    indefinite one."""
+    rng = np.random.default_rng(11)
+    # Diagonally dominant with a positive diagonal, so SPD.
+    diag = rng.uniform(2.0, 50.0, (2000, 64))
+    off = rng.uniform(-1.0, 1.0, (2000, 63))
+    rhs = rng.standard_normal((2000, 64))
+    indefinite = diag[0].copy()
+    indefinite[40] = -3.0
+    systems = list(zip(diag, off, rhs)) + [(indefinite, off[0], rhs[0])]
+    for d, e, b in systems:
+        got = loaded(d.copy(), e, b)
+        want = lapack.dptsv(d.copy(), e, b)
+        assert [np.asarray(v).tobytes() for v in got] == \
+            [np.asarray(v).tobytes() for v in want]
+    assert got[3] == want[3] == 41
+
+
+def test_directly_loaded_dptsv_matches_scipy_lapack():
+    """A fresh interpreter loads dptsv from the module file before any
+    scipy package; scipy.linalg, imported after it, gets its own copy,
+    and the two agree."""
+    script = ("import sys\n"
+              "from phasectl import mesh\n"
+              "assert 'scipy.linalg' not in sys.modules\n"
+              "import test_mesh\n"
+              "assert mesh.dptsv is not test_mesh.lapack.dptsv\n"
+              "test_mesh.assert_same_as_lapack(mesh.dptsv)\n")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.join(tests, os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tests, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("route", ["direct", "fallback"])
+def test_dptsv_lookup_and_fallback(monkeypatch, route):
+    """Without scipy.linalg loaded, dptsv comes from the module file under
+    a private name or, when the lookup finds no file, from
+    scipy.linalg.lapack; either agrees with scipy's."""
+    loads = []
+
+    class Loader(importlib.machinery.ExtensionFileLoader):
+        def __init__(self, name, path):
+            loads.append((name, os.path.basename(path).split(".")[0]))
+            super().__init__(name, path)
+
+    monkeypatch.setattr(importlib.machinery, "ExtensionFileLoader", Loader)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    if route == "fallback":
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    loaded = mesh._load_dptsv()
+    assert loads == ([("phasectl._flapack", "_flapack")]
+                     if route == "direct" else [])
+    assert_same_as_lapack(loaded)
+
+
+def test_loading_dptsv_reuses_scipy_lapack(monkeypatch):
+    """A process that has imported scipy.linalg keeps one copy of its
+    LAPACK module: the loader takes dptsv from it."""
+    assert mesh._load_dptsv() is lapack.dptsv
+    fake = type(sys)("scipy.linalg._flapack")
+    fake.dptsv = object()
+    monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", fake)
+    assert mesh._load_dptsv() is fake.dptsv
 
 
 def test_solve_shifted_2d_budget_exhausted(monkeypatch):

@@ -23,7 +23,7 @@ import numpy as np
 from . import checks as checks_mod
 from .config import RunConfig, parse_config
 from .errors import PhasectlError, SolverStepError, renamed_keys
-from .fields import write_json, write_snapshots
+from .fields import atomic_write_text, json_text, write_json, write_snapshots
 from .forward import residual_norms, solve_state
 from .optimize import projected_gradient_descent
 from .sensitivity import solve_adjoint, solve_tangent
@@ -134,7 +134,6 @@ def cmd_optimize(rc: RunConfig) -> int:
     result = projected_gradient_descent(problem, rc.u_init, rc.optimizer,
                                         callback=callback)
     runtime = time.perf_counter() - tic
-    _write_fields(rc, u=result.u, rho=result.state.rho, mu=result.state.mu)
     # Every result field but the trajectories, which are snapshots.
     summary = {f.name: getattr(result, f.name) for f in fields(result)
                if f.name not in ("u", "state", "adjoint", "gradient")}
@@ -144,7 +143,12 @@ def cmd_optimize(rc: RunConfig) -> int:
         "runtime_seconds": runtime,
         "config_hash": checks_mod.problem_hash(problem),
     })
-    write_json(os.path.join(out, "optimize_summary.json"), summary)
+    # Checked before any snapshot is written: a refused summary leaves
+    # no files of the run.
+    summary_path = os.path.join(out, "optimize_summary.json")
+    text = json_text(summary_path, summary)
+    _write_fields(rc, u=result.u, rho=result.state.rho, mu=result.state.mu)
+    atomic_write_text(summary_path, text)
     print("optimize: %s after %d iterations, J=%.6e, kkt=%.3e"
           % (result.termination, result.iterations, result.J_history[-1],
              result.kkt_history[-1]))

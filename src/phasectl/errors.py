@@ -60,7 +60,8 @@ class InfeasibleControl(PhasectlError, ValueError):
 
 
 class NonfiniteValue(PhasectlError, ValueError):
-    """A NaN or infinite number would be written to a JSON file."""
+    """A NaN or infinite number where a finite one is needed: in a JSON
+    file, or as the cost the optimizer descends."""
 
 
 class ConfigError(PhasectlError, ValueError):

@@ -44,9 +44,9 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_json(path: str, payload: dict) -> None:
-    """Write ``payload`` as strict JSON; a NaN or infinite number raises
-    NonfiniteValue naming its key path, and nothing is written."""
+def json_text(path: str, payload: dict) -> str:
+    """The strict JSON text ``write_json`` writes to ``path``; a NaN or
+    infinite number raises NonfiniteValue naming the file and key path."""
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
@@ -56,7 +56,13 @@ def write_json(path: str, payload: dict) -> None:
         key, value = found
         raise NonfiniteValue("%s: %s is %s, which JSON cannot hold"
                              % (path, key, float(value))) from None
-    atomic_write_text(path, text + "\n")
+    return text + "\n"
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as strict JSON; a NaN or infinite number raises
+    NonfiniteValue naming its key path, and nothing is written."""
+    atomic_write_text(path, json_text(path, payload))
 
 
 def _nonfinite(value, key: str):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh
-from .errors import (DomainViolation, InfeasibleControl, SolverStepError,
-                     require)
+from .errors import (DomainViolation, InfeasibleControl, NonfiniteValue,
+                     SolverStepError, require)
 from .forward import BOUND_TOL, ProblemData, StateTrajectory, solve_state
 from .mesh import as_trajectory
 from .sensitivity import AdjointTrajectory, solve_adjoint
@@ -68,16 +68,32 @@ class OptimizeResult:
 
 
 def cost_parts(problem: ProblemData, state: StateTrajectory, u) -> dict:
-    """Terminal, tracking and control quadratic terms of the cost."""
+    """Terminal, tracking and control quadratic terms of the cost.
+
+    A term past the float range is inf, without a warning: the caller
+    decides what an infinite cost means.
+    """
     grid, tg = problem.grid, problem.tgrid
     u = as_trajectory(tg, grid, u)
     terminal_diff = state.rho[tg.N] - problem.rho_target
-    terminal = 0.5 * mesh.inner_h(grid, terminal_diff, terminal_diff)
     mu_diff = state.mu - problem.mu_target
-    tracking = 0.5 * problem.beta1 * mesh.inner_q(tg, grid, mu_diff, mu_diff)
-    control = 0.5 * problem.beta2 * mesh.inner_q(tg, grid, u, u)
-    return {"terminal": terminal, "tracking": tracking, "control": control,
-            "total": terminal + tracking + control}
+    with np.errstate(over="ignore"):
+        terminal = 0.5 * mesh.inner_h(grid, terminal_diff, terminal_diff)
+        tracking = 0.5 * problem.beta1 * mesh.inner_q(tg, grid, mu_diff,
+                                                      mu_diff)
+        control = 0.5 * problem.beta2 * mesh.inner_q(tg, grid, u, u)
+        return {"terminal": terminal, "tracking": tracking,
+                "control": control, "total": terminal + tracking + control}
+
+
+def _finite_cost(problem: ProblemData, state: StateTrajectory, u) -> float:
+    """The cost, or NonfiniteValue naming the first term that is not
+    finite (or the total, when only the sum overflows)."""
+    parts = cost_parts(problem, state, u)
+    for name, value in parts.items():
+        if not np.isfinite(value):
+            raise NonfiniteValue("the %s cost term is %s" % (name, value))
+    return parts["total"]
 
 
 def cost(problem: ProblemData, state: StateTrajectory, u) -> float:
@@ -141,8 +157,10 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
     on the first iteration and when that step is not in [min_step, inf).
     Each search records its seed in ``step_source`` and its forward
     solves in ``trials``.  A trial whose forward solve fails
-    (SolverStepError or DomainViolation) is rejected like one that misses
-    the decrease, and counted in ``rejected_trials``.  Terminates when the
+    (SolverStepError or DomainViolation) or whose cost is not finite is
+    rejected like one that misses the decrease, and counted in
+    ``rejected_trials``; a starting cost that is not finite raises
+    NonfiniteValue naming its term.  Terminates when the
     stationarity measure falls to stat_tol (Stationary), the iteration
     budget is spent (MaxIters), or no step above min_step is acceptable
     (Stalled).  The returned adjoint, gradient and stationarity history
@@ -151,7 +169,10 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
     grid, tg = problem.grid, problem.tgrid
     u = project_control(problem, as_trajectory(tg, grid, u0))
     state = solve_state(problem, u)
-    J = cost(problem, state, u)
+    try:
+        J = _finite_cost(problem, state, u)
+    except NonfiniteValue as exc:
+        raise NonfiniteValue("at the starting control, %s" % exc) from None
     J_history = [J]
     kkt_history, step_history, iter_seconds = [], [], []
     iterations = 0
@@ -188,10 +209,10 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
                 trials[-1] += 1
                 try:
                     state_try = solve_state(problem, u_try)
-                except (SolverStepError, DomainViolation):
+                    J_try = _finite_cost(problem, state_try, u_try)
+                except (SolverStepError, DomainViolation, NonfiniteValue):
                     rejected_trials += 1
                 else:
-                    J_try = cost(problem, state_try, u_try)
                     if J_try <= J - ARMIJO_C * decrease / step:
                         accepted = True
                         break

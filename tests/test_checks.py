@@ -1,11 +1,13 @@
 import json
+import time
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import phasectl as pc
-from phasectl import checks, forward, mesh
+from phasectl import checks, forward, mesh, radau
 from phasectl.mesh import inner_h
 from conftest import build_problem
 
@@ -43,9 +45,11 @@ def test_ladder_verdict_fails_a_nonfinite_value(bad):
 
 def test_gradient_check_fails_an_overflowing_cost(small):
     """A target of 1e300 overflows the cost to inf, so every difference
-    quotient is NaN; the check fails instead of passing as degenerate."""
+    quotient is NaN; the check fails instead of passing as degenerate,
+    and no numpy warning is raised on the way."""
     problem = replace(small, mu_target=np.full_like(small.mu_target, 1e300))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rep = checks.fd_gradient_check(problem, seed=0)
     assert np.isnan(rep["metrics"]["errors"]).all()
     assert not rep["pass"]
@@ -226,6 +230,95 @@ def test_oracle_requires_uniform_data():
     with pytest.raises(pc.errors.ShapeMismatch,
                        match=r"uniform u level 3, spread 1\.000e-01"):
         checks.ode_oracle_check(prob, u=u)
+
+
+def scipy_radau(problem, u_levels):
+    """The uniform reduction by scipy's Radau at rtol 1e-12, atol 1e-14,
+    one integration per run of equal control levels."""
+    import scipy.integrate
+    eps, delta, pot = problem.epsilon, problem.delta, problem.potential
+
+    def rhs(t, y, u):
+        rho_t = (y[1] - float(pot.d1(y[0]))) / delta
+        return [rho_t, (u - y[1] * rho_t) / (eps + 2.0 * y[0])]
+
+    times = problem.tgrid.times
+    out = np.empty((len(times), 2))
+    out[0] = problem.rho0[0], problem.mu0[0]
+    start = 0
+    while start < len(times) - 1:
+        stop = start + 1
+        while (stop < len(times) - 1
+               and u_levels[stop + 1] == u_levels[start + 1]):
+            stop += 1
+        sol = scipy.integrate.solve_ivp(
+            rhs, (times[start], times[stop]), out[start], method="Radau",
+            t_eval=times[start:stop + 1], rtol=1e-12, atol=1e-14,
+            args=(u_levels[start + 1],))
+        assert sol.success, sol.message
+        out[start:stop + 1] = sol.y.T
+        start = stop
+    return out
+
+
+# (epsilon, delta, rho0, mu0, control): the desk instance, stiff ones,
+# one near 0 and one whose control drives 1 - rho to 8e-4.
+ORACLE_INSTANCES = {
+    "desk": (0.5, 1.0, 0.4, 0.2, 0.1),
+    "small delta": (0.5, 1e-3, 0.4, 0.2, 0.1),
+    "small epsilon": (1e-3, 1.0, 0.4, 0.2, 0.1),
+    "small both": (1e-3, 1e-3, 0.4, 0.2, 0.1),
+    "rho0 0.02": (0.5, 1.0, 0.02, 0.0, 1.0),
+    "near 1": (0.5, 1.0, 0.5, 0.0, 3.5),
+    "step control": (0.5, 1.0, 0.4, 0.2, "step"),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_INSTANCES)
+def test_oracle_matches_scipy_radau(name):
+    """phasectl's Radau IIA agrees with scipy's at tighter tolerances to
+    1e-8 at every level, and a stiff instance takes under 0.5 s."""
+    eps, delta, rho0, mu0, u = ORACLE_INSTANCES[name]
+    prob = build_problem(n=4, N=128, T=1.0, epsilon=eps, delta=delta,
+                         rho0=rho0, mu0=mu0, u_max=10.0)
+    times = prob.tgrid.times
+    levels = (np.where(times <= 0.5, 0.1, 0.3) if u == "step"
+              else np.full(len(times), u))
+    tic = time.perf_counter()
+    got = checks.ode_oracle_solution(prob, levels)
+    assert time.perf_counter() - tic < 0.5
+    ref = scipy_radau(prob, levels)
+    assert np.max(np.abs(got - ref)) <= 1e-8
+    if name == "near 1":
+        assert 7e-4 <= 1.0 - np.max(got[:, 0]) <= 1e-3
+
+
+class CappedPotential(pc.Potential):
+    """The default potential, refused at and above rho = 0.41."""
+
+    def d1(self, r):
+        if np.max(r) >= 0.41:
+            raise pc.errors.DomainViolation("capped at %r" % float(np.max(r)))
+        return super().d1(r)
+
+
+@pytest.mark.parametrize("failure", ["stage", "newton"])
+def test_oracle_fails_at_the_smallest_step(monkeypatch, failure):
+    """Where Newton fails at every step size, the step shrinks to ten
+    ulps and the oracle fails with the reason: a solution that crosses
+    a cap on the potential's domain leaves no step whose stages all stay
+    inside, and one Newton iteration cannot show convergence."""
+    prob = build_problem(n=4, N=16, T=1.0, rho0=0.4, mu0=0.2)
+    if failure == "stage":
+        prob = replace(prob, potential=CappedPotential())
+        reason = r"a stage left the domain: capped at"
+    else:
+        monkeypatch.setattr(radau, "NEWTON_MAX", 1)
+        reason = r"Newton did not converge in 1 iterations"
+    with pytest.raises(pc.errors.SolverStepError,
+                       match=r"^ode oracle failed: step size .* at t=.*: "
+                             + reason):
+        checks.ode_oracle_solution(prob, np.full(17, 0.1))
 
 
 def test_bounds_stationary():

@@ -3,11 +3,9 @@ import json
 import os
 import re
 from dataclasses import MISSING
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.integrate
 import yaml
 
 import phasectl as pc
@@ -343,6 +341,27 @@ def test_cli_optimize_manufactured(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "u_0000.csv"))
 
 
+def test_cli_optimize_refused_summary_writes_no_csv(tmp_path, capsys,
+                                                    monkeypatch):
+    """The summary is checked before any snapshot is written, so a run
+    whose summary JSON cannot hold a value leaves no files."""
+    def spoiled(*args, **kwargs):
+        result = pc.projected_gradient_descent(*args, **kwargs)
+        result.kkt_history[-1] = float("nan")
+        return result
+
+    monkeypatch.setattr(cli, "projected_gradient_descent", spoiled)
+    text = MINIMAL + (
+        "targets: {from_state: {u: 0.3}}\n"
+        "optimizer: {max_iters: 3, step0: 100.0}\n")
+    out = tmp_path / "opt"
+    assert run_cli(["optimize", "--config", write(tmp_path, text),
+                    "--out", str(out)]) == 2
+    assert re.search(r"optimize_summary\.json: kkt_history\[\d+\] is nan",
+                     capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_cli_optimize_gradient_ignores_adjoint_mode(tmp_path):
     """optimize prices its steps with the discrete adjoint whatever
     solver.adjoint_mode says."""
@@ -450,17 +469,17 @@ control: {u_init: 0.1}
 
 def test_cli_check_oracle_integrator_failure_exits_two(tmp_path, capsys,
                                                        monkeypatch):
-    """An unsuccessful solve_ivp is a typed error, not a FAIL verdict."""
-    def failed(*args, **kwargs):
-        return SimpleNamespace(success=False, message="step size too small")
-
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", failed)
+    """An integrator that gives up is a typed error, not a FAIL verdict:
+    here the step budget runs out at the third attempt."""
+    monkeypatch.setattr(checks, "ORACLE_MAX_STEPS", 2)
     text = MINIMAL + "init: {rho0: 0.4, mu0: 0.2}\n"
     cfg = write(tmp_path, text)
-    out = str(tmp_path / "out")
-    assert run_cli(["check", "oracle", "--config", cfg, "--out", out]) == 2
-    assert ("error: ode oracle failed: step size too small"
-            in capsys.readouterr().err)
+    out = tmp_path / "out"
+    assert run_cli(["check", "oracle", "--config", cfg, "--out",
+                    str(out)]) == 2
+    assert ("error: ode oracle failed: step budget of 2 attempts exhausted "
+            "at t=0.025" in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_readme_python_names_resolve():

@@ -7,7 +7,6 @@ runs one command on it.  The list holds no size between 10^4 and
 """
 
 import json
-import re
 import traceback
 import warnings
 
@@ -118,21 +117,20 @@ def test_overflowing_newton_shift_ends_the_step(tmp_path, capsys):
 
 
 def test_overflowing_cost_writes_no_nan(tmp_path, capsys):
-    """mu_T = 1e300 overflows the cost: check grad and optimize exit 2,
-    naming the first non-finite key, and no file holds NaN or inf."""
+    """mu_T = 1e300 overflows the cost: check grad exits 2 naming the
+    first non-finite key of its report, optimize exits 2 naming the
+    overflowing cost term, neither warns, and nothing is written."""
     sections = {section: dict(keys) for section, keys in VALID.items()}
     sections["targets"]["mu_T"] = "1.0e+300"
     path, out = tmp_path / "run.yaml", tmp_path / "out"
     path.write_text(render(sections))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         codes = [run(path, command, out)
                  for command in (["check", "grad"], ["optimize"])]
     assert codes == [2, 2]
     err = capsys.readouterr().err
     assert "check_grad.json: metrics.fd_values[0] is nan" in err
-    assert "optimize_summary.json: J_history[0] is inf" in err
-    assert not (out / "check_grad.json").exists()
-    for name in sorted(p.name for p in out.iterdir()):
-        text = (out / name).read_text()
-        assert not re.search(r"(?i)nan|inf", text), name
+    assert ("error: at the starting control, the tracking cost term is inf"
+            in err)
+    assert not out.exists()

@@ -52,31 +52,34 @@ def scipy_modules_after(statements):
     return last[1:]
 
 
-def forward(config, out):
+def cli_main(*argv):
     return ("from phasectl import cli\n"
-            "assert cli.main(['forward', '--config', %r, '--out', %r]) == 0"
-            % (str(config), str(out)))
+            "assert cli.main(%r) == 0" % [str(a) for a in argv])
 
 
-@pytest.mark.parametrize("run", ["import", "desk forward", "64x64 forward"])
+@pytest.mark.parametrize("run", ["import", "desk forward", "64x64 forward",
+                                 "check oracle"])
 def test_cold_start_loads_no_scipy(tmp_path, run):
     """No scipy package loads: dptsv comes from scipy's LAPACK module
-    file, loaded on its own, and up to DCT_MATRIX_MAX cells per axis the
-    2D transforms are matrix products.  The ODE integrator loads only in
-    ``check oracle``."""
+    file, loaded on its own, up to DCT_MATRIX_MAX cells per axis the 2D
+    transforms are matrix products, and the ODE oracle integrates with
+    phasectl's own Radau IIA (the check passes: exit code 0)."""
     if run == "import":
         statements = "import phasectl.cli"
-    elif run == "desk forward":
-        (tmp_path / "desk.yaml").write_text(DESK)
-        statements = forward(tmp_path / "desk.yaml", tmp_path / "out")
-    else:
+    elif run == "64x64 forward":
         grid = Grid(2, 64, 1.0)
         x, y = grid.cell_centers().T
         fields.write_field_csv(
             str(tmp_path / "rho0.csv"), grid,
             0.4 + 0.05 * np.cos(np.pi * x) * np.cos(np.pi * y))
         (tmp_path / "square.yaml").write_text(SQUARE)
-        statements = forward(tmp_path / "square.yaml", tmp_path / "out")
+        statements = cli_main("forward", "--config", tmp_path / "square.yaml",
+                              "--out", tmp_path / "out")
+    else:
+        (tmp_path / "desk.yaml").write_text(DESK)
+        command = ["forward"] if run == "desk forward" else ["check", "oracle"]
+        statements = cli_main(*command, "--config", tmp_path / "desk.yaml",
+                              "--out", tmp_path / "out")
     assert scipy_modules_after(statements) == []
 
 
@@ -94,13 +97,3 @@ def test_cold_solve_past_the_matrix_bound_imports_scipy_fft():
         "mesh.check_residuals(grid, shift, x[None], rhs, [0])")
     assert "scipy.fft" in modules
     assert "scipy.linalg" not in modules
-
-
-def test_cold_check_oracle_passes(tmp_path):
-    """The oracle's function-level import works as the first one."""
-    cfg = tmp_path / "desk.yaml"
-    cfg.write_text(DESK)
-    proc = fresh_python("-m", "phasectl.cli", "check", "oracle", "--config",
-                        str(cfg), "--out", str(tmp_path / "out"))
-    assert proc.returncode == 0, proc.stderr
-    assert "check oracle: PASS" in proc.stdout

@@ -1,15 +1,20 @@
 """Static checks over the sources, with ``ast`` alone.
 
 No linter is configured for the project, so these scans stand in for
-two of its rules.  No imported name may go unused in the package or the
-tests (F401): a name bound by ``import`` must be read in its module (a
-name only assigned is not read), be listed in its ``__all__``, or sit
-on an import marked ``# noqa: F401`` (an import kept for its side
-effect); ``__future__`` imports are exempt.  No parameter of a
+two of its rules, and a third keeps scipy out of the package's imports.
+No imported name may go unused in the package or the tests (F401): a
+name bound by ``import`` must be read in its module (a name only
+assigned is not read), be listed in its ``__all__``, or sit on an
+import marked ``# noqa: F401`` (an import kept for its side effect);
+``__future__`` imports are exempt.  No parameter of a
 module-level function or method in the package may go unused.  The
 receiver of a method is exempt, and so are nested functions: their
 signatures are fixed by the API they are passed to, such as a
-``solve_ivp`` right-hand side or an optimizer callback.
+right-hand side handed to the ODE integrator or an optimizer callback.
+A scipy package may be imported in the package only where a run needs
+it: ``mesh._load_dptsv`` falls back to ``scipy.linalg.lapack`` when
+scipy's LAPACK module file is missing, and ``mesh._dct``/``_idct`` call
+``scipy.fft`` on an axis past ``DCT_MATRIX_MAX`` cells.
 """
 
 import ast
@@ -108,3 +113,49 @@ def test_no_unused_parameters(path):
         unused += ["%s(%s) (line %d)" % (func.name, name, func.lineno)
                    for name in names if name not in used]
     assert unused == []
+
+
+# (module, enclosing function, imported module) of each allowed import.
+SCIPY_IMPORTS = [("mesh.py", "_dct", "scipy.fft"),
+                 ("mesh.py", "_idct", "scipy.fft"),
+                 ("mesh.py", "_load_dptsv", "scipy.linalg.lapack")]
+
+
+def scipy_imports(path):
+    """(module, enclosing function or None, imported module) of every
+    import of a scipy package in ``path``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                visit(child, child.name if isinstance(child, FUNCTIONS)
+                      else func)
+                continue
+            found.extend((os.path.basename(path), func, name)
+                         for name in names
+                         if name == "scipy" or name.startswith("scipy."))
+
+    visit(parse(path), None)
+    return found
+
+
+def test_scan_finds_scipy_imports(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import scipy\n"
+                    "def f():\n"
+                    "    if True:\n"
+                    "        from scipy.integrate import solve_ivp\n"
+                    "    import numpy, scipy.fft as fft\n"
+                    "    from . import scipyish\n")
+    assert scipy_imports(str(path)) == [
+        ("mod.py", None, "scipy"), ("mod.py", "f", "scipy.integrate"),
+        ("mod.py", "f", "scipy.fft")]
+
+
+def test_scipy_imported_only_where_a_run_needs_it():
+    assert sorted(sum(map(scipy_imports, MODULES), [])) == SCIPY_IMPORTS

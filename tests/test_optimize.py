@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import phasectl as pc
 from phasectl import checks, optimize, sensitivity
 from phasectl.errors import (DomainViolation, InfeasibleControl,
-                             NewtonDivergence)
+                             NewtonDivergence, NonfiniteValue)
 from phasectl.mesh import inner_q
 from conftest import build_problem, manufactured, traj
 
@@ -204,6 +205,36 @@ def test_descent_backtracks_past_failed_trial(monkeypatch, failure):
     assert res.iterations == 3
     assert res.step_history[0] == opt.step0 * optimize.ARMIJO_SHRINK
     assert np.all(np.diff(res.J_history) <= 0.0)
+
+
+def test_descent_rejects_a_trial_with_an_overflowing_cost(monkeypatch):
+    """A trial whose cost is inf is rejected like a failed solve."""
+    prob, _ = manufactured(u_dag=0.5)
+    opt = pc.OptimizerConfig(max_iters=3, stat_tol=0.0, step0=2e3)
+    calls = []
+
+    def overflowing(*args, **kwargs):
+        calls.append(1)
+        state = pc.solve_state(*args, **kwargs)
+        if len(calls) == 2:  # the first line-search trial
+            state = replace(state, mu=state.mu + 1e300)
+        return state
+
+    monkeypatch.setattr(optimize, "solve_state", overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = pc.projected_gradient_descent(prob, 0.0, opt)
+    assert res.rejected_trials == 1 and res.iterations == 3
+    assert res.step_history[0] == opt.step0 * optimize.ARMIJO_SHRINK
+    assert np.all(np.isfinite(res.J_history))
+
+
+def test_descent_refuses_a_nonfinite_starting_cost():
+    prob, _ = manufactured(u_dag=0.5)
+    prob = replace(prob, rho_target=np.full_like(prob.rho_target, 1e300))
+    with pytest.raises(NonfiniteValue, match="^at the starting control, "
+                       "the terminal cost term is inf$"):
+        pc.projected_gradient_descent(prob, 0.0)
 
 
 def _count_solves(monkeypatch):

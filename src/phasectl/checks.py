@@ -18,7 +18,7 @@ from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 
-from . import mesh, radau
+from . import mesh
 from .errors import InfeasibleControl, ShapeMismatch, SolverStepError
 from .forward import BOUND_TOL, ProblemData, out_of_bounds, solve_state
 from .mesh import Grid, TimeGrid, as_trajectory
@@ -397,6 +397,9 @@ def ode_oracle_solution(problem: ProblemData, u_levels: np.ndarray
     stage leaves (0, 1)) or the integrator spends ORACLE_MAX_STEPS step
     attempts.
     """
+    # Imported here: forming the Radau coefficients costs about 2 MB of
+    # resident memory, which a run without the oracle need not pay.
+    from . import radau
     eps, delta = problem.epsilon, problem.delta
     pot = problem.potential
 

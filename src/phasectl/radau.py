@@ -17,7 +17,6 @@ on stiff components, as the method does.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -28,26 +27,21 @@ NODES = np.array([(4.0 - math.sqrt(6.0)) / 10.0,
                   (4.0 + math.sqrt(6.0)) / 10.0, 1.0])
 
 
-@functools.cache
-def tableau():
+def _tableau(c):
     """The coefficient matrix A, its real eigenvalue gamma, and the
     weights e with y_hat - y = h gamma f(y0) + sum_i e_i Z_i, where
-    Z = h (A x I) F are the stage increments; read-only.
-
-    Computed on first use, not at import: numpy.linalg's first calls
-    cost about 2 MB of resident memory, which a run without an ODE need
-    not pay.
-    """
-    c = NODES
+    Z = h (A x I) F are the stage increments."""
     k = np.arange(len(c))
     vander = c[:, None] ** k
     a = (c[:, None] ** (k + 1) / (k + 1)) @ np.linalg.inv(vander)
     gamma = min(np.linalg.eigvals(a), key=lambda z: abs(z.imag)).real
     b_hat = np.linalg.solve(vander.T, 1.0 / (k + 1) - gamma * (k == 0))
-    e = np.linalg.solve(a.T, b_hat - a[-1])
-    a.flags.writeable = e.flags.writeable = False
-    return a, gamma, e
+    return a, gamma, np.linalg.solve(a.T, b_hat - a[-1])
 
+
+# numpy.linalg's first calls, here, add about 2 MB of resident memory:
+# phasectl imports this module only when the ODE oracle runs.
+A, GAMMA, ERR_WEIGHTS = _tableau(NODES)
 
 # Newton fails after NEWTON_MAX iterations or at a contraction rate of
 # 1 or more.  Bounds of the factor by which one step changes the step.
@@ -68,9 +62,9 @@ def _newton(fun, y, p, h, f0, jac, scale, tol):
     distance to the solution that the contraction rate predicts is below
     ``tol`` in units of ``scale``.
     """
-    n, a = len(y), tableau()[0]
+    n = len(y)
     m_inv = np.linalg.inv(np.eye(3 * n) - h * (
-        a[:, None, :, None] * jac[None, :, None, :]).reshape(3 * n, 3 * n))
+        A[:, None, :, None] * jac[None, :, None, :]).reshape(3 * n, 3 * n))
     z = np.outer(NODES * h, f0)
     old = None
     for _ in range(NEWTON_MAX):
@@ -78,7 +72,7 @@ def _newton(fun, y, p, h, f0, jac, scale, tol):
             f = fun(y + z, p)
         except DomainViolation as exc:
             return None, "a stage left the domain: %s" % exc
-        dz = (m_inv @ (z - h * (a @ f)).ravel()).reshape(z.shape)
+        dz = (m_inv @ (z - h * (A @ f)).ravel()).reshape(z.shape)
         z = z - dz
         norm = _rms(dz / scale)
         if norm == 0.0:
@@ -104,7 +98,6 @@ def integrate_levels(fun, jac, y0, times, params, rtol, atol, max_steps):
     SolverStepError when a failed step leaves a step size below ten
     ulps of the time, or at the attempt after ``max_steps``.
     """
-    _, gamma, err_weights = tableau()
     y = np.array(y0, dtype=float)
     eye = np.eye(len(y))
     eps = np.finfo(float).eps
@@ -134,8 +127,8 @@ def integrate_levels(fun, jac, y0, times, params, rtol, atol, max_steps):
                 h = 0.5 * dt
             else:
                 y_new = y + z[-1]
-                err = np.linalg.solve(eye - dt * gamma * jac0,
-                                      dt * gamma * f0 + err_weights @ z)
+                err = np.linalg.solve(eye - dt * GAMMA * jac0,
+                                      dt * GAMMA * f0 + ERR_WEIGHTS @ z)
                 err = _rms(err / (atol + rtol * np.maximum(np.abs(y),
                                                            np.abs(y_new))))
                 # The estimate is O(h^4); 0.9 keeps the next step clear

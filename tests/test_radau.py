@@ -7,8 +7,7 @@ from phasectl import radau
 def test_tableau_is_radau_iia():
     """The coefficients computed from the nodes satisfy the simplifying
     conditions C(3) and B(5) (order 5), and the method is L-stable."""
-    c, (a, gamma, _) = radau.NODES, radau.tableau()
-    b = a[-1]
+    c, a, b = radau.NODES, radau.A, radau.A[-1]
     for k in range(1, 4):
         np.testing.assert_allclose(a @ c ** (k - 1), c ** k / k, atol=1e-15)
     for k in range(1, 6):
@@ -17,18 +16,17 @@ def test_tableau_is_radau_iia():
         stability = 1.0 + z * b @ np.linalg.solve(np.eye(3) - z * a,
                                                   np.ones(3))
         assert abs(stability) <= 10.0 / abs(z)
-    assert abs(1.0 / gamma - (3 + 3 ** (2 / 3) - 3 ** (1 / 3))) <= 1e-14
+    assert abs(1.0 / radau.GAMMA - (3 + 3 ** (2 / 3) - 3 ** (1 / 3))) <= 1e-14
 
 
 def test_error_estimate_has_order_three():
     """y_hat is exact on polynomials of degree up to 3: for y' = t^k the
     stage increments are exact, and the estimate vanishes for k <= 2."""
-    _, gamma, weights = radau.tableau()
     h = 0.1
     for k in range(4):
         z = (radau.NODES * h) ** (k + 1) / (k + 1)
         f0 = 1.0 if k == 0 else 0.0
-        estimate = h * gamma * f0 + weights @ z
+        estimate = h * radau.GAMMA * f0 + radau.ERR_WEIGHTS @ z
         if k < 3:
             assert abs(estimate) <= 1e-15
         else:

@@ -100,9 +100,9 @@ def integrate_levels(fun, jac, y0, times, params, rtol, atol, max_steps):
     """
     y = np.array(y0, dtype=float)
     eye = np.eye(len(y))
-    eps = np.finfo(float).eps
     # As in Hairer & Wanner: well below the tolerance, above round-off.
-    newton_tol = max(10.0 * eps / rtol, min(0.03, math.sqrt(rtol)))
+    newton_tol = max(10.0 * np.finfo(float).eps / rtol,
+                     min(0.03, math.sqrt(rtol)))
     out = np.empty((len(times), len(y)))
     out[0] = y
     h = times[1] - times[0]

@@ -234,7 +234,9 @@ def test_oracle_requires_uniform_data():
 
 def scipy_radau(problem, u_levels):
     """The uniform reduction by scipy's Radau at rtol 1e-12, atol 1e-14,
-    one integration per run of equal control levels."""
+    one integration per run of equal control levels, each begun with a
+    1e-6 step: scipy's own first-step probe is an explicit Euler step,
+    which leaves (0, 1) when a run begins near rho = 1."""
     import scipy.integrate
     eps, delta, pot = problem.epsilon, problem.delta, problem.potential
 
@@ -254,7 +256,7 @@ def scipy_radau(problem, u_levels):
         sol = scipy.integrate.solve_ivp(
             rhs, (times[start], times[stop]), out[start], method="Radau",
             t_eval=times[start:stop + 1], rtol=1e-12, atol=1e-14,
-            args=(u_levels[start + 1],))
+            first_step=1e-6, args=(u_levels[start + 1],))
         assert sol.success, sol.message
         out[start:stop + 1] = sol.y.T
         start = stop
@@ -262,7 +264,9 @@ def scipy_radau(problem, u_levels):
 
 
 # (epsilon, delta, rho0, mu0, control): the desk instance, stiff ones,
-# one near 0 and one whose control drives 1 - rho to 8e-4.
+# one near 0, one whose control drives 1 - rho to 8e-4, and one whose
+# control switches off near rho = 1, where restarting scipy's solve_ivp
+# raised a DomainViolation.
 ORACLE_INSTANCES = {
     "desk": (0.5, 1.0, 0.4, 0.2, 0.1),
     "small delta": (0.5, 1e-3, 0.4, 0.2, 0.1),
@@ -271,6 +275,7 @@ ORACLE_INSTANCES = {
     "rho0 0.02": (0.5, 1.0, 0.02, 0.0, 1.0),
     "near 1": (0.5, 1.0, 0.5, 0.0, 3.5),
     "step control": (0.5, 1.0, 0.4, 0.2, "step"),
+    "switch near 1": (0.5, 1.0, 0.5, 0.0, "switch"),
 }
 
 
@@ -282,8 +287,9 @@ def test_oracle_matches_scipy_radau(name):
     prob = build_problem(n=4, N=128, T=1.0, epsilon=eps, delta=delta,
                          rho0=rho0, mu0=mu0, u_max=10.0)
     times = prob.tgrid.times
-    levels = (np.where(times <= 0.5, 0.1, 0.3) if u == "step"
-              else np.full(len(times), u))
+    levels = {"step": np.where(times <= 0.5, 0.1, 0.3),
+              "switch": np.where(times <= 0.6, 5.0, 0.0)}.get(
+                  u, np.full(len(times), u))
     tic = time.perf_counter()
     got = checks.ode_oracle_solution(prob, levels)
     assert time.perf_counter() - tic < 0.5

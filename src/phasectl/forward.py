@@ -14,6 +14,13 @@ Newton iterations, or itself extrapolated and needed at least one: where
 the previous level converges in one iteration, extrapolating cannot
 do better.  Where Newton fails from the extrapolated start, the step
 runs it again from the previous level, and the step after starts there.
+Newton stops at newton_tol, or at the residual's rounding floor
+FLOOR_FACTOR |spacing(rho) (delta/tau + f''(rho))|_h where that is
+larger, as it can be near rho = 1; Diagnostics.on_floor records the
+steps that ended there.  Each iterate's domain is tested once, and its
+least and greatest entries serve f', f'', the damping and a scalar
+bound of that floor, so that the floor itself is formed only when the
+residual is within the bound.
 
 The chemical-potential equation is linear once rho^{n+1} is known; the
 time derivative of the product mu * rho is discretized as
@@ -25,6 +32,7 @@ and sources.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt, ulp
 
 import numpy as np
 
@@ -32,7 +40,7 @@ from . import mesh
 from .errors import (DomainViolation, NewtonDivergence,
                      NonpositiveCoefficient, SolverStepError, require)
 from .mesh import Grid, TimeGrid, as_field, as_trajectory
-from .potential import Potential
+from .potential import Potential, domain_bounds
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,11 @@ class ProblemData:
 
 # The share of its distance to 0 or 1 that a Newton step leaves each cell.
 BOUNDARY_MARGIN = 0.1
+# Newton also stops on a residual norm at most this many times
+# |spacing(rho) * shift|_h, the rounding floor of the residual: near 1 the
+# shift grows like c_log / (1 - rho) while the spacing of rho does not
+# shrink, so that floor can lie above newton_tol.
+FLOOR_FACTOR = 4.0
 # The slack of the bounds mu >= 0 and 0 <= u <= u_max.
 BOUND_TOL = 1e-10
 
@@ -111,6 +124,7 @@ class Diagnostics:
 
     newton_iters: list
     newton_residuals: list
+    on_floor: list
     extrapolated: list
     fell_back: list
     min_coefficient: list
@@ -152,28 +166,39 @@ def out_of_bounds(rho: np.ndarray, mu: np.ndarray) -> int:
                + np.count_nonzero(~(mu >= -BOUND_TOL)))
 
 
-def _rho_residual(grid, pot, delta, tau, rho_prev, rho, mu_prev):
+def _rho_residual(grid, delta, tau, rho_prev, rho, mu_prev, d1):
+    """The order-parameter step residual, ``d1`` being f'(rho)."""
     return (delta / tau) * (rho - rho_prev) - mesh.laplacian_apply(grid, rho) \
-        + pot.d1(rho) - mu_prev
+        + d1 - mu_prev
 
 
-def _residual_norm(grid: Grid, res: np.ndarray):
-    """Cell norm of a Newton residual, over max|res| if its square overflows.
+def _floor_bound(grid, pot, delta, tau, lo, hi):
+    """An upper bound of FLOOR_FACTOR * |spacing(rho) * shift|_h from the
+    least and greatest entries of rho: spacing(hi) bounds every spacing,
+    the shift's size is at most delta/tau + 2 c_quad plus c_log over the
+    least of r(1 - r), which lies at lo or at hi, and the cell norm of a
+    field is at most sqrt(|Omega|) times its largest entry.  Doubled, so
+    that rounding in the bound or in the floor cannot put the bound below
+    the floor."""
+    least = min(lo * (1.0 - lo), hi * (1.0 - hi))
+    size = delta / tau + 2.0 * pot.c_quad + pot.c_log / least
+    return 2.0 * FLOOR_FACTOR * ulp(hi) * size * sqrt(
+        grid.weight * grid.num_cells)
 
-    Called with overflow raising, as step_rho does.  The plain norm is
-    kept whenever it is finite.
-    """
-    try:
-        return mesh.norm_h(grid, res)
-    except FloatingPointError:
-        scale = np.abs(res).max()
-        with np.errstate(over="ignore"):
-            return scale * mesh.norm_h(grid, res / scale)
+
+def _floor(grid, rho, shift):
+    """FLOOR_FACTOR * |spacing(rho) * shift|_h, the rounding floor of the
+    residual norm at ``rho``."""
+    with np.errstate(over="ignore"):
+        return FLOOR_FACTOR * mesh.scaled_norm(mesh.norm_h, grid,
+                                               np.spacing(rho) * shift)
 
 
-def _damping(rho: np.ndarray, step: np.ndarray, theta: float):
+def _damping(rho: np.ndarray, step: np.ndarray, theta: float, lo: float,
+             hi: float):
     """Largest factor in (0, 1] that keeps every cell at least theta times
-    its current distance from the endpoint its step heads for.
+    its current distance from the endpoint its step heads for; ``lo`` and
+    ``hi`` are the least and greatest entries of rho.
 
     Returns 1.0 before any per-cell division when no step exceeds half of
     (1 - theta) times the least distance of rho to 0 or 1: each ratio
@@ -181,7 +206,7 @@ def _damping(rho: np.ndarray, step: np.ndarray, theta: float):
     1.5 / (1 - theta) where that bound is subnormal), so the full formula
     gives 1.0 too.  A NaN or infinite step takes the full formula.
     """
-    bound = (1.0 - theta) * min(rho.min(), 1.0 - rho.max())
+    bound = (1.0 - theta) * min(lo, 1.0 - hi)
     if 2.0 * np.abs(step).max() <= bound:
         return 1.0
     dist = np.where(step < 0.0, rho, 1.0 - rho)
@@ -193,11 +218,13 @@ def _damping(rho: np.ndarray, step: np.ndarray, theta: float):
     return min(1.0, (1.0 - theta) * ratio.min())
 
 
-def _extrapolate(levels: np.ndarray) -> np.ndarray:
+def _extrapolate(levels: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """The quadratic extrapolation of three levels, its increment over the
-    last damped as a Newton step is, so it stays inside (0, 1)."""
+    last damped as a Newton step is, so it stays inside (0, 1); ``lo``
+    and ``hi`` are the least and greatest entries of the last level."""
     step = levels[0] + 3.0 * (levels[2] - levels[1]) - levels[2]
-    return levels[2] + _damping(levels[2], step, BOUNDARY_MARGIN) * step
+    return levels[2] + _damping(levels[2], step, BOUNDARY_MARGIN, lo,
+                                hi) * step
 
 
 class NewtonHistory(list):
@@ -205,10 +232,14 @@ class NewtonHistory(list):
     step, in order, and the number of Newton ``solves`` of its attempts.
     ``restart`` is 0, or the index of the first residual of the second
     attempt, the one from the previous level, when Newton from the given
-    start failed."""
+    start failed.  ``on_floor`` is whether the level returned ended on
+    the rounding floor above newton_tol, and ``bounds`` its least and
+    greatest entries."""
 
     restart = 0
     solves = 0
+    on_floor = False
+    bounds = None
 
 
 def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
@@ -225,8 +256,11 @@ def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
     and its NewtonHistory.  If Newton from ``start`` raises
     NewtonDivergence, the step runs Newton again from the previous
     level; the history keeps the residuals of both attempts and marks
-    where the second began.  Raises NewtonDivergence if the residual
-    norm fails to reach newton_tol within newton_max iterations, an
+    where the second began.  Newton stops when the residual norm is at
+    most newton_tol or FLOOR_FACTOR |spacing(rho) * shift|_h, its
+    rounding floor; the history's ``on_floor`` records a stop above
+    newton_tol.  Raises NewtonDivergence if the residual norm reaches
+    neither within newton_max iterations (the message gives both), an
     iterate rounds onto 0 or 1, or the Newton shift overflows; any
     SolverStepError raised here carries the residual norms so far in
     ``newton_residuals`` and tau times the minimum of the last Newton
@@ -244,37 +278,48 @@ def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
 
 def _newton(start, grid, pot, delta, tau, rho_prev, mu_prev, cfg, history):
     """The damped Newton iteration of step_rho from ``start``; appends the
-    residual norm of every iterate to ``history``."""
+    residual norm of every iterate to ``history``.  Each iterate's domain
+    is tested once: its least and greatest entries serve f', f'', the
+    damping and the floor bound."""
     rho, shift = start.copy(), None
     try:
         for it in range(cfg.newton_max + 1):
             try:
-                res = _rho_residual(grid, pot, delta, tau, rho_prev, rho,
-                                    mu_prev)
+                lo, hi = domain_bounds(rho)
             except DomainViolation as exc:
                 # A cell rounded onto an endpoint the damping kept it off.
                 raise NewtonDivergence("Newton iterate %d: %s"
                                        % (it, exc)) from None
+            res = _rho_residual(grid, delta, tau, rho_prev, rho, mu_prev,
+                                pot.d1_unchecked(rho))
             # An overflowing norm is rescaled, an overflowing shift fails.
             with np.errstate(over="raise"):
-                rnorm = _residual_norm(grid, res)
+                rnorm = mesh.scaled_norm(mesh.norm_h, grid, res)
                 history.append(rnorm)
                 if rnorm <= cfg.newton_tol:
+                    history.bounds = lo, hi
                     return rho
-                if it == cfg.newton_max:
-                    break
                 try:
-                    shift = newton_shift(pot, delta, tau, rho)
+                    # newton_shift, on an iterate already tested.
+                    shift = delta / tau + pot.d2_unchecked(rho)
                 except FloatingPointError:
                     raise NewtonDivergence(
                         "Newton shift delta/tau + f''(rho) overflows at "
                         "iterate %d" % it) from None
+            if rnorm <= _floor_bound(grid, pot, delta, tau, lo, hi) \
+                    and rnorm <= _floor(grid, rho, shift):
+                history.on_floor, history.bounds = True, (lo, hi)
+                return rho
+            if it == cfg.newton_max:
+                break
             history.solves += 1
             step = mesh.solve_shifted(grid, shift, -res)
-            rho = rho + _damping(rho, step, BOUNDARY_MARGIN) * step
+            rho = rho + _damping(rho, step, BOUNDARY_MARGIN, lo, hi) * step
         raise NewtonDivergence(
-            "Newton residual %.3e above tolerance %.3e after %d iterations"
-            % (history[-1], cfg.newton_tol, cfg.newton_max))
+            "Newton residual %.3e above tolerance %.3e and rounding floor "
+            "%.3e after %d iterations" % (history[-1], cfg.newton_tol,
+                                          _floor(grid, rho, shift),
+                                          cfg.newton_max))
     except SolverStepError as exc:
         exc.newton_residuals = history
         if shift is not None:
@@ -314,6 +359,7 @@ def _diagnose(problem: ProblemData, rho: np.ndarray, mu: np.ndarray,
     return Diagnostics(
         newton_iters=[h.solves for h in histories],
         newton_residuals=[h[-1] for h in histories],
+        on_floor=[h.on_floor for h in histories],
         extrapolated=extrapolated,
         fell_back=[bool(h.restart) for h in histories],
         min_coefficient=coeff.tolist(), min_newton_shift=shift.tolist(),
@@ -350,7 +396,8 @@ def solve_state(problem: ProblemData, u) -> StateTrajectory:
                 if n >= 2 and not histories[-1].restart:
                     iters = len(histories[-1]) - 1
                     if iters >= 2 or extrapolated[-1] and iters >= 1:
-                        start = _extrapolate(rho[n - 2:n + 1])
+                        start = _extrapolate(rho[n - 2:n + 1],
+                                             *histories[-1].bounds)
                 rho[n + 1], hist = step_rho(grid, problem.potential,
                                             problem.delta, tau, rho[n], mu[n],
                                             problem.solver, start)
@@ -378,8 +425,8 @@ def residual_norms(problem: ProblemData, u, state: StateTrajectory) -> dict:
     u = as_trajectory(tg, grid, u)
     tau, eps = tg.tau, problem.epsilon
     rho, mu = state.rho, state.mu
-    res1 = _rho_residual(grid, problem.potential, problem.delta, tau,
-                         rho[:-1], rho[1:], mu[:-1])
+    res1 = _rho_residual(grid, problem.delta, tau, rho[:-1], rho[1:],
+                         mu[:-1], problem.potential.d1(rho[1:]))
     res2 = mu_diagonal(eps, tau, rho[:-1], rho[1:]) * mu[1:] \
         - mesh.laplacian_apply(grid, mu[1:]) - u[1:] \
         - mu_carry(eps, tau, rho[1:]) * mu[:-1]

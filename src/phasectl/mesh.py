@@ -19,7 +19,9 @@ checks each residual against LINEAR_TOL with ``check_residuals`` a
 block of rows at a time: one stencil apply per block instead of one
 per solve.  ``block_rows`` gives a block's rows from the byte budget
 CHECK_BLOCK_BYTES; the tangent and adjoint marches form their step
-coefficients in blocks cut from the same budget.
+coefficients in blocks cut from the same budget.  ``scaled_norm`` forms
+a norm whose square overflows on the field over its largest entry; the
+Newton residual norm and ``norm_q`` go through it.
 
 In 2D the solve runs on orthonormal type-II DCT coefficients, the
 eigenbasis of the zero-flux Laplacian.  A grid caches the DCT matrix of
@@ -132,10 +134,12 @@ class Grid:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def reshape(self, v: np.ndarray) -> np.ndarray:
+        """A stack of fields ``(..., cells)`` shaped ``(..., *n)``; in 1D
+        that is ``v`` itself."""
         if v.shape[-1:] != (self.num_cells,):
             raise ShapeMismatch("field has shape %r, expected (..., %d)"
                                 % (v.shape, self.num_cells))
-        return v.reshape(v.shape[:-1] + self.n)
+        return v if self.dim == 1 else v.reshape(v.shape[:-1] + self.n)
 
     def check_field(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -191,7 +195,8 @@ def as_field(grid: Grid, value) -> np.ndarray:
 def laplacian_apply(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Apply the zero-flux Laplacian to each field without assembly."""
     v = np.asarray(v, dtype=float)
-    return _laplacian(grid, grid.reshape(v)).reshape(v.shape)
+    out = _laplacian(grid, grid.reshape(v))
+    return out if grid.dim == 1 else out.reshape(v.shape)
 
 
 def _laplacian(grid: Grid, a: np.ndarray) -> np.ndarray:
@@ -199,9 +204,16 @@ def _laplacian(grid: Grid, a: np.ndarray) -> np.ndarray:
 
     Per axis, the flux across each interior face leaves one cell and
     enters its neighbour; the end faces carry none.  The first axis
-    writes every cell, so later axes accumulate onto it.
+    writes every cell, so later axes accumulate onto it.  In 1D the one
+    axis is the last, indexed as it is, with the same arithmetic.
     """
     out = np.empty_like(a)
+    if grid.dim == 1:
+        flux = (a[..., 1:] - a[..., :-1]) / grid.h[0] ** 2
+        out[..., :-1] = flux
+        out[..., -1] = 0.0
+        out[..., 1:] -= flux
+        return out
     for axis in range(-grid.dim, 0):
         o, s = out.swapaxes(0, axis), a.swapaxes(0, axis)
         flux = (s[1:] - s[:-1]) / grid.h[axis] ** 2
@@ -460,6 +472,29 @@ def norm_h(grid: Grid, a: np.ndarray):
     return np.sqrt(inner_h(grid, a, a))
 
 
+def scaled_norm(norm, *args):
+    """``norm(*args)``, one number measuring the last argument ``a``, or,
+    where that overflows, max|a| times the norm of a / max|a|.
+
+    The plain norm is kept whenever it is finite, and where ``a`` is not
+    finite.  Its overflow either raises FloatingPointError, under
+    ``np.errstate(over="raise")``, or gives inf, under ``over="ignore"``:
+    call it under one of those two.
+    """
+    try:
+        value = norm(*args)
+        if value < np.inf:
+            return value
+    except FloatingPointError:
+        value = np.inf
+    *grids, a = args
+    scale = np.abs(a).max()
+    if not scale < np.inf:
+        return value
+    with np.errstate(over="ignore"):
+        return scale * norm(*grids, a / scale)
+
+
 def grad_inner(grid: Grid, a: np.ndarray, b: np.ndarray):
     """Pairing of face-difference gradients, one face volume per face."""
     ar = grid.reshape(np.asarray(a, dtype=float))
@@ -541,4 +576,10 @@ def inner_q(tg: TimeGrid, grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def norm_q(tg: TimeGrid, grid: Grid, a: np.ndarray) -> float:
-    return float(np.sqrt(inner_q(tg, grid, a, a)))
+    """Space-time norm, rescaled where its square overflows."""
+    with np.errstate(over="ignore"):
+        return float(scaled_norm(_plain_norm_q, tg, grid, a))
+
+
+def _plain_norm_q(tg: TimeGrid, grid: Grid, a: np.ndarray):
+    return np.sqrt(inner_q(tg, grid, a, a))

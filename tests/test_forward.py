@@ -1,15 +1,16 @@
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phasectl as pc
 from phasectl import checks, forward, mesh
-from phasectl.errors import (LinearSolveFailure, NewtonDivergence,
-                             NonpositiveCoefficient, SolverStepError)
+from phasectl.errors import (DomainViolation, LinearSolveFailure,
+                             NewtonDivergence, NonpositiveCoefficient,
+                             SolverStepError)
 from conftest import build_problem, fallback_instance, spoil, traj
 
 
@@ -32,8 +33,13 @@ def test_step_rho_matches_scalar_root():
                               pc.SolverConfig())
     def residual(r):
         return delta * (r - rho_prev) / tau + pot.d1(np.array([r]))[0] - mu
-    root = scipy.optimize.brentq(residual, 1e-12, 1 - 1e-12,
-                                 xtol=1e-15, rtol=8.9e-16)
+    # Bisection to the last bit: the residual increases on (0, 1).
+    lo, hi = 1e-12, 1 - 1e-12
+    assert residual(lo) < 0.0 < residual(hi)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if residual(mid) < 0.0 else (lo, mid)
+    root = lo
     assert np.ptp(out) == 0.0
     assert out[0] == pytest.approx(root, abs=1e-12)
 
@@ -50,6 +56,18 @@ def test_newton_residuals_quadratic():
     assert all(r < 0.5 for r in ratios)
     if len(ratios) >= 2:
         assert ratios[-1] < 0.2 * ratios[0]
+
+
+def damping(rho, step, theta):
+    """forward._damping, given the least and greatest entries of rho."""
+    return forward._damping(rho, step, theta, float(rho.min()),
+                            float(rho.max()))
+
+
+def extrapolate(levels):
+    """forward._extrapolate, given the bounds of the last level."""
+    return forward._extrapolate(levels, float(levels[2].min()),
+                                float(levels[2].max()))
 
 
 def two_mask_damping(rho, step, theta):
@@ -80,7 +98,7 @@ def test_damping_matches_two_mask_formula():
         if rng.random() < 0.05:
             step[:] = 0.0
         theta = rng.uniform(0.01, 0.99)
-        got = forward._damping(rho, step, theta)
+        got = damping(rho, step, theta)
         want = two_mask_damping(rho, step, theta)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
     scales = [0.5 * (1.0 - 2.0**-52), 0.5, 0.5 * (1.0 + 2.0**-52),
@@ -96,7 +114,7 @@ def test_damping_matches_two_mask_formula():
         step = rng.uniform(-0.999, 0.999, n) * big
         step[i] = big if rho[i] > 0.5 else -big
         inside += 2.0 * big <= (1.0 - theta) * dist[i]
-        got = forward._damping(rho, step, theta)
+        got = damping(rho, step, theta)
         want = two_mask_damping(rho, step, theta)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
     assert inside >= 150
@@ -107,18 +125,18 @@ def test_damping_matches_two_mask_formula():
         rho = rng.integers(1, 40, n) * 5e-324
         step = -rng.integers(0, 25, n) * 5e-324
         theta = rng.uniform(0.01, 0.99)
-        got = forward._damping(rho, step, theta)
+        got = damping(rho, step, theta)
         want = two_mask_damping(rho, step, theta)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
     # A NaN step skips the fast exit: the per-cell ratios propagate the
     # NaN, and min(1.0, NaN) is 1.0.  An infinite step damps to 0.
     rho = np.array([0.5, 0.5, 0.5])
-    assert forward._damping(rho, np.array([0.0, np.nan, 1e-3]), 0.1) == 1.0
-    assert forward._damping(rho, np.array([0.0, np.inf, 1e-3]), 0.1) == 0.0
+    assert damping(rho, np.array([0.0, np.nan, 1e-3]), 0.1) == 1.0
+    assert damping(rho, np.array([0.0, np.inf, 1e-3]), 0.1) == 0.0
     # A subnormal step beside a distance near 1 overflows its ratio to inf,
     # which no other cell's ratio exceeds; no warning is raised.
-    assert forward._damping(np.array([1e-3, 0.5]), np.array([1e-310, 0.4]),
-                            0.1) == 1.0
+    assert damping(np.array([1e-3, 0.5]), np.array([1e-310, 0.4]),
+                   0.1) == 1.0
 
 
 def test_step_mu_homogeneous():
@@ -347,14 +365,13 @@ def test_extrapolated_start_is_damped_inside():
     Newton step: no cell comes closer than a tenth of its distance to the
     endpoint it heads for."""
     levels = np.array([[0.5, 0.5, 0.3], [0.2, 0.7, 0.3], [0.01, 0.98, 0.3]])
-    start = forward._extrapolate(levels)
+    start = extrapolate(levels)
     # The increments are -0.08, 0.36 and 0; the second cell binds.
     lam = 0.9 * 0.02 / 0.36
     np.testing.assert_allclose(start, [0.01 - lam * 0.08, 0.998, 0.3],
                                rtol=1e-12)
     # The first cell alone is left with a tenth of 0.01.
-    assert forward._extrapolate(levels[:, :1]) == pytest.approx([0.001],
-                                                                rel=1e-12)
+    assert extrapolate(levels[:, :1]) == pytest.approx([0.001], rel=1e-12)
     # A march whose levels fall fast towards the well near 0.02.
     prob = build_problem(n=8, N=16, T=4.0, rho0=0.3, mu0=0.0)
     state = pc.solve_state(prob, 0.0)
@@ -380,7 +397,7 @@ def test_extrapolated_start_falls_back_to_the_previous_level():
     args = (prob.grid, prob.potential, prob.delta, prob.tgrid.tau,
             state.rho[2], state.mu[2], prob.solver)
     warm, warm_hist = forward.step_rho(*args)
-    level, hist = forward.step_rho(*args, forward._extrapolate(state.rho[:3]))
+    level, hist = forward.step_rho(*args, extrapolate(state.rho[:3]))
     assert np.array_equal(level, warm) and np.array_equal(level, state.rho[3])
     assert hist.restart == 31 and hist[31:] == warm_hist
     assert min(hist[:31]) > prob.solver.newton_tol and not warm_hist.restart
@@ -415,7 +432,7 @@ def test_both_failed_attempts_keep_their_residuals(monkeypatch):
     with pytest.raises(NewtonDivergence) as err:
         forward.step_rho(prob.grid, prob.potential, prob.delta,
                          prob.tgrid.tau, state.rho[2], state.mu[2], strict,
-                         forward._extrapolate(state.rho[:3]))
+                         extrapolate(state.rho[:3]))
     res = err.value.newton_residuals
     assert len(res) == 6 and res.restart == 3 and len(calls) == 4
 
@@ -444,6 +461,185 @@ def test_extrapolated_start_reaches_the_same_level(n, delta, ratio, epsilon,
             state.mu[2], prob.solver)
     warm, warm_hist = forward.step_rho(*args)
     extra, extra_hist = forward.step_rho(
-        *args, forward._extrapolate(state.rho[:3]))
+        *args, extrapolate(state.rho[:3]))
     np.testing.assert_allclose(extra, warm, rtol=0.0, atol=1e-9)
     assert max(warm_hist[-1], extra_hist[-1]) <= prob.solver.newton_tol
+
+
+@pytest.mark.parametrize("N, last", [(8, 7), (16, 15), (64, 54)])
+def test_newton_stops_on_its_rounding_floor_near_one(N, last):
+    """On 4 cells marched to T = 4 under the control 5, rho climbs to
+    within 3e-8 of 1, where the residual's rounding floor lies above
+    newton_tol.  Step ``last`` used to stall at a residual of 1.3-1.8e-10
+    and fail after 30 iterations.  Newton now stops on the floor
+    FLOOR_FACTOR |spacing(rho) shift|_h, the diagnostics record those
+    steps, and the march reaches T with its duality and bounds intact."""
+    prob = build_problem(n=4, N=N, T=4.0, epsilon=1.0, delta=1.0, rho0=0.3,
+                         mu0=0.0, u_max=5.0)
+    state = pc.solve_state(prob, 5.0)
+    d, tau = state.diagnostics, prob.tgrid.tau
+    assert d.on_floor.index(True) == last - 1
+    assert 1.0 - state.rho.max() < 1e-7
+    for i in range(N):
+        args = (prob.grid, prob.potential, prob.delta, tau, state.rho[i],
+                state.mu[i], prob.solver)
+        start = (extrapolate(state.rho[i - 2:i + 1]) if d.extrapolated[i]
+                 else None)
+        level, hist = forward.step_rho(*args, start)
+        assert np.array_equal(level, state.rho[i + 1])
+        assert hist.on_floor == d.on_floor[i]
+        shift = forward.newton_shift(prob.potential, prob.delta, tau, level)
+        if hist.on_floor:
+            assert prob.solver.newton_tol < hist[-1] <= forward._floor(
+                prob.grid, level, shift)
+        else:
+            assert hist[-1] <= prob.solver.newton_tol
+    assert checks.duality_gap_check(prob, 0, u=5.0)["pass"]
+    assert checks.bounds_check(prob, 0, u=5.0)["pass"]
+
+
+def test_newton_stalling_above_the_floor_still_fails():
+    """Newton from the extrapolated start of the fallback instance's step
+    3 crawls near rho = 1 far above the rounding floor; it fails after
+    newton_max iterations, naming the residual and the floor."""
+    prob, u = fallback_instance()
+    state = pc.solve_state(prob, u)
+    with pytest.raises(NewtonDivergence) as err:
+        forward._newton(extrapolate(state.rho[:3]), prob.grid,
+                        prob.potential, prob.delta, prob.tgrid.tau,
+                        state.rho[2], state.mu[2], prob.solver,
+                        forward.NewtonHistory())
+    match = re.fullmatch(r"Newton residual (\S+) above tolerance (\S+) and "
+                         r"rounding floor (\S+) after 30 iterations",
+                         str(err.value))
+    assert match, str(err.value)
+    res, tol, floor = map(float, match.groups())
+    assert res == float("%.3e" % err.value.newton_residuals[-1])
+    assert tol == prob.solver.newton_tol and res > 1e3 * floor > 0.0
+
+
+def reference_norm(grid, x):
+    """|x|_h, or max|x| |x / max|x||_h where only the square overflows;
+    inf or NaN where x holds one."""
+    with np.errstate(over="ignore"):
+        value, scale = mesh.norm_h(grid, x), np.abs(x).max()
+        if value == np.inf and np.isfinite(scale):
+            value = scale * mesh.norm_h(grid, x / scale)
+    return value
+
+
+def reference_floor(grid, rho, shift):
+    """FLOOR_FACTOR |spacing(rho) shift|_h."""
+    return forward.FLOOR_FACTOR * reference_norm(grid, np.spacing(rho) * shift)
+
+
+def reference_step_rho(grid, pot, delta, tau, rho_prev, mu_prev, cfg,
+                       start=None):
+    """step_rho as first written: the potential's checked derivatives, the
+    Newton shift and the damping each test rho apart, and the rounding
+    floor is formed at every iterate above newton_tol."""
+    history = forward.NewtonHistory()
+
+    def newton(rho):
+        rho, shift = rho.copy(), None
+        try:
+            for it in range(cfg.newton_max + 1):
+                try:
+                    res = (delta / tau) * (rho - rho_prev) \
+                        - mesh.laplacian_apply(grid, rho) + pot.d1(rho) \
+                        - mu_prev
+                except DomainViolation as exc:
+                    raise NewtonDivergence("Newton iterate %d: %s"
+                                           % (it, exc)) from None
+                rnorm = reference_norm(grid, res)
+                history.append(rnorm)
+                if rnorm <= cfg.newton_tol:
+                    return rho
+                with np.errstate(over="raise"):
+                    try:
+                        shift = forward.newton_shift(pot, delta, tau, rho)
+                    except FloatingPointError:
+                        raise NewtonDivergence(
+                            "Newton shift delta/tau + f''(rho) overflows at "
+                            "iterate %d" % it) from None
+                if rnorm <= reference_floor(grid, rho, shift):
+                    history.on_floor = True
+                    return rho
+                if it == cfg.newton_max:
+                    break
+                history.solves += 1
+                step = mesh.solve_shifted(grid, shift, -res)
+                rho = rho + two_mask_damping(
+                    rho, step, forward.BOUNDARY_MARGIN) * step
+            raise NewtonDivergence(
+                "Newton residual %.3e above tolerance %.3e and rounding "
+                "floor %.3e after %d iterations"
+                % (history[-1], cfg.newton_tol,
+                   reference_floor(grid, rho, shift), cfg.newton_max))
+        except SolverStepError as exc:
+            exc.newton_residuals = history
+            if shift is not None:
+                exc.min_newton_shift = tau * float(shift.min())
+            raise
+
+    if start is not None:
+        try:
+            return newton(start), history
+        except NewtonDivergence:
+            history.restart = len(history)
+    return newton(rho_prev), history
+
+
+def outcome(step, *args):
+    """The level and Newton record of a step, or its error's."""
+    try:
+        level, hist = step(*args)
+    except SolverStepError as exc:
+        hist = exc.newton_residuals
+        return (type(exc), str(exc), exc.min_newton_shift,
+                None if hist is None else (list(hist), hist.restart))
+    return (level.tobytes(), list(hist), hist.restart, hist.solves,
+            hist.on_floor)
+
+
+# Cell values that round onto, or next to, the endpoints 0 and 1.
+EDGES = [5e-324, 1e-300, 1e-16, 2.0**-53, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+fields6 = st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=6, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@example(n=4, rho=[0.9999998] * 6, mu=[12.0] * 6, start=None, edge=None,
+         tau=0.25, delta=1.0, c_log=0.5, c_quad=2.0, newton_max=30)
+@example(n=3, rho=[0.5, 0.6, 0.7] * 2, mu=[0.0] * 6, start=None, edge=None,
+         tau=0.1, delta=1.0, c_log=1e308, c_quad=2.0, newton_max=30)
+@example(n=2, rho=[0.5] * 6, mu=[1e3, 0.0] * 3, start=None,
+         edge=(0, 1.0 - 2.0**-53), tau=0.5, delta=1.0, c_log=0.5,
+         c_quad=2.0, newton_max=30)
+@given(n=st.integers(1, 6), rho=fields6,
+       mu=st.lists(st.floats(-20.0, 20.0), min_size=6, max_size=6),
+       start=st.none() | fields6,
+       edge=st.none() | st.tuples(st.integers(0, 5), st.sampled_from(EDGES)),
+       tau=st.floats(1e-3, 2.0), delta=st.floats(0.05, 5.0),
+       c_log=st.floats(0.01, 2.0) | st.sampled_from([1e300, 1e308]),
+       c_quad=st.floats(0.0, 5.0), newton_max=st.integers(1, 30))
+def test_fused_newton_matches_the_reference_step(n, rho, mu, start, edge,
+                                                 tau, delta, c_log, c_quad,
+                                                 newton_max):
+    """step_rho, which tests each iterate's domain once and bounds the
+    rounding floor before forming it, gives the reference its levels,
+    residual histories and floor stops bit for bit, and its exception
+    classes, messages and records.  ``edge`` puts one cell of the
+    previous level on or next to an endpoint.  The examples end on the
+    floor, in an overflowing Newton shift, and with an iterate rounding
+    onto 1."""
+    grid = pc.Grid(1, n, 1.0)
+    pot = pc.Potential(c_log=c_log, c_quad=c_quad)
+    cfg = pc.SolverConfig(newton_max=newton_max)
+    rho_prev = np.array(rho[:n])
+    if edge is not None:
+        rho_prev[edge[0] % n] = edge[1]
+    args = (grid, pot, delta, tau, rho_prev, np.array(mu[:n]), cfg,
+            None if start is None else np.array(start[:n]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert outcome(forward.step_rho, *args) == outcome(
+            reference_step_rho, *args)

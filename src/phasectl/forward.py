@@ -233,8 +233,8 @@ class NewtonHistory(list):
     ``restart`` is 0, or the index of the first residual of the second
     attempt, the one from the previous level, when Newton from the given
     start failed.  ``on_floor`` is whether the level returned ended on
-    the rounding floor above newton_tol, and ``bounds`` its least and
-    greatest entries."""
+    the rounding floor above newton_tol, and ``bounds`` the least and
+    greatest entries of the last iterate, the level returned."""
 
     restart = 0
     solves = 0
@@ -285,7 +285,7 @@ def _newton(start, grid, pot, delta, tau, rho_prev, mu_prev, cfg, history):
     try:
         for it in range(cfg.newton_max + 1):
             try:
-                lo, hi = domain_bounds(rho)
+                lo, hi = history.bounds = domain_bounds(rho)
             except DomainViolation as exc:
                 # A cell rounded onto an endpoint the damping kept it off.
                 raise NewtonDivergence("Newton iterate %d: %s"
@@ -297,7 +297,6 @@ def _newton(start, grid, pot, delta, tau, rho_prev, mu_prev, cfg, history):
                 rnorm = mesh.scaled_norm(mesh.norm_h, grid, res)
                 history.append(rnorm)
                 if rnorm <= cfg.newton_tol:
-                    history.bounds = lo, hi
                     return rho
                 try:
                     # newton_shift, on an iterate already tested.
@@ -308,7 +307,7 @@ def _newton(start, grid, pot, delta, tau, rho_prev, mu_prev, cfg, history):
                         "iterate %d" % it) from None
             if rnorm <= _floor_bound(grid, pot, delta, tau, lo, hi) \
                     and rnorm <= _floor(grid, rho, shift):
-                history.on_floor, history.bounds = True, (lo, hi)
+                history.on_floor = True
                 return rho
             if it == cfg.newton_max:
                 break

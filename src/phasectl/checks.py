@@ -21,8 +21,8 @@ import numpy as np
 from . import mesh
 from .errors import InfeasibleControl, ShapeMismatch, SolverStepError
 from .forward import BOUND_TOL, ProblemData, out_of_bounds, solve_state
-from .mesh import Grid, TimeGrid, as_trajectory
-from .optimize import cost, reduced_gradient
+from .mesh import Grid, TimeGrid, check_trajectory, constant_in_time
+from .optimize import finite_cost, reduced_gradient
 from .sensitivity import duality_pairing, solve_adjoint, solve_tangent
 
 GRAD_LAMBDAS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -33,14 +33,18 @@ def _encode(value):
     """The init fields of a dataclass, nested ones too, with arrays digested.
 
     Fields set after construction, such as the grid spacings, are left
-    out so the encoding depends on the instance alone.
+    out so the encoding depends on the instance alone.  An array is
+    digested a row at a time, so a broadcast is never materialized and
+    digests as the equal full array does.
     """
     if is_dataclass(value):
         return {f.name: _encode(getattr(value, f.name))
                 for f in fields(value) if f.init}
     if isinstance(value, np.ndarray):
-        data = np.ascontiguousarray(value).tobytes()
-        return hashlib.sha256(data).hexdigest()[:16]
+        digest = hashlib.sha256()
+        for row in np.atleast_2d(value):
+            digest.update(np.ascontiguousarray(row))
+        return digest.hexdigest()[:16]
     return value
 
 
@@ -71,34 +75,47 @@ def smooth_field(grid, raw: np.ndarray) -> np.ndarray:
     return mesh.solve_shifted(grid, shift, raw / scale)
 
 
+def _smoothed(grid, out: np.ndarray) -> np.ndarray:
+    """``out`` with each level replaced by ``smooth_field`` of it."""
+    for level in out:
+        level[:] = smooth_field(grid, level)
+    return out
+
+
 def random_control(problem: ProblemData, rng) -> np.ndarray:
-    """Feasible random control: uniform per cell, then smoothed."""
+    """Feasible random control: uniform per cell, then smoothed.  One
+    stack is drawn and worked on in place."""
     grid, tg = problem.grid, problem.tgrid
-    raw = rng.uniform(0.0, 1.0, (tg.N + 1, grid.num_cells)) * problem.u_max
-    out = np.stack([smooth_field(grid, raw[k]) for k in range(tg.N + 1)])
-    return np.clip(out, 0.0, problem.u_max)
+    out = rng.uniform(0.0, 1.0, (tg.N + 1, grid.num_cells))
+    out *= problem.u_max
+    return np.clip(_smoothed(grid, out), 0.0, problem.u_max, out=out)
 
 
 def random_direction(problem: ProblemData, rng) -> np.ndarray:
-    """Smoothed sign-indefinite direction, a quarter of the box bound."""
+    """Smoothed sign-indefinite direction, a quarter of the box bound.
+    One stack is drawn and worked on in place."""
     grid, tg = problem.grid, problem.tgrid
-    raw = rng.uniform(-1.0, 1.0, (tg.N + 1, grid.num_cells))
-    out = np.stack([smooth_field(grid, raw[k]) for k in range(tg.N + 1)])
-    return out * 0.25 * problem.u_max
+    out = _smoothed(grid, rng.uniform(-1.0, 1.0, (tg.N + 1, grid.num_cells)))
+    out *= 0.25
+    out *= problem.u_max
+    return out
 
 
 def check_instance(problem: ProblemData, seed: int, u=None, h=None) -> tuple:
     """Base control and direction of the sensitivity checks.
 
-    Defaults: the midpoint of the box and a random direction drawn from
-    the seed; given values are broadcast to trajectories.
+    Defaults: the midpoint of the box, held once where the box is
+    constant in time, and a random direction drawn from the seed; given
+    values are taken as ``mesh.check_trajectory`` takes them, and only
+    read.
     """
     grid, tg = problem.grid, problem.tgrid
     if u is None:
-        u = 0.5 * problem.u_max
+        u_max = problem.u_max
+        u = 0.5 * (u_max[0] if constant_in_time(u_max) else u_max)
     if h is None:
         h = random_direction(problem, np.random.default_rng(seed))
-    return as_trajectory(tg, grid, u), as_trajectory(tg, grid, h)
+    return check_trajectory(tg, grid, u), check_trajectory(tg, grid, h)
 
 
 # A difference quotient error at or below K eps max(|J0|, |J|) / lambda
@@ -112,12 +129,15 @@ ORACLE_TOL = 5e-3
 ORACLE_MAX_STEPS = 50_000
 
 
+def _rung(lam) -> str:
+    return "perturbed control (lambda=%g)" % lam
+
+
 def _ladder(problem: ProblemData, u, h, lambdas) -> list:
     """The controls u + lambda * h of a Taylor ladder, each checked against
     the box; InfeasibleControl names the base control or the rung."""
-    rungs = [("base control", u)] + [
-        ("perturbed control (lambda=%g)" % lam, u + lam * h)
-        for lam in lambdas]
+    rungs = [("base control", u)] + [(_rung(lam), u + lam * h)
+                                     for lam in lambdas]
     for label, v in rungs:
         if np.min(v) < -1e-12 or np.max(v - problem.u_max) > 1e-12:
             raise InfeasibleControl("%s leaves the box [0, u_max]" % label)
@@ -151,20 +171,19 @@ def fd_gradient_check(problem: ProblemData, seed: int = 0, u=None, h=None,
 
     Points whose error is at round-off level (see ROUNDOFF_K) are left
     out; passes when the log-log slope of the error against the step
-    over the rest lies in [0.8, 1.2].  A non-finite error fails.
+    over the rest lies in [0.8, 1.2].  A non-finite error fails; a cost
+    that is not finite raises NonfiniteValue naming the control and the
+    term.
     """
     u, h = check_instance(problem, seed, u, h)
     controls = _ladder(problem, u, h, lambdas)
     gradient, _, state = reduced_gradient(problem, u)
     deriv = mesh.inner_q(problem.tgrid, problem.grid, gradient, h)
-    J0 = cost(problem, state, u)
-    J = np.array([cost(problem, solve_state(problem, v), v)
-                  for v in controls])
+    J0 = finite_cost(problem, state, u, "base control")
+    J = np.array([finite_cost(problem, solve_state(problem, v), v, _rung(lam))
+                  for lam, v in zip(lambdas, controls)])
     lams = np.array(lambdas)
-    # An overflowing cost gives inf - inf: NaN quotients, which fail
-    # the check below.
-    with np.errstate(invalid="ignore"):
-        fd_values = (J - J0) / lams
+    fd_values = (J - J0) / lams
     errors = np.abs(fd_values - deriv)
     # A NaN error is not at round-off level, so it stays in the fit.
     fit = ~(errors <= (ROUNDOFF_K * np.finfo(float).eps
@@ -242,7 +261,11 @@ def prolong_trajectory(grid, tg: TimeGrid, a: np.ndarray) -> np.ndarray:
     Doubled time levels sample the same right-continuous step function;
     space cells are split with repeated values.
     """
-    a = mesh.check_trajectory(tg, grid, a)
+    a = check_trajectory(tg, grid, a)
+    if constant_in_time(a):
+        # Held once, and kept so: one field prolonged and broadcast.
+        field = prolong_field(grid, a[0])
+        return np.broadcast_to(field, (2 * tg.N + 1, field.size))
     idx = (np.arange(2 * tg.N + 1) + 1) // 2
     return prolong_field(grid, a[idx])
 
@@ -316,8 +339,8 @@ def stability_ratios(problem: ProblemData, u1, u2) -> dict:
     control difference.
     """
     grid, tg = problem.grid, problem.tgrid
-    u1 = as_trajectory(tg, grid, u1)
-    u2 = as_trajectory(tg, grid, u2)
+    u1 = check_trajectory(tg, grid, u1)
+    u2 = check_trajectory(tg, grid, u2)
     s1 = solve_state(problem, u1)
     s2 = solve_state(problem, u2)
     ud = u1 - u2
@@ -432,7 +455,7 @@ def ode_oracle_solution(problem: ProblemData, u_levels: np.ndarray
 def ode_oracle_check(problem: ProblemData, seed: int = 0, u=None) -> dict:
     """March the full scheme on uniform data against the ODE oracle."""
     grid, tg = problem.grid, problem.tgrid
-    u = as_trajectory(tg, grid, 0.0 if u is None else u)
+    u = check_trajectory(tg, grid, 0.0 if u is None else u)
     u_levels = _uniform_value("u", u)
     state = solve_state(problem, u)
     oracle = ode_oracle_solution(problem, u_levels)

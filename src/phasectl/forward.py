@@ -39,7 +39,7 @@ import numpy as np
 from . import mesh
 from .errors import (DomainViolation, NewtonDivergence,
                      NonpositiveCoefficient, SolverStepError, require)
-from .mesh import Grid, TimeGrid, as_field, as_trajectory
+from .mesh import Grid, TimeGrid, as_field, as_trajectory, check_trajectory
 from .potential import Potential, domain_bounds
 
 
@@ -62,9 +62,14 @@ class ProblemData:
     """Everything defining one control problem instance, the Newton
     iteration of its order-parameter steps (``solver``) included.
 
-    Initial data, targets and the box bound are normalized to new arrays
-    on construction; scalars broadcast.  The order-parameter initial datum
-    must be strictly inside (0, 1), and mu0 and u_max nonnegative.
+    Initial data, targets and the box bound are normalized on
+    construction to arrays the instance owns, so later writes to the
+    caller's arrays do not reach it: new fields, and for u_max and
+    mu_target new stacks, or, where the value is a scalar, a single
+    field or a broadcast stack, a read-only broadcast of one new field
+    over the time levels (``mesh.as_trajectory``).  The order-parameter
+    initial datum must be strictly inside (0, 1), and mu0 and u_max
+    nonnegative.
     """
 
     grid: Grid
@@ -290,10 +295,22 @@ def _newton(start, grid, pot, delta, tau, rho_prev, mu_prev, cfg, history):
                 # A cell rounded onto an endpoint the damping kept it off.
                 raise NewtonDivergence("Newton iterate %d: %s"
                                        % (it, exc)) from None
-            res = _rho_residual(grid, delta, tau, rho_prev, rho, mu_prev,
-                                pot.d1_unchecked(rho))
-            # An overflowing norm is rescaled, an overflowing shift fails.
+            # An overflowing norm is rescaled; an overflowing f', residual
+            # or shift fails.
             with np.errstate(over="raise"):
+                try:
+                    d1 = pot.d1_unchecked(rho)
+                except FloatingPointError:
+                    raise NewtonDivergence(
+                        "Newton residual term f'(rho) overflows at iterate %d"
+                        % it) from None
+                try:
+                    res = _rho_residual(grid, delta, tau, rho_prev, rho,
+                                        mu_prev, d1)
+                except FloatingPointError:
+                    raise NewtonDivergence(
+                        "Newton residual overflows at iterate %d" % it) \
+                        from None
                 rnorm = mesh.scaled_norm(mesh.norm_h, grid, res)
                 history.append(rnorm)
                 if rnorm <= cfg.newton_tol:
@@ -380,7 +397,7 @@ def solve_state(problem: ProblemData, u) -> StateTrajectory:
     names the step that made it.
     """
     grid, tg = problem.grid, problem.tgrid
-    u = as_trajectory(tg, grid, u)
+    u = check_trajectory(tg, grid, u)
     tau = tg.tau
     rho = np.zeros((tg.N + 1, grid.num_cells))
     mu = np.zeros_like(rho)
@@ -418,10 +435,11 @@ def residual_norms(problem: ProblemData, u, state: StateTrajectory) -> dict:
 
     Uses the same stencils and the same staggering as the solver, so a
     freshly solved trajectory scores at the Newton and linear
-    tolerances.  Returns arrays indexed by step 1..N.
+    tolerances.  Returns arrays indexed by step 1..N; a norm whose square
+    overflows is rescaled.
     """
     grid, tg = problem.grid, problem.tgrid
-    u = as_trajectory(tg, grid, u)
+    u = check_trajectory(tg, grid, u)
     tau, eps = tg.tau, problem.epsilon
     rho, mu = state.rho, state.mu
     res1 = _rho_residual(grid, problem.delta, tau, rho[:-1], rho[1:],
@@ -429,5 +447,15 @@ def residual_norms(problem: ProblemData, u, state: StateTrajectory) -> dict:
     res2 = mu_diagonal(eps, tau, rho[:-1], rho[1:]) * mu[1:] \
         - mesh.laplacian_apply(grid, mu[1:]) - u[1:] \
         - mu_carry(eps, tau, rho[1:]) * mu[:-1]
-    return {"rho": mesh.norm_h(grid, res1), "mu": mesh.norm_h(grid, res2)}
+    return {"rho": _level_norms(grid, res1), "mu": _level_norms(grid, res2)}
+
+
+def _level_norms(grid: Grid, res: np.ndarray) -> np.ndarray:
+    """The cell norm of each level of ``res``, rescaled where its square
+    overflows (``mesh.scaled_norm``)."""
+    with np.errstate(over="ignore"):
+        norms = mesh.norm_h(grid, res)
+        for n in np.flatnonzero(~(norms < np.inf)):
+            norms[n] = mesh.scaled_norm(mesh.norm_h, grid, res[n])
+    return norms
 

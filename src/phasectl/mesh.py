@@ -6,9 +6,13 @@ so a stack of fields ``(..., cells)`` gives one value per field.  All
 spatial inner products share one uniform cell weight, the product of the
 per-axis spacings.  The discrete Laplacian uses mirrored zero-flux faces
 on the boundary, so constants lie in its kernel and the operator is
-symmetric with respect to the cell inner product.  ``as_field`` and
-``as_trajectory`` build new arrays from scalars or data, with the shape
-tests of ``Grid.check_field`` and ``check_trajectory``.
+symmetric with respect to the cell inner product.  ``as_field`` builds
+a new field from a scalar or data.  ``check_trajectory`` takes a
+trajectory for code that only reads it: a full stack as it is, and a
+scalar or a field as a read-only broadcast over the time levels.
+``as_trajectory`` gives one that owns its data, a new stack or a
+read-only broadcast of one new field, so that data constant in time is
+held once.
 
 ``solve_shifted`` solves the shifted Laplacian systems of every step,
 in 1D with LAPACK ``dptsv``.  That routine comes from scipy's compiled
@@ -550,8 +554,13 @@ class TimeGrid:
         return c
 
 
-def check_trajectory(tg: TimeGrid, grid: Grid, a: np.ndarray) -> np.ndarray:
+def check_trajectory(tg: TimeGrid, grid: Grid, a) -> np.ndarray:
+    """A trajectory for code that only reads it: a float stack
+    ``(N+1, cells)`` as it is, with no copy, or a scalar or a single
+    field broadcast read-only over the N+1 time levels."""
     a = np.asarray(a, dtype=float)
+    if a.ndim < 2:
+        return np.broadcast_to(as_field(grid, a), (tg.N + 1, grid.num_cells))
     if a.shape != (tg.N + 1, grid.num_cells):
         raise ShapeMismatch(
             "trajectory has shape %r, expected (%d, %d)"
@@ -559,13 +568,20 @@ def check_trajectory(tg: TimeGrid, grid: Grid, a: np.ndarray) -> np.ndarray:
     return a
 
 
+def constant_in_time(a: np.ndarray) -> bool:
+    """Whether a trajectory holds one field broadcast over its time
+    levels, a stack whose time stride is 0."""
+    return a.strides[0] == 0
+
+
 def as_trajectory(tg: TimeGrid, grid: Grid, value) -> np.ndarray:
-    """A new trajectory from a full stack, or from a scalar or a single
-    field replicated across all N+1 time levels."""
-    v = np.array(value, dtype=float)
-    if v.ndim < 2:
-        return np.repeat(as_field(grid, v)[None, :], tg.N + 1, axis=0)
-    return check_trajectory(tg, grid, v)
+    """A trajectory that owns its data, as check_trajectory takes it: a
+    new stack, or, for a scalar, a single field or a broadcast stack
+    (``constant_in_time``), a read-only broadcast of one new field."""
+    a = check_trajectory(tg, grid, value)
+    if constant_in_time(a):
+        return np.broadcast_to(a[0].copy(), a.shape)
+    return a.copy()
 
 
 def inner_q(tg: TimeGrid, grid: Grid, a: np.ndarray, b: np.ndarray) -> float:

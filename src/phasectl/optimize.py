@@ -21,7 +21,7 @@ from . import mesh
 from .errors import (DomainViolation, InfeasibleControl, NonfiniteValue,
                      SolverStepError, require)
 from .forward import BOUND_TOL, ProblemData, StateTrajectory, solve_state
-from .mesh import as_trajectory
+from .mesh import check_trajectory
 from .sensitivity import AdjointTrajectory, solve_adjoint
 
 TERMINATION_STATIONARY = "Stationary"
@@ -74,7 +74,7 @@ def cost_parts(problem: ProblemData, state: StateTrajectory, u) -> dict:
     decides what an infinite cost means.
     """
     grid, tg = problem.grid, problem.tgrid
-    u = as_trajectory(tg, grid, u)
+    u = check_trajectory(tg, grid, u)
     terminal_diff = state.rho[tg.N] - problem.rho_target
     mu_diff = state.mu - problem.mu_target
     with np.errstate(over="ignore"):
@@ -86,13 +86,16 @@ def cost_parts(problem: ProblemData, state: StateTrajectory, u) -> dict:
                 "control": control, "total": terminal + tracking + control}
 
 
-def _finite_cost(problem: ProblemData, state: StateTrajectory, u) -> float:
-    """The cost, or NonfiniteValue naming the first term that is not
-    finite (or the total, when only the sum overflows)."""
+def finite_cost(problem: ProblemData, state: StateTrajectory, u,
+                where: str) -> float:
+    """The cost, or NonfiniteValue naming ``where`` it was formed (such
+    as "starting control") and the first term that is not finite (or the
+    total, when only the sum overflows)."""
     parts = cost_parts(problem, state, u)
     for name, value in parts.items():
         if not np.isfinite(value):
-            raise NonfiniteValue("the %s cost term is %s" % (name, value))
+            raise NonfiniteValue("at the %s, the %s cost term is %s"
+                                 % (where, name, value))
     return parts["total"]
 
 
@@ -102,7 +105,7 @@ def cost(problem: ProblemData, state: StateTrajectory, u) -> float:
 
 def project_control(problem: ProblemData, u) -> np.ndarray:
     """Pointwise projection onto the box [0, u_max]."""
-    u = as_trajectory(problem.tgrid, problem.grid, u)
+    u = check_trajectory(problem.tgrid, problem.grid, u)
     return np.minimum(problem.u_max, np.maximum(0.0, u))
 
 
@@ -113,7 +116,7 @@ def reduced_gradient(problem: ProblemData, u, state: StateTrajectory = None):
 
     Returns (gradient, adjoint, state).
     """
-    u = as_trajectory(problem.tgrid, problem.grid, u)
+    u = check_trajectory(problem.tgrid, problem.grid, u)
     if state is None:
         state = solve_state(problem, u)
     adjoint = solve_adjoint(problem, state)
@@ -128,8 +131,8 @@ def kkt_residual(problem: ProblemData, u, gradient) -> float:
     within BOUND_TOL of a bound counts as lying on it.
     """
     grid, tg = problem.grid, problem.tgrid
-    u = as_trajectory(tg, grid, u)
-    g = as_trajectory(tg, grid, gradient)
+    u = check_trajectory(tg, grid, u)
+    g = check_trajectory(tg, grid, gradient)
     upper = problem.u_max
     if np.min(u) < -BOUND_TOL or np.max(u - upper) > BOUND_TOL:
         raise InfeasibleControl(
@@ -167,12 +170,9 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
     always correspond to the returned control.
     """
     grid, tg = problem.grid, problem.tgrid
-    u = project_control(problem, as_trajectory(tg, grid, u0))
+    u = project_control(problem, u0)
     state = solve_state(problem, u)
-    try:
-        J = _finite_cost(problem, state, u)
-    except NonfiniteValue as exc:
-        raise NonfiniteValue("at the starting control, %s" % exc) from None
+    J = finite_cost(problem, state, u, "starting control")
     J_history = [J]
     kkt_history, step_history, iter_seconds = [], [], []
     iterations = 0
@@ -209,7 +209,8 @@ def projected_gradient_descent(problem: ProblemData, u0=0.0,
                 trials[-1] += 1
                 try:
                     state_try = solve_state(problem, u_try)
-                    J_try = _finite_cost(problem, state_try, u_try)
+                    J_try = finite_cost(problem, state_try, u_try,
+                                        "trial control")
                 except (SolverStepError, DomainViolation, NonfiniteValue):
                     rejected_trials += 1
                 else:

@@ -38,7 +38,7 @@ from . import mesh
 from .errors import require
 from .forward import (ProblemData, StateTrajectory, mu_carry, mu_diagonal,
                       newton_shift)
-from .mesh import as_trajectory
+from .mesh import check_trajectory
 
 ADJOINT_MODES = ("discrete", "pde")
 
@@ -157,10 +157,10 @@ def solve_tangent(problem: ProblemData, state: StateTrajectory, h
                   ) -> TangentTrajectory:
     """Differentiate the forward march along control direction h."""
     grid, tg = problem.grid, problem.tgrid
-    h = as_trajectory(tg, grid, h)
+    h = check_trajectory(tg, grid, h)
     ops = StepOperators(problem, state)
-    xi = np.zeros_like(h)
-    eta = np.zeros_like(h)
+    xi = np.zeros(h.shape)
+    eta = np.zeros(h.shape)
     with mesh.CheckedSolves(grid, tg.N) as solves:
         for n in range(tg.N):
             solves.step = n + 1
@@ -275,13 +275,21 @@ def duality_pairing(problem: ProblemData, state: StateTrajectory,
     Left side pairs the tracking misfits with the tangent response;
     right side pairs the potential adjoint with the control direction.
     For the discrete mode the two agree to solver precision; for the pde
-    mode the gap shrinks first order under refinement.
+    mode the gap shrinks first order under refinement.  The tracking
+    misfit mu - mu_target is formed a block of ``mesh.block_rows`` levels
+    at a time, each level paired as ``inner_q`` pairs it.
     """
     grid, tg = problem.grid, problem.tgrid
-    h = as_trajectory(tg, grid, h)
+    h = check_trajectory(tg, grid, h)
     lhs = mesh.inner_h(grid, state.rho[tg.N] - problem.rho_target,
                        tangent.xi[tg.N])
-    lhs += problem.beta1 * mesh.inner_q(tg, grid, state.mu - problem.mu_target,
-                                        tangent.eta)
+    pairs = np.empty(tg.N + 1)
+    rows = mesh.block_rows(grid)
+    for lo in range(0, tg.N + 1, rows):
+        hi = lo + rows
+        pairs[lo:hi] = mesh.inner_h(grid, state.mu[lo:hi]
+                                    - problem.mu_target[lo:hi],
+                                    tangent.eta[lo:hi])
+    lhs += problem.beta1 * (tg.tau * float(np.dot(tg.trap_weights(), pairs)))
     rhs = mesh.inner_q(tg, grid, adjoint.q, h)
     return lhs, rhs

@@ -8,6 +8,7 @@ import pytest
 
 import phasectl as pc
 from phasectl import checks, forward, mesh, radau
+from phasectl.errors import NonfiniteValue
 from phasectl.mesh import inner_h
 from conftest import build_problem
 
@@ -44,16 +45,16 @@ def test_ladder_verdict_fails_a_nonfinite_value(bad):
 
 
 def test_gradient_check_fails_an_overflowing_cost(small):
-    """A target of 1e300 overflows the cost to inf, so every difference
-    quotient is NaN; the check fails instead of passing as degenerate,
-    and no numpy warning is raised on the way."""
+    """A target of 1e300 overflows the cost to inf: the check raises
+    NonfiniteValue naming the control and the term where the cost is
+    formed, instead of reporting NaN difference quotients or passing as
+    degenerate, and no numpy warning is raised on the way."""
     problem = replace(small, mu_target=np.full_like(small.mu_target, 1e300))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = checks.fd_gradient_check(problem, seed=0)
-    assert np.isnan(rep["metrics"]["errors"]).all()
-    assert not rep["pass"]
-    assert "degenerate" not in rep["metrics"]
+        with pytest.raises(NonfiniteValue, match=r"^at the base control, "
+                           r"the tracking cost term is inf$"):
+            checks.fd_gradient_check(problem, seed=0)
 
 
 def test_tangent_check_zero_direction(small):
@@ -183,6 +184,25 @@ def test_refine_problem_prolongs_every_array_field():
     for key in ("u_max", "mu_target"):
         np.testing.assert_array_equal(
             getattr(fine, key), np.repeat(getattr(prob, key)[levels], 2, axis=1))
+
+
+def test_constant_data_stays_held_once():
+    """refine_problem and prolong_trajectory keep a broadcast a
+    broadcast, with the values of the full stack's refinement, and the
+    check instance's base control is one as well."""
+    prob = build_problem(n=8, N=4, u_max=0.8, mu_target=0.3)
+    fine = checks.refine_problem(prob)
+    levels = (np.arange(9) + 1) // 2
+    for key in ("u_max", "mu_target"):
+        a = getattr(fine, key)
+        assert mesh.constant_in_time(a)
+        np.testing.assert_array_equal(a, np.repeat(
+            np.asarray(getattr(prob, key))[levels], 2, axis=1))
+    u, h = checks.check_instance(prob, seed=0)
+    assert mesh.constant_in_time(u) and np.all(u == 0.4)
+    assert not mesh.constant_in_time(h)
+    assert mesh.constant_in_time(
+        checks.prolong_trajectory(prob.grid, prob.tgrid, u))
 
 
 def test_oracle_stationary_exact():

@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 import phasectl as pc
-from phasectl import checks, cli, config, fields, forward, sensitivity
+from phasectl import checks, cli, config, fields, forward, mesh, sensitivity
 from phasectl.errors import (MissingKey, UnsupportedDimension,
                              ValidationError)
 from conftest import build_problem, spoil
@@ -45,6 +45,23 @@ def test_minimal_config_defaults(tmp_path):
     assert prob.beta1 == 1.0 and prob.beta2 == 1e-4
     assert np.all(prob.rho_target == 0.5) and np.all(prob.mu_target == 0.0)
     assert config.build_problem(rc) is prob
+
+
+def test_scalar_trajectories_are_held_once(tmp_path):
+    """Scalar control.u_init, control.u_max and targets.mu_T are each
+    held as a read-only broadcast of one field, as ProblemData holds
+    them; a snapshot directory is held as a full stack."""
+    rc = config.parse_config(write(tmp_path, MINIMAL))
+    for a in (rc.u_init, rc.problem.u_max, rc.problem.mu_target):
+        assert a.shape == (9, 16) and mesh.constant_in_time(a)
+        assert not a.flags.writeable
+    snaps = tmp_path / "u0"
+    fields.write_snapshots(str(snaps), "u", rc.problem.tgrid, rc.problem.grid,
+                           np.linspace(0.0, 0.8, 9)[:, None] * np.ones(16))
+    rc = config.parse_config(write(tmp_path, MINIMAL
+                                   + "control: {u_init: u0}\n"))
+    assert not mesh.constant_in_time(rc.u_init)
+    assert rc.u_init.flags.writeable
 
 
 def test_rho0_gate_quotes_condition(tmp_path):

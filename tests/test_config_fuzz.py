@@ -1,10 +1,11 @@
 """Config fuzz: a bad value at any key ends in exit code 0, 1 or 2,
 with no numpy warning.
 
-Each case takes a valid 4-cell, 2-step config with every key written
-out, replaces one or two keys with values drawn from a fixed list and
-runs one command on it.  The list holds no size between 10^4 and
-10^300, so no case asks numpy for an array it would try to allocate.
+Each case takes a valid 2-step config with every key written out, on
+the 4-cell line and on the 4x4 square, replaces one or two keys with
+values drawn from a fixed list and runs one command on it.  The list
+holds no size between 10^4 and 10^300, so no case asks numpy for an
+array it would try to allocate.
 """
 
 import json
@@ -37,12 +38,29 @@ VALUES = ["0", "-1", "0.5", "1.0e-300", "1.0e+300", ".nan", ".inf", "abc",
           "true", "[1]", "[]", "{}", "null"]
 COMMANDS = [["forward"], ["optimize"]] + [
     ["check", which] for which in cli.CHECKS]
+# The domains every test runs on: the 4-cell line and the 4x4 square.
+DOMAINS = {"1d": VALID["domain"],
+           "2d": {"dim": "2", "n": "4", "length": "1.0"}}
 
 
 def render(sections):
     return "".join("%s: {%s}\n" % (section, ", ".join(
         "%s: %s" % item for item in keys.items()))
         for section, keys in sections.items())
+
+
+def write_config(directory, domain, changes=()):
+    """The valid config on ``domain`` with each (section, key) of
+    ``changes`` set to its value, written to directory/run.yaml; returns
+    that path and directory/out."""
+    sections = {section: dict(keys) for section, keys in VALID.items()}
+    sections["domain"] = dict(DOMAINS[domain])
+    for (section, key), value in dict(changes).items():
+        sections[section][key] = value
+    directory.mkdir(exist_ok=True)
+    path = directory / "run.yaml"
+    path.write_text(render(sections))
+    return path, directory / "out"
 
 
 def run(path, command, out):
@@ -55,38 +73,35 @@ def run(path, command, out):
 
 
 def test_config_fuzz_exits_zero_one_or_two(tmp_path, capsys):
-    path, out = tmp_path / "run.yaml", tmp_path / "out"
-    path.write_text(render(VALID))
-    assert [run(path, command, out) for command in COMMANDS] == [0] * 8
-    rng = np.random.default_rng(0)
-    codes = []
-    for case in range(200):
-        sections = {section: dict(keys) for section, keys in VALID.items()}
-        for i in rng.choice(len(KEYS), size=rng.integers(1, 3),
-                            replace=False):
-            section, key = KEYS[i]
-            sections[section][key] = VALUES[rng.integers(len(VALUES))]
-        path.write_text(render(sections))
-        # An escaped warning raises, and run returns its traceback.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            codes.append(run(path, COMMANDS[case % len(COMMANDS)], out))
-        capsys.readouterr()
-    assert [c for c in codes if c not in (0, 1, 2)] == []
-    assert 0 in codes and 2 in codes
+    for domain in DOMAINS:
+        path, out = write_config(tmp_path / domain, domain)
+        assert [run(path, command, out) for command in COMMANDS] == [0] * 8
+        rng = np.random.default_rng(0)
+        codes = []
+        for case in range(200):
+            changes = [KEYS[i] for i in rng.choice(
+                len(KEYS), size=rng.integers(1, 3), replace=False)]
+            write_config(tmp_path / domain, domain, {
+                key: VALUES[rng.integers(len(VALUES))] for key in changes})
+            # An escaped warning raises, and run returns its traceback.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                codes.append(run(path, COMMANDS[case % len(COMMANDS)], out))
+            capsys.readouterr()
+        assert [c for c in codes if c not in (0, 1, 2)] == [], domain
+        assert 0 in codes and 2 in codes, domain
 
 
 def test_huge_epsilon_runs_without_overflow(tmp_path, capsys):
     """epsilon = 1e300 squares past the float range inside step_mu's solve."""
-    sections = {section: dict(keys) for section, keys in VALID.items()}
-    sections["params"]["epsilon"] = "1.0e+300"
-    path, out = tmp_path / "run.yaml", tmp_path / "out"
-    path.write_text(render(sections))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        codes = [run(path, command, out) for command in
-                 (["forward"], ["check", "bounds"], ["check", "duality"])]
-    assert codes == [0, 0, 0]
+    for domain in DOMAINS:
+        path, out = write_config(tmp_path / domain, domain,
+                                 {("params", "epsilon"): "1.0e+300"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = [run(path, command, out) for command in
+                     (["forward"], ["check", "bounds"], ["check", "duality"])]
+        assert codes == [0, 0, 0], domain
 
 
 def test_huge_c_log_runs_without_overflow(tmp_path, capsys):
@@ -96,19 +111,18 @@ def test_huge_c_log_runs_without_overflow(tmp_path, capsys):
     f' at -2e284 and +4e284).  Both steps end on that floor, which
     diagnostics.json records, the march reaches T, and no warning
     escapes."""
-    sections = {section: dict(keys) for section, keys in VALID.items()}
-    sections["potential"]["c_log"] = "1.0e+300"
-    path, out = tmp_path / "run.yaml", tmp_path / "out"
-    path.write_text(render(sections))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(path, ["forward"], out) == 0
-        with open(out / "diagnostics.json") as f:
-            diag = json.load(f)
-        assert run(path, ["check", "tangent"], out) == 1
-    assert diag["on_floor"] == [True, True]
-    assert diag["newton_residuals"][0] == pytest.approx(0.9, rel=1e-12)
-    assert capsys.readouterr().err == ""
+    for domain in DOMAINS:
+        path, out = write_config(tmp_path / domain, domain,
+                                 {("potential", "c_log"): "1.0e+300"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(path, ["forward"], out) == 0, domain
+            with open(out / "diagnostics.json") as f:
+                diag = json.load(f)
+            assert run(path, ["check", "tangent"], out) == 1, domain
+        assert diag["on_floor"] == [True, True], domain
+        assert diag["newton_residuals"][0] == pytest.approx(0.9, rel=1e-12)
+        assert capsys.readouterr().err == "", domain
 
 
 @pytest.mark.parametrize("key", ["beta1", "beta2"])
@@ -117,51 +131,78 @@ def test_huge_cost_weight_optimizes_without_overflow(tmp_path, key):
     squares overflow inside the KKT norm, which is formed on the gradient
     over its largest entry where it would: optimize ends without a
     warning and with a finite KKT history."""
-    sections = {section: dict(keys) for section, keys in VALID.items()}
-    sections["params"][key] = "1.0e+300"
-    path, out = tmp_path / "run.yaml", tmp_path / "out"
-    path.write_text(render(sections))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(path, ["optimize"], out) == 0
-    with open(out / "optimize_summary.json") as f:
-        summary = json.load(f)
-    assert summary["termination"] in ("Stationary", "MaxIters", "Stalled")
-    assert np.isfinite(summary["kkt_history"]).all()
+    for domain in DOMAINS:
+        path, out = write_config(tmp_path / domain, domain,
+                                 {("params", key): "1.0e+300"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(path, ["optimize"], out) == 0, domain
+        with open(out / "optimize_summary.json") as f:
+            summary = json.load(f)
+        assert summary["termination"] in ("Stationary", "MaxIters",
+                                          "Stalled"), domain
+        assert np.isfinite(summary["kkt_history"]).all(), domain
 
 
 def test_overflowing_newton_shift_ends_the_step(tmp_path, capsys):
     """c_log = 1e308 overflows f'' in the Newton shift; the step ends at
     that first iterate with a NewtonDivergence naming the shift."""
-    sections = {section: dict(keys) for section, keys in VALID.items()}
-    sections["potential"]["c_log"] = "1.0e+308"
-    path, out = tmp_path / "run.yaml", tmp_path / "out"
-    path.write_text(render(sections))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        codes = [run(path, command, out) for command in
-                 (["forward"], ["check", "tangent"])]
-    assert codes == [2, 2]
-    assert capsys.readouterr().err.count("Newton shift") == 2
-    with open(out / "diagnostics.json") as f:
-        assert len(json.load(f)["failed_newton_residuals"]) == 1
+    for domain in DOMAINS:
+        path, out = write_config(tmp_path / domain, domain,
+                                 {("potential", "c_log"): "1.0e+308"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = [run(path, command, out) for command in
+                     (["forward"], ["check", "tangent"])]
+        assert codes == [2, 2], domain
+        assert capsys.readouterr().err.count("Newton shift") == 2, domain
+        with open(out / "diagnostics.json") as f:
+            assert len(json.load(f)["failed_newton_residuals"]) == 1, domain
+
+
+@pytest.mark.parametrize("init, what", [
+    ({"rho0": "0.125"}, "Newton residual term f'(rho)"),
+    ({"rho0": "0.3", "mu0": "1.0e+308"}, "Newton residual")],
+    ids=["f_prime", "residual"])
+def test_overflowing_newton_residual_ends_the_step(tmp_path, capsys, init,
+                                                   what):
+    """c_log = 1e308 overflows f'(rho) = c_log log(rho / (1 - rho)) + ...
+    at rho0 = 0.125; at rho0 = 0.3 f' is finite, but f' - mu0 overflows
+    with mu0 = 1e308.  Either ends the step at the first Newton iterate
+    with a NewtonDivergence naming what overflowed, which forward's
+    diagnostics.json records with no residual of the failing step, and
+    no warning escapes."""
+    for domain in DOMAINS:
+        path, out = write_config(tmp_path / domain, domain, {
+            ("potential", "c_log"): "1.0e+308",
+            **{("init", key): value for key, value in init.items()}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = [run(path, command, out) for command in
+                     (["forward"], ["check", "bounds"])]
+        assert codes == [2, 2], domain
+        message = "error: step 1 of 2: %s overflows at iterate 0\n" % what
+        assert capsys.readouterr().err == 2 * message, domain
+        with open(out / "diagnostics.json") as f:
+            diag = json.load(f)
+        assert diag["failed_step"] == 1, domain
+        assert diag["failed_newton_residuals"] == [], domain
 
 
 def test_overflowing_cost_writes_no_nan(tmp_path, capsys):
-    """mu_T = 1e300 overflows the cost: check grad exits 2 naming the
-    first non-finite key of its report, optimize exits 2 naming the
-    overflowing cost term, neither warns, and nothing is written."""
-    sections = {section: dict(keys) for section, keys in VALID.items()}
-    sections["targets"]["mu_T"] = "1.0e+300"
-    path, out = tmp_path / "run.yaml", tmp_path / "out"
-    path.write_text(render(sections))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        codes = [run(path, command, out)
-                 for command in (["check", "grad"], ["optimize"])]
-    assert codes == [2, 2]
-    err = capsys.readouterr().err
-    assert "check_grad.json: metrics.fd_values[0] is nan" in err
-    assert ("error: at the starting control, the tracking cost term is inf"
-            in err)
-    assert not out.exists()
+    """mu_T = 1e300 overflows the cost: check grad and optimize exit 2
+    naming the control and the overflowing cost term, neither warns, and
+    nothing is written."""
+    for domain in DOMAINS:
+        path, out = write_config(tmp_path / domain, domain,
+                                 {("targets", "mu_T"): "1.0e+300"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = [run(path, command, out)
+                     for command in (["check", "grad"], ["optimize"])]
+        assert codes == [2, 2], domain
+        assert capsys.readouterr().err == (
+            "error: at the base control, the tracking cost term is inf\n"
+            "error: at the starting control, the tracking cost term is "
+            "inf\n"), domain
+        assert not out.exists(), domain

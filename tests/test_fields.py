@@ -33,6 +33,28 @@ def test_as_trajectory_broadcast():
         mesh.as_trajectory(tg, g, np.zeros((3, 4)))
 
 
+def test_constant_trajectories_are_held_once_read_only():
+    """A scalar, a field and a broadcast become a read-only broadcast of
+    one new field in as_trajectory, and of one field in check_trajectory;
+    check_trajectory takes a full float stack as it is."""
+    g = pc.Grid(1, 4, 1.0)
+    tg = pc.TimeGrid(1.0, 3)
+    field = np.array([1.0, 2.0, 3.0, 4.0])
+    for value in (2.0, field, np.broadcast_to(field, (4, 4))):
+        for normalize in (mesh.as_trajectory, mesh.check_trajectory):
+            t = normalize(tg, g, value)
+            assert t.shape == (4, 4) and mesh.constant_in_time(t)
+            assert np.all(t == np.broadcast_to(value, (4, 4)))
+            with pytest.raises(ValueError, match="read-only"):
+                t[0, 0] = 0.0
+        assert not np.shares_memory(mesh.as_trajectory(tg, g, value), field)
+    full = np.random.default_rng(0).random((4, 4))
+    assert mesh.check_trajectory(tg, g, full) is full
+    assert not mesh.constant_in_time(full)
+    with pytest.raises(ShapeMismatch):
+        mesh.check_trajectory(tg, g, np.zeros(5))
+
+
 def test_field_csv_roundtrip_bit_exact(tmp_path):
     """Seventeen significant digits reproduce doubles exactly."""
     g = pc.Grid(1, 32, 1.0)

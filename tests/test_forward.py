@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -291,6 +292,33 @@ def test_problem_data_owns_its_arrays():
     np.testing.assert_array_equal(after.mu, before.mu)
 
 
+def test_problem_data_holds_constant_data_once():
+    """A scalar u_max and mu_T are each held as a read-only broadcast of
+    one field: building the problem allocates no (N+1, cells) stack, a
+    write raises, and the instance hashes as one built from the equal
+    full stacks; dataclasses.replace keeps each a broadcast."""
+    N, cells = 2048, 64
+    stack = (N + 1) * cells * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        prob = build_problem(n=cells, N=N, u_max=0.7, mu_target=0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < stack / 4
+    full = build_problem(n=cells, N=N, u_max=np.full((N + 1, cells), 0.7),
+                         mu_target=np.full((N + 1, cells), 0.2))
+    for key in ("u_max", "mu_target"):
+        a = getattr(prob, key)
+        assert a.shape == (N + 1, cells) and mesh.constant_in_time(a)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+        assert not mesh.constant_in_time(getattr(full, key))
+        assert mesh.constant_in_time(getattr(replace(prob, beta1=2.0), key))
+    assert checks.problem_hash(prob) == checks.problem_hash(full)
+
+
 def test_array_fields_table_names_every_array_field():
     typed = {f.name for f in fields(pc.ProblemData)
              if f.init and f.type in ("np.ndarray", np.ndarray)}
@@ -537,7 +565,8 @@ def reference_step_rho(grid, pot, delta, tau, rho_prev, mu_prev, cfg,
                        start=None):
     """step_rho as first written: the potential's checked derivatives, the
     Newton shift and the damping each test rho apart, and the rounding
-    floor is formed at every iterate above newton_tol."""
+    floor is formed at every iterate above newton_tol.  An overflowing
+    f'(rho) or residual ends the step, as an overflowing shift does."""
     history = forward.NewtonHistory()
 
     def newton(rho):
@@ -545,12 +574,23 @@ def reference_step_rho(grid, pot, delta, tau, rho_prev, mu_prev, cfg,
         try:
             for it in range(cfg.newton_max + 1):
                 try:
-                    res = (delta / tau) * (rho - rho_prev) \
-                        - mesh.laplacian_apply(grid, rho) + pot.d1(rho) \
-                        - mu_prev
+                    with np.errstate(over="raise"):
+                        d1 = pot.d1(rho)
                 except DomainViolation as exc:
                     raise NewtonDivergence("Newton iterate %d: %s"
                                            % (it, exc)) from None
+                except FloatingPointError:
+                    raise NewtonDivergence(
+                        "Newton residual term f'(rho) overflows at "
+                        "iterate %d" % it) from None
+                with np.errstate(over="raise"):
+                    try:
+                        res = (delta / tau) * (rho - rho_prev) \
+                            - mesh.laplacian_apply(grid, rho) + d1 - mu_prev
+                    except FloatingPointError:
+                        raise NewtonDivergence(
+                            "Newton residual overflows at iterate %d"
+                            % it) from None
                 rnorm = reference_norm(grid, res)
                 history.append(rnorm)
                 if rnorm <= cfg.newton_tol:
@@ -612,6 +652,8 @@ fields6 = st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=6, max_size=6)
          tau=0.25, delta=1.0, c_log=0.5, c_quad=2.0, newton_max=30)
 @example(n=3, rho=[0.5, 0.6, 0.7] * 2, mu=[0.0] * 6, start=None, edge=None,
          tau=0.1, delta=1.0, c_log=1e308, c_quad=2.0, newton_max=30)
+@example(n=2, rho=[0.125] * 6, mu=[0.0] * 6, start=None, edge=None,
+         tau=0.1, delta=1.0, c_log=1e308, c_quad=2.0, newton_max=30)
 @example(n=2, rho=[0.5] * 6, mu=[1e3, 0.0] * 3, start=None,
          edge=(0, 1.0 - 2.0**-53), tau=0.5, delta=1.0, c_log=0.5,
          c_quad=2.0, newton_max=30)
@@ -630,8 +672,8 @@ def test_fused_newton_matches_the_reference_step(n, rho, mu, start, edge,
     residual histories and floor stops bit for bit, and its exception
     classes, messages and records.  ``edge`` puts one cell of the
     previous level on or next to an endpoint.  The examples end on the
-    floor, in an overflowing Newton shift, and with an iterate rounding
-    onto 1."""
+    floor, in an overflowing Newton shift, in an overflowing f'(rho), and
+    with an iterate rounding onto 1."""
     grid = pc.Grid(1, n, 1.0)
     pot = pc.Potential(c_log=c_log, c_quad=c_quad)
     cfg = pc.SolverConfig(newton_max=newton_max)

@@ -270,14 +270,17 @@ def peak_stacks(run):
 
 
 @pytest.mark.parametrize("run, bound", [
-    (lambda p, st, h: pc.solve_state(p, 0.3), 5.01 + 0.5),
-    (lambda p, st, h: pc.solve_tangent(p, st, h), 3.53 + 0.5),
+    (lambda p, st, h: pc.solve_state(p, 0.3), 4.25 + 0.5),
+    (lambda p, st, h: pc.solve_tangent(p, st, h), 2.79 + 0.5),
     (lambda p, st, h: pc.solve_adjoint(p, st, mode="pde"), 2.50 + 0.5)],
     ids=["forward", "tangent", "pde"])
 def test_march_peak_allocation(run, bound):
-    """Each march allocates at most half a stack more than it did when
-    every solve was checked on its own (5.01, 3.53 and 2.50 stacks); its
-    blocks of waiting rows and their check fit in that half."""
+    """Each march allocates at most half a stack more than its measured
+    peak: 4.25 stacks forward, where the constant control is held as one
+    field, 2.79 for the tangent, which reads the direction without a
+    copy, and 2.50 for the pde adjoint, its peak when every solve was
+    checked on its own.  The blocks of waiting rows and their check fit
+    in that half."""
     assert peak_stacks(run) < bound
 
 

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -111,7 +112,10 @@ def read_field_csv(path: str, grid: Grid) -> np.ndarray:
     try:
         with open(path) as f:
             header = f.readline().strip()
-            data = np.loadtxt(f, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # A file without data rows fails the checks below.
+                warnings.filterwarnings("ignore", "loadtxt: input contained")
+                data = np.loadtxt(f, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError("cannot read field CSV %s: %s" % (path, exc))
     if header != field_header(grid):

@@ -366,12 +366,18 @@ def _diagnose(problem: ProblemData, rho: np.ndarray, mu: np.ndarray,
               histories: list, extrapolated: list) -> Diagnostics:
     """Diagnostics of the levels ``rho``, ``mu`` reached by the steps
     whose NewtonHistory and starts are given, one entry per step.  A
-    step's Newton iterations count the solves of both its attempts."""
-    eps, tau = problem.epsilon, problem.tgrid.tau
+    step's Newton iterations count the solves of both its attempts; the
+    per-step minima are taken a block of ``mesh.block_rows`` steps."""
+    eps, tau, steps = problem.epsilon, problem.tgrid.tau, len(histories)
+    coeff, shift = np.empty(steps), np.empty(steps)
+    for lo, hi in mesh.blocks(steps, mesh.block_rows(problem.grid)):
+        new = rho[lo + 1:hi + 1]
+        coeff[lo:hi] = mu_diagonal(eps, tau, rho[lo:hi], new).min(axis=1)
+        shift[lo:hi] = newton_shift(problem.potential, problem.delta, tau,
+                                    new).min(axis=1)
     # Recorded in the units of epsilon: the diagonals times tau.
-    coeff = tau * mu_diagonal(eps, tau, rho[:-1], rho[1:]).min(axis=1)
-    shift = tau * newton_shift(problem.potential, problem.delta, tau,
-                               rho[1:]).min(axis=1)
+    coeff *= tau
+    shift *= tau
     return Diagnostics(
         newton_iters=[h.solves for h in histories],
         newton_residuals=[h[-1] for h in histories],

@@ -22,10 +22,10 @@ potential-step, tangent and adjoint solves to ``CheckedSolves``, which
 checks each residual against LINEAR_TOL with ``check_residuals`` a
 block of rows at a time: one stencil apply per block instead of one
 per solve.  ``block_rows`` gives a block's rows from the byte budget
-CHECK_BLOCK_BYTES; the tangent and adjoint marches form their step
-coefficients in blocks cut from the same budget.  ``scaled_norm`` forms
-a norm whose square overflows on the field over its largest entry; the
-Newton residual norm and ``norm_q`` go through it.
+CHECK_BLOCK_BYTES, and ``blocks`` the ranges of the blocked passes of
+the marches, the diagnostics and the duality pairing.  ``scaled_norm``
+forms a norm whose square overflows on the field over its largest
+entry; the Newton residual norm and ``norm_q`` go through it.
 
 In 2D the solve runs on orthonormal type-II DCT coefficients, the
 eigenbasis of the zero-flux Laplacian.  A grid caches the DCT matrix of
@@ -371,6 +371,15 @@ def block_rows(grid: Grid, share: int = 1) -> int:
     ``share`` bytes, at least one."""
     return max(1, CHECK_BLOCK_BYTES // (share * np.dtype(float).itemsize
                                         * grid.num_cells))
+
+
+def blocks(count: int, rows: int, backward: bool = False):
+    """The ranges (lo, hi) of blocks of up to ``rows`` indices covering
+    0..count-1: upward from 0, or with ``backward`` downward from count,
+    so a short block comes last either way."""
+    if backward:
+        return ((max(0, hi - rows), hi) for hi in range(count, 0, -rows))
+    return ((lo, min(count, lo + rows)) for lo in range(0, count, rows))
 
 
 # Relative residual |rhs - A x| / |rhs| at which CG stops, well below the

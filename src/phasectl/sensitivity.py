@@ -30,7 +30,6 @@ exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -66,44 +65,9 @@ class AdjointTrajectory:
     q: np.ndarray
 
 
-class _Blocks:
-    """Per-step rows of stacks, formed a block of steps at a time.
-
-    ``form(lo, hi)`` yields stacks with one row per step lo..hi-1, of
-    the ``count`` steps.  Asking for a step outside the current block
-    forms a block of up to ``rows`` steps that ends at it when it lies
-    below the block or is the last step, and starts at it otherwise, so
-    the blocks follow a march up or down.  A block is formed one stack
-    at a time in the buffer of the last, so a march holds one block;
-    the rows handed out before are overwritten.
-    """
-
-    def __init__(self, form, count: int, rows: int):
-        self.form, self.count, self.rows = form, count, min(rows, count)
-        self.lo = self.hi = 0
-        self.buf, self.steps = [], None
-
-    def __getitem__(self, n: int) -> tuple:
-        if not self.lo <= n < self.hi:
-            self._fill(n)
-        return self.steps[n - self.lo]
-
-    def _fill(self, n: int) -> None:
-        if n < self.lo or n == self.count - 1:
-            self.lo, self.hi = max(0, n + 1 - self.rows), n + 1
-        else:
-            self.lo, self.hi = n, min(self.count, n + self.rows)
-        size, view = self.hi - self.lo, []
-        for i, stack in enumerate(self.form(self.lo, self.hi)):
-            if i == len(self.buf):
-                self.buf.append(np.empty((self.rows,) + stack.shape[1:]))
-            self.buf[i][:size] = stack
-            view.append(self.buf[i][:size])
-        self.steps = list(zip(*view))
-
-
-class StepOperators:
-    """The forward march linearized about a state, one step at a time.
+def _solved(problem, state, lo, hi):
+    """The stacks (S, D, a) of steps lo..hi-1: the diagonals each step
+    inverts and their coupling.
 
     Step n maps level n to level n+1.  Its tangent reads
 
@@ -112,45 +76,22 @@ class StepOperators:
 
     with d = delta/tau, S the Newton shift at rho[n+1], D the potential
     diagonal, C its carry, a = (2 mu[n] - 3 mu[n+1])/tau and
-    b = mu[n+1]/tau.  The coefficients are formed from the state a block
-    of steps at a time, with one call of each formula over the block's
-    levels; a block holds as many steps as fit in half the budget of the
-    residual check, ``mesh.block_rows(grid, 2)`` (16 steps at 64 cells,
-    one at 32x32 and at 64x64), and follows the march up or down; the
-    rows of a block stay valid until a step outside it is asked for.
+    b = mu[n+1]/tau.  The marches form them a block of
+    ``mesh.block_rows(grid, 2)`` steps at a time, half the budget of the
+    residual check, with one call of each formula over the block.
     """
-
-    def __init__(self, problem: ProblemData, state: StateTrajectory):
-        self.problem, self.state = problem, state
-        self._d = problem.delta / problem.tgrid.tau
-        rows, N = mesh.block_rows(problem.grid, 2), problem.tgrid.N
-        # The forms close over the problem and state, not over self, so
-        # no reference cycle keeps the state alive after the march.
-        self._solved = _Blocks(partial(_solved, problem, state), N, rows)
-        self._carried = _Blocks(partial(_carried, problem, state), N, rows)
-
-    def solved(self, n: int) -> tuple:
-        """(S, D, a): the diagonals step n inverts and their coupling."""
-        return self._solved[n]
-
-    def carried(self, n: int) -> tuple:
-        """(d, C, b): the weights of level n on the right of step n."""
-        return (self._d,) + self._carried[n]
-
-
-def _solved(problem, state, lo, hi):
-    """The stacks S, D and a of steps lo..hi-1."""
     p, tau, rho, mu = problem, problem.tgrid.tau, state.rho, state.mu
-    yield newton_shift(p.potential, p.delta, tau, rho[lo + 1:hi + 1])
-    yield mu_diagonal(p.epsilon, tau, rho[lo:hi], rho[lo + 1:hi + 1])
-    yield (2.0 * mu[lo:hi] - 3.0 * mu[lo + 1:hi + 1]) / tau
+    return (newton_shift(p.potential, p.delta, tau, rho[lo + 1:hi + 1]),
+            mu_diagonal(p.epsilon, tau, rho[lo:hi], rho[lo + 1:hi + 1]),
+            (2.0 * mu[lo:hi] - 3.0 * mu[lo + 1:hi + 1]) / tau)
 
 
 def _carried(problem, state, lo, hi):
-    """The stacks C and b of steps lo..hi-1."""
+    """The stacks (C, b) of steps lo..hi-1: the weights of level n on the
+    right of step n, beside d."""
     tau = problem.tgrid.tau
-    yield mu_carry(problem.epsilon, tau, state.rho[lo + 1:hi + 1])
-    yield state.mu[lo + 1:hi + 1] / tau
+    return (mu_carry(problem.epsilon, tau, state.rho[lo + 1:hi + 1]),
+            state.mu[lo + 1:hi + 1] / tau)
 
 
 def solve_tangent(problem: ProblemData, state: StateTrajectory, h
@@ -158,17 +99,20 @@ def solve_tangent(problem: ProblemData, state: StateTrajectory, h
     """Differentiate the forward march along control direction h."""
     grid, tg = problem.grid, problem.tgrid
     h = check_trajectory(tg, grid, h)
-    ops = StepOperators(problem, state)
+    d = problem.delta / tg.tau
     xi = np.zeros(h.shape)
     eta = np.zeros(h.shape)
     with mesh.CheckedSolves(grid, tg.N) as solves:
-        for n in range(tg.N):
-            solves.step = n + 1
-            shift, diag, a = ops.solved(n)
-            d, carry, b = ops.carried(n)
-            xi[n + 1] = solves.solve(shift, d * xi[n] + eta[n])
-            rhs = h[n + 1] + a * xi[n + 1] + b * xi[n] + carry * eta[n]
-            eta[n + 1] = solves.solve(diag, rhs)
+        for lo, hi in mesh.blocks(tg.N, mesh.block_rows(grid, 2)):
+            shift, diag, a = _solved(problem, state, lo, hi)
+            carry, b = _carried(problem, state, lo, hi)
+            for n in range(lo, hi):
+                i = n - lo
+                solves.step = n + 1
+                xi[n + 1] = solves.solve(shift[i], d * xi[n] + eta[n])
+                rhs = h[n + 1] + a[i] * xi[n + 1] + b[i] * xi[n] \
+                    + carry[i] * eta[n]
+                eta[n + 1] = solves.solve(diag[i], rhs)
     return TangentTrajectory(xi=xi, eta=eta)
 
 
@@ -185,26 +129,29 @@ def _adjoint_discrete(problem, state):
     # y are the multipliers of the two equations of each step, indexed
     # by the level that step solves for.  Both diagonal blocks are
     # symmetric, so each transposed solve reuses the forward operator.
+    # Step n solves level n+1, then forms the right sides of step n-1
+    # with its own C and b.
     grid, tg = problem.grid, problem.tgrid
-    tau = tg.tau
-    ops = StepOperators(problem, state)
+    tau, d = tg.tau, problem.delta / tg.tau
     c = tg.trap_weights()
-    mu = state.mu
+    w, mu, mu_target = problem.beta1 * tau * c, state.mu, problem.mu_target
     y = np.zeros_like(mu)
     x = np.zeros_like(y)
+    rhs_y = w[tg.N] * (mu[tg.N] - mu_target[tg.N])
+    rhs_x = state.rho[tg.N] - problem.rho_target
     with mesh.CheckedSolves(grid, tg.N) as solves:
-        for k in range(tg.N, 0, -1):
-            solves.step = k
-            rhs_y = problem.beta1 * tau * c[k] * (mu[k] - problem.mu_target[k])
-            if k == tg.N:
-                rhs_x = state.rho[k] - problem.rho_target
-            else:
-                d, carry, b = ops.carried(k)
-                rhs_y = rhs_y + x[k + 1] + carry * y[k + 1]
-                rhs_x = d * x[k + 1] + b * y[k + 1]
-            shift, diag, a = ops.solved(k - 1)
-            y[k] = solves.solve(diag, rhs_y)
-            x[k] = solves.solve(shift, a * y[k] + rhs_x)
+        for lo, hi in mesh.blocks(tg.N, mesh.block_rows(grid, 2),
+                                  backward=True):
+            shift, diag, a = _solved(problem, state, lo, hi)
+            carry, b = _carried(problem, state, lo, hi)
+            for n in range(hi - 1, lo - 1, -1):
+                i = n - lo
+                solves.step = n + 1
+                y[n + 1] = solves.solve(diag[i], rhs_y)
+                x[n + 1] = solves.solve(shift[i], a[i] * y[n + 1] + rhs_x)
+                rhs_y = w[n] * (mu[n] - mu_target[n]) + x[n + 1] \
+                    + carry[i] * y[n + 1]
+                rhs_x = d * x[n + 1] + b[i] * y[n + 1]
     y[1:] /= tau * c[1:, None]
     x[1:] /= tau
     # No multiplier exists at level 0; pad with the adjacent level.
@@ -212,44 +159,39 @@ def _adjoint_discrete(problem, state):
     return AdjointTrajectory(p=x, q=y)
 
 
-def _pde_terms(problem, state):
-    """The state-only terms of the pde adjoint march at each level n < N,
-    formed backward a block of levels at a time in a quarter of the
-    residual check's budget: (C, 1 + rho_t, beta1 (mu - mu_target),
-    C + 1, mu_t, S) with C and S the carry and Newton shift at rho[n]."""
+def _pde_terms(problem, state, lo, hi):
+    """The state-only terms of the pde adjoint march at levels lo..hi-1,
+    (C, 1 + rho_t, beta1 (mu - mu_target), C + 1, mu_t, S) with C and S
+    the carry and Newton shift at rho[n], which the march forms a block
+    of ``mesh.block_rows(grid, 4)`` levels at a time."""
     tau, rho, mu = problem.tgrid.tau, state.rho, state.mu
-
-    def form(lo, hi):
-        carry = mu_carry(problem.epsilon, tau, rho[lo:hi])
-        yield carry
-        yield 1.0 + (rho[lo + 1:hi + 1] - rho[lo:hi]) / tau
-        yield problem.beta1 * (mu[lo:hi] - problem.mu_target[lo:hi])
-        yield carry + 1.0
-        yield (mu[lo + 1:hi + 1] - mu[lo:hi]) / tau
-        yield newton_shift(problem.potential, problem.delta, tau, rho[lo:hi])
-
-    return _Blocks(form, problem.tgrid.N, mesh.block_rows(problem.grid, 4))
+    carry = mu_carry(problem.epsilon, tau, rho[lo:hi])
+    return (carry, 1.0 + (rho[lo + 1:hi + 1] - rho[lo:hi]) / tau,
+            problem.beta1 * (mu[lo:hi] - problem.mu_target[lo:hi]),
+            carry + 1.0, (mu[lo + 1:hi + 1] - mu[lo:hi]) / tau,
+            newton_shift(problem.potential, problem.delta, tau, rho[lo:hi]))
 
 
 def _adjoint_pde(problem, state):
     grid, tg = problem.grid, problem.tgrid
-    tau = tg.tau
-    delta = problem.delta
-    rho, mu = state.rho, state.mu
+    tau, delta, rho, mu = tg.tau, problem.delta, state.rho, state.mu
     q = np.zeros((tg.N + 1, grid.num_cells))
     p = np.zeros_like(q)
     p[tg.N] = (rho[tg.N] - problem.rho_target) / delta
-    terms = _pde_terms(problem, state)
     with mesh.CheckedSolves(grid, tg.N) as solves:
-        for n in range(tg.N - 1, -1, -1):
-            solves.step = n + 1
-            carry, one_rho_t, source, diag, mu_t, shift = terms[n]
-            rhs_q = carry * q[n + 1] + one_rho_t * q[n + 1] + p[n + 1] \
-                + source
-            q[n] = solves.solve(diag, rhs_q)
-            rhs_p = (delta / tau) * p[n + 1] \
-                + mu[n] * (q[n + 1] - q[n]) / tau - mu_t * q[n]
-            p[n] = solves.solve(shift, rhs_p)
+        for lo, hi in mesh.blocks(tg.N, mesh.block_rows(grid, 4),
+                                  backward=True):
+            carry, one_rho_t, source, diag, mu_t, shift = _pde_terms(
+                problem, state, lo, hi)
+            for n in range(hi - 1, lo - 1, -1):
+                i = n - lo
+                solves.step = n + 1
+                rhs_q = carry[i] * q[n + 1] + one_rho_t[i] * q[n + 1] \
+                    + p[n + 1] + source[i]
+                q[n] = solves.solve(diag[i], rhs_q)
+                rhs_p = (delta / tau) * p[n + 1] \
+                    + mu[n] * (q[n + 1] - q[n]) / tau - mu_t[i] * q[n]
+                p[n] = solves.solve(shift[i], rhs_p)
     return AdjointTrajectory(p=p, q=q)
 
 
@@ -284,9 +226,7 @@ def duality_pairing(problem: ProblemData, state: StateTrajectory,
     lhs = mesh.inner_h(grid, state.rho[tg.N] - problem.rho_target,
                        tangent.xi[tg.N])
     pairs = np.empty(tg.N + 1)
-    rows = mesh.block_rows(grid)
-    for lo in range(0, tg.N + 1, rows):
-        hi = lo + rows
+    for lo, hi in mesh.blocks(tg.N + 1, mesh.block_rows(grid)):
         pairs[lo:hi] = mesh.inner_h(grid, state.mu[lo:hi]
                                     - problem.mu_target[lo:hi],
                                     tangent.eta[lo:hi])

@@ -292,6 +292,24 @@ def test_unreadable_field_csv_exits_two(tmp_path, capsys):
     assert "cannot read field CSV" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, error", [
+    ("x,value\n", "0 rows for a grid of 4 cells"),
+    ("", "header '' does not match grid (expected 'x,value')")],
+    ids=["header-only", "empty"])
+def test_empty_field_csv_exits_two_without_warning(tmp_path, capsys, text,
+                                                   error):
+    """A field CSV without data rows is refused with its typed error and
+    exit code 2, and no warning escapes the reader."""
+    csv = tmp_path / "field.csv"
+    csv.write_text(text)
+    path = write(tmp_path, MINIMAL.replace("n: 16", "n: 4")
+                 + "init: {rho0: field.csv}\n")
+    assert cli.main(["forward", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: %s: %s\n" % (csv, error)
+
+
 def test_integral_float_accepted(tmp_path):
     rc = config.parse_config(write(tmp_path, MINIMAL.replace("N: 8", "N: 8.0")))
     assert rc.problem.tgrid.N == 8 and isinstance(rc.problem.tgrid.N, int)
@@ -675,14 +693,15 @@ def test_cli_check_summary_names_degeneracy(tmp_path, capsys):
 def test_cli_check_tangent_names_failing_step(tmp_path, capsys, monkeypatch):
     """A solve failing inside the tangent march names its step: a negated
     Newton shift at step 3 is not positive definite."""
-    solved = sensitivity.StepOperators.solved
+    solved = sensitivity._solved
 
-    def indefinite_at_step_3(self, n):
-        shift, diag, a = solved(self, n)
-        return (-shift if n == 2 else shift), diag, a
+    def indefinite_at_step_3(problem, state, lo, hi):
+        shift, diag, a = solved(problem, state, lo, hi)
+        if lo <= 2 < hi:
+            shift[2 - lo] = -shift[2 - lo]
+        return shift, diag, a
 
-    monkeypatch.setattr(sensitivity.StepOperators, "solved",
-                        indefinite_at_step_3)
+    monkeypatch.setattr(sensitivity, "_solved", indefinite_at_step_3)
     cfg = write(tmp_path, MINIMAL)
     assert run_cli(["check", "tangent", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 2

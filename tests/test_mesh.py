@@ -468,6 +468,22 @@ def test_checked_solves_check_each_row_past_the_budget(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("count, rows", [(37, 16), (37, 1), (32, 8),
+                                         (37, 37), (5, 16), (1, 1), (0, 4)])
+@pytest.mark.parametrize("backward", [False, True], ids=["up", "down"])
+def test_blocks_cover_each_index_once_in_order(count, rows, backward):
+    """The blocks of a pass cover 0..count-1 once each, in its direction,
+    every block full but the last, whether or not ``rows`` divides
+    ``count`` and when ``rows >= count``."""
+    ranges = list(mesh.blocks(count, rows, backward=backward))
+    order = [n for lo, hi in ranges for n in
+             (range(hi - 1, lo - 1, -1) if backward else range(lo, hi))]
+    assert order == sorted(range(count), reverse=backward)
+    sizes = [hi - lo for lo, hi in ranges]
+    assert sizes[:-1] == [rows] * (len(sizes) - 1)
+    assert all(0 < size <= rows for size in sizes)
+
+
 def test_norm_w_is_literal_sum():
     g = pc.Grid(1, 6, 1.0)
     v = np.random.default_rng(9).standard_normal(6)

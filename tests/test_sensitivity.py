@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -115,41 +116,63 @@ def step_shifts(prob, st):
     return S, D, C
 
 
+def reference_marches(prob, st, h):
+    """The tangent, discrete adjoint and pde adjoint of ``st`` marched
+    step by step, every coefficient formed per step from its formula:
+    S, D, a, d, C and b of each step, and the pde terms of each level."""
+    p, grid, N, tau = prob, prob.grid, prob.tgrid.N, prob.tgrid.tau
+    rho, mu, d, c = st.rho, st.mu, prob.delta / tau, prob.tgrid.trap_weights()
+    S, D, C = step_shifts(prob, st)
+    a = [(2.0 * mu[n] - 3.0 * mu[n + 1]) / tau for n in range(N)]
+    b = [mu[n + 1] / tau for n in range(N)]
+    solve = partial(mesh.solve_shifted, grid)
+    xi, eta = np.zeros_like(h), np.zeros_like(h)
+    for n in range(N):
+        xi[n + 1] = solve(S[n + 1], d * xi[n] + eta[n])
+        eta[n + 1] = solve(D[n], h[n + 1] + a[n] * xi[n + 1] + b[n] * xi[n]
+                           + C[n + 1] * eta[n])
+    x, y = np.zeros_like(mu), np.zeros_like(mu)
+    for k in range(N, 0, -1):
+        rhs_y = p.beta1 * tau * c[k] * (mu[k] - p.mu_target[k])
+        if k == N:
+            rhs_x = rho[N] - p.rho_target
+        else:
+            rhs_y = rhs_y + x[k + 1] + C[k + 1] * y[k + 1]
+            rhs_x = d * x[k + 1] + b[k] * y[k + 1]
+        y[k] = solve(D[k - 1], rhs_y)
+        x[k] = solve(S[k], a[k - 1] * y[k] + rhs_x)
+    y[1:] /= tau * c[1:, None]
+    x[1:] /= tau
+    x[0] = x[1]
+    q, pp = np.zeros_like(mu), np.zeros_like(mu)
+    pp[N] = (rho[N] - p.rho_target) / p.delta
+    for n in range(N - 1, -1, -1):
+        q[n] = solve(C[n] + 1.0, C[n] * q[n + 1]
+                     + (1.0 + (rho[n + 1] - rho[n]) / tau) * q[n + 1]
+                     + pp[n + 1] + p.beta1 * (mu[n] - p.mu_target[n]))
+        pp[n] = solve(S[n], (p.delta / tau) * pp[n + 1]
+                      + mu[n] * (q[n + 1] - q[n]) / tau
+                      - (mu[n + 1] - mu[n]) / tau * q[n])
+    return xi, eta, x, y, pp, q
+
+
 def same_bits(got, want):
     return all(np.asarray(g).tobytes() == np.asarray(w).tobytes()
                for g, w in zip(got, want, strict=True))
 
 
 @pytest.mark.parametrize("grid", ["1d", "2d"])
-def test_step_blocks_match_the_per_step_formulas(grid):
-    """Every step's coefficients, formed a block at a time, equal the
-    per-step formulas bit for bit, in the tangent's forward order and in
-    the discrete adjoint's backward order."""
+def test_marches_match_the_per_step_reference(grid):
+    """The tangent and both adjoints, whose coefficients are formed a
+    block of steps at a time, equal the per-step reference march bit for
+    bit at every level."""
     prob, st = block_instance(grid)
-    tau, mu = prob.tgrid.tau, st.mu
-    S, D, C = step_shifts(prob, st)
-    for order in (range(37), range(36, -1, -1)):
-        ops = sensitivity.StepOperators(prob, st)
-        for n in order:
-            want = (S[n + 1], D[n], (2.0 * mu[n] - 3.0 * mu[n + 1]) / tau,
-                    prob.delta / tau, C[n + 1], mu[n + 1] / tau)
-            assert same_bits(ops.solved(n) + ops.carried(n), want), n
-
-
-@pytest.mark.parametrize("grid", ["1d", "2d"])
-def test_pde_terms_match_the_per_level_formulas(grid):
-    """The pde adjoint's state-only terms, formed backward a block of
-    levels at a time, equal the per-level formulas bit for bit at every
-    level from N - 1 down to 0."""
-    prob, st = block_instance(grid)
-    tau, rho, mu = prob.tgrid.tau, st.rho, st.mu
-    S, _, C = step_shifts(prob, st)
-    terms = sensitivity._pde_terms(prob, st)
-    for n in range(36, -1, -1):
-        want = (C[n], 1.0 + (rho[n + 1] - rho[n]) / tau,
-                prob.beta1 * (mu[n] - prob.mu_target[n]), C[n] + 1.0,
-                (mu[n + 1] - mu[n]) / tau, S[n])
-        assert same_bits(terms[n], want), n
+    h = checks.random_direction(prob, np.random.default_rng(0))
+    tan = pc.solve_tangent(prob, st, h)
+    dis = pc.solve_adjoint(prob, st, mode="discrete")
+    pde = pc.solve_adjoint(prob, st, mode="pde")
+    got = (tan.xi, tan.eta, dis.p, dis.q, pde.p, pde.q)
+    assert same_bits(got, reference_marches(prob, st, h))
 
 
 @pytest.mark.parametrize("grid", ["1d", "2d"])
@@ -270,14 +293,15 @@ def peak_stacks(run):
 
 
 @pytest.mark.parametrize("run, bound", [
-    (lambda p, st, h: pc.solve_state(p, 0.3), 4.25 + 0.5),
+    (lambda p, st, h: pc.solve_state(p, 0.3), 2.80 + 0.5),
     (lambda p, st, h: pc.solve_tangent(p, st, h), 2.79 + 0.5),
     (lambda p, st, h: pc.solve_adjoint(p, st, mode="pde"), 2.50 + 0.5)],
     ids=["forward", "tangent", "pde"])
 def test_march_peak_allocation(run, bound):
     """Each march allocates at most half a stack more than its measured
-    peak: 4.25 stacks forward, where the constant control is held as one
-    field, 2.79 for the tangent, which reads the direction without a
+    peak: 2.80 stacks forward, where the constant control is held as one
+    field and the diagnostics take their minima a block of levels at a
+    time, 2.79 for the tangent, which reads the direction without a
     copy, and 2.50 for the pde adjoint, its peak when every solve was
     checked on its own.  The blocks of waiting rows and their check fit
     in that half."""

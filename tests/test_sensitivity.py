@@ -162,6 +162,51 @@ def same_bits(got, want):
 
 
 @pytest.mark.parametrize("grid", ["1d", "2d"])
+def test_step_blocks_match_the_per_step_formulas(grid):
+    """Every step's coefficients, formed a block at a time over the
+    marches' own block ranges, equal the per-step formulas bit for bit,
+    in the tangent's forward order and in the discrete adjoint's backward
+    order."""
+    prob, st = block_instance(grid)
+    tau, mu = prob.tgrid.tau, st.mu
+    S, D, C = step_shifts(prob, st)
+    rows = mesh.block_rows(prob.grid, 2)
+    for backward in (False, True):
+        seen = []
+        for lo, hi in mesh.blocks(37, rows, backward=backward):
+            block = (sensitivity._solved(prob, st, lo, hi)
+                     + sensitivity._carried(prob, st, lo, hi))
+            for n in range(lo, hi):
+                want = (S[n + 1], D[n],
+                        (2.0 * mu[n] - 3.0 * mu[n + 1]) / tau,
+                        C[n + 1], mu[n + 1] / tau)
+                assert same_bits([t[n - lo] for t in block], want), n
+                seen.append(n)
+        assert sorted(seen) == list(range(37))
+
+
+@pytest.mark.parametrize("grid", ["1d", "2d"])
+def test_pde_terms_match_the_per_level_formulas(grid):
+    """The pde adjoint's state-only terms, formed backward a block of
+    levels at a time over the march's own block ranges, equal the
+    per-level formulas bit for bit at every level from N - 1 down to 0."""
+    prob, st = block_instance(grid)
+    tau, rho, mu = prob.tgrid.tau, st.rho, st.mu
+    S, _, C = step_shifts(prob, st)
+    seen = []
+    for lo, hi in mesh.blocks(37, mesh.block_rows(prob.grid, 4),
+                              backward=True):
+        terms = sensitivity._pde_terms(prob, st, lo, hi)
+        for n in range(hi - 1, lo - 1, -1):
+            want = (C[n], 1.0 + (rho[n + 1] - rho[n]) / tau,
+                    prob.beta1 * (mu[n] - prob.mu_target[n]), C[n] + 1.0,
+                    (mu[n + 1] - mu[n]) / tau, S[n])
+            assert same_bits([t[n - lo] for t in terms], want), n
+            seen.append(n)
+    assert seen == list(range(36, -1, -1))
+
+
+@pytest.mark.parametrize("grid", ["1d", "2d"])
 def test_marches_match_the_per_step_reference(grid):
     """The tangent and both adjoints, whose coefficients are formed a
     block of steps at a time, equal the per-step reference march bit for

@@ -17,14 +17,13 @@ from .optimize import (OptimizeResult, OptimizerConfig, cost, cost_parts,
                        projected_gradient_descent, reduced_gradient)
 from .potential import Potential
 from .sensitivity import (AdjointTrajectory, TangentTrajectory,
-                          adjoint_mode_gap, duality_pairing, solve_adjoint,
-                          solve_tangent)
+                          duality_pairing, solve_adjoint, solve_tangent)
 
 __all__ = [
     "AdjointTrajectory", "Diagnostics", "Grid", "OptimizeResult",
     "OptimizerConfig", "Potential", "ProblemData", "RunConfig",
     "SolverConfig", "StateTrajectory", "TangentTrajectory", "TimeGrid",
-    "adjoint_mode_gap", "bounds_check", "build_problem", "cost", "cost_parts",
+    "bounds_check", "build_problem", "cost", "cost_parts",
     "duality_gap_check", "duality_pairing", "fd_gradient_check",
     "kkt_residual", "ode_oracle_check", "parse_config", "project_control",
     "projected_gradient_descent", "random_control", "reduced_gradient",

@@ -27,6 +27,10 @@ time derivative of the product mu * rho is discretized as
 mu^{n+1} * (rho^{n+1} - rho^n) / tau, which folds into the diagonal and
 preserves an M-matrix, hence nonnegativity of mu for nonnegative data
 and sources.
+
+Every step function and coefficient formula takes the ProblemData of
+its instance, and reads delta, tau, epsilon, the potential and the
+Newton settings there.
 """
 
 from __future__ import annotations
@@ -148,21 +152,20 @@ class StateTrajectory:
     diagnostics: Diagnostics
 
 
-def newton_shift(pot: Potential, delta: float, tau: float,
-                 rho: np.ndarray) -> np.ndarray:
+def newton_shift(problem: ProblemData, rho: np.ndarray) -> np.ndarray:
     """Diagonal of the order-parameter step Jacobian, delta/tau + f''(rho)."""
-    return delta / tau + pot.d2(rho)
+    return problem.delta / problem.tgrid.tau + problem.potential.d2(rho)
 
 
-def mu_diagonal(epsilon: float, tau: float, rho_prev: np.ndarray,
+def mu_diagonal(problem: ProblemData, rho_prev: np.ndarray,
                 rho_new: np.ndarray) -> np.ndarray:
     """Diagonal of the potential step; it must stay positive."""
-    return (epsilon + 3.0 * rho_new - rho_prev) / tau
+    return (problem.epsilon + 3.0 * rho_new - rho_prev) / problem.tgrid.tau
 
 
-def mu_carry(epsilon: float, tau: float, rho_new: np.ndarray) -> np.ndarray:
+def mu_carry(problem: ProblemData, rho_new: np.ndarray) -> np.ndarray:
     """Weight of the previous potential on the right of the potential step."""
-    return (epsilon + 2.0 * rho_new) / tau
+    return (problem.epsilon + 2.0 * rho_new) / problem.tgrid.tau
 
 
 def out_of_bounds(rho: np.ndarray, mu: np.ndarray) -> int:
@@ -171,13 +174,13 @@ def out_of_bounds(rho: np.ndarray, mu: np.ndarray) -> int:
                + np.count_nonzero(~(mu >= -BOUND_TOL)))
 
 
-def _rho_residual(grid, delta, tau, rho_prev, rho, mu_prev, d1):
+def _rho_residual(problem, rho_prev, rho, mu_prev, d1):
     """The order-parameter step residual, ``d1`` being f'(rho)."""
-    return (delta / tau) * (rho - rho_prev) - mesh.laplacian_apply(grid, rho) \
-        + d1 - mu_prev
+    return (problem.delta / problem.tgrid.tau) * (rho - rho_prev) \
+        - mesh.laplacian_apply(problem.grid, rho) + d1 - mu_prev
 
 
-def _floor_bound(grid, pot, delta, tau, lo, hi):
+def _floor_bound(problem, lo, hi):
     """An upper bound of FLOOR_FACTOR * |spacing(rho) * shift|_h from the
     least and greatest entries of rho: spacing(hi) bounds every spacing,
     the shift's size is at most delta/tau + 2 c_quad plus c_log over the
@@ -185,8 +188,10 @@ def _floor_bound(grid, pot, delta, tau, lo, hi):
     field is at most sqrt(|Omega|) times its largest entry.  Doubled, so
     that rounding in the bound or in the floor cannot put the bound below
     the floor."""
+    pot, grid = problem.potential, problem.grid
     least = min(lo * (1.0 - lo), hi * (1.0 - hi))
-    size = delta / tau + 2.0 * pot.c_quad + pot.c_log / least
+    size = problem.delta / problem.tgrid.tau + 2.0 * pot.c_quad \
+        + pot.c_log / least
     return 2.0 * FLOOR_FACTOR * ulp(hi) * size * sqrt(
         grid.weight * grid.num_cells)
 
@@ -235,57 +240,61 @@ def _extrapolate(levels: np.ndarray, lo: float, hi: float) -> np.ndarray:
 class NewtonHistory(list):
     """The residual norm of every Newton iterate of one order-parameter
     step, in order, and the number of Newton ``solves`` of its attempts.
-    ``restart`` is 0, or the index of the first residual of the second
-    attempt, the one from the previous level, when Newton from the given
-    start failed.  ``on_floor`` is whether the level returned ended on
-    the rounding floor above newton_tol, and ``bounds`` the least and
-    greatest entries of the last iterate, the level returned."""
+    ``extrapolated`` is whether the step was given a start other than
+    the previous level.  ``restart`` is 0, or the index of the first
+    residual of the second attempt, the one from the previous level,
+    when Newton from the given start failed.  ``on_floor`` is whether
+    the level returned ended on the rounding floor above newton_tol, and
+    ``bounds`` the least and greatest entries of the last iterate, the
+    level returned."""
 
+    extrapolated = False
     restart = 0
     solves = 0
     on_floor = False
     bounds = None
 
 
-def step_rho(grid: Grid, pot: Potential, delta: float, tau: float,
-             rho_prev: np.ndarray, mu_prev: np.ndarray, cfg: SolverConfig,
+def step_rho(problem: ProblemData, rho_prev: np.ndarray, mu_prev: np.ndarray,
              start: np.ndarray = None) -> tuple:
     """Advance the order parameter by one implicit step.
 
-    Newton iteration started at ``start``, a level inside (0, 1), or at
-    the previous level if ``start`` is None.  Steps are scaled by the
-    largest factor in (0, 1] that keeps every cell at least
-    BOUNDARY_MARGIN times its current distance from each endpoint, so
-    iterates approach 0 and 1 but never step past them; one ulp from an
-    endpoint, an iterate can still round onto it.  Returns the new level
-    and its NewtonHistory.  If Newton from ``start`` raises
-    NewtonDivergence, the step runs Newton again from the previous
-    level; the history keeps the residuals of both attempts and marks
-    where the second began.  Newton stops when the residual norm is at
-    most newton_tol or FLOOR_FACTOR |spacing(rho) * shift|_h, its
-    rounding floor; the history's ``on_floor`` records a stop above
-    newton_tol.  Raises NewtonDivergence if the residual norm reaches
-    neither within newton_max iterations (the message gives both), an
-    iterate rounds onto 0 or 1, or the Newton shift overflows; any
-    SolverStepError raised here carries the residual norms so far in
+    Newton iteration, with the settings of ``problem.solver``, started
+    at ``start``, a level inside (0, 1), or at the previous level if
+    ``start`` is None.  Steps are scaled by the largest factor in (0, 1]
+    that keeps every cell at least BOUNDARY_MARGIN times its current
+    distance from each endpoint, so iterates approach 0 and 1 but never
+    step past them; one ulp from an endpoint, an iterate can still round
+    onto it.  Returns the new level and its NewtonHistory.  If Newton
+    from ``start`` raises NewtonDivergence, the step runs Newton again
+    from the previous level; the history keeps the residuals of both
+    attempts and marks where the second began.  Newton stops when the
+    residual norm is at most newton_tol or FLOOR_FACTOR
+    |spacing(rho) * shift|_h, its rounding floor; the history's
+    ``on_floor`` records a stop above newton_tol.  Raises
+    NewtonDivergence if the residual norm reaches neither within
+    newton_max iterations (the message gives both), an iterate rounds
+    onto 0 or 1, or f'(rho), the residual or the Newton shift overflows;
+    any SolverStepError raised here carries the residual norms so far in
     ``newton_residuals`` and tau times the minimum of the last Newton
     shift formed, if any, in ``min_newton_shift``.
     """
     history = NewtonHistory()
-    args = (grid, pot, delta, tau, rho_prev, mu_prev, cfg, history)
+    history.extrapolated = start is not None
     if start is not None:
         try:
-            return _newton(start, *args), history
+            return _newton(problem, start, rho_prev, mu_prev, history), history
         except NewtonDivergence:
             history.restart = len(history)
-    return _newton(rho_prev, *args), history
+    return _newton(problem, rho_prev, rho_prev, mu_prev, history), history
 
 
-def _newton(start, grid, pot, delta, tau, rho_prev, mu_prev, cfg, history):
+def _newton(problem, start, rho_prev, mu_prev, history):
     """The damped Newton iteration of step_rho from ``start``; appends the
     residual norm of every iterate to ``history``.  Each iterate's domain
     is tested once: its least and greatest entries serve f', f'', the
     damping and the floor bound."""
+    grid, pot, cfg = problem.grid, problem.potential, problem.solver
     rho, shift = start.copy(), None
     try:
         for it in range(cfg.newton_max + 1):
@@ -296,33 +305,25 @@ def _newton(start, grid, pot, delta, tau, rho_prev, mu_prev, cfg, history):
                 raise NewtonDivergence("Newton iterate %d: %s"
                                        % (it, exc)) from None
             # An overflowing norm is rescaled; an overflowing f', residual
-            # or shift fails.
-            with np.errstate(over="raise"):
-                try:
+            # or shift fails, naming the term being formed.
+            try:
+                with np.errstate(over="raise"):
+                    term = "residual term f'(rho)"
                     d1 = pot.d1_unchecked(rho)
-                except FloatingPointError:
-                    raise NewtonDivergence(
-                        "Newton residual term f'(rho) overflows at iterate %d"
-                        % it) from None
-                try:
-                    res = _rho_residual(grid, delta, tau, rho_prev, rho,
-                                        mu_prev, d1)
-                except FloatingPointError:
-                    raise NewtonDivergence(
-                        "Newton residual overflows at iterate %d" % it) \
-                        from None
-                rnorm = mesh.scaled_norm(mesh.norm_h, grid, res)
-                history.append(rnorm)
-                if rnorm <= cfg.newton_tol:
-                    return rho
-                try:
+                    term = "residual"
+                    res = _rho_residual(problem, rho_prev, rho, mu_prev, d1)
+                    rnorm = mesh.scaled_norm(mesh.norm_h, grid, res)
+                    history.append(rnorm)
+                    if rnorm <= cfg.newton_tol:
+                        return rho
                     # newton_shift, on an iterate already tested.
-                    shift = delta / tau + pot.d2_unchecked(rho)
-                except FloatingPointError:
-                    raise NewtonDivergence(
-                        "Newton shift delta/tau + f''(rho) overflows at "
-                        "iterate %d" % it) from None
-            if rnorm <= _floor_bound(grid, pot, delta, tau, lo, hi) \
+                    term = "shift delta/tau + f''(rho)"
+                    shift = problem.delta / problem.tgrid.tau \
+                        + pot.d2_unchecked(rho)
+            except FloatingPointError:
+                raise NewtonDivergence("Newton %s overflows at iterate %d"
+                                       % (term, it)) from None
+            if rnorm <= _floor_bound(problem, lo, hi) \
                     and rnorm <= _floor(grid, rho, shift):
                 history.on_floor = True
                 return rho
@@ -339,42 +340,41 @@ def _newton(start, grid, pot, delta, tau, rho_prev, mu_prev, cfg, history):
     except SolverStepError as exc:
         exc.newton_residuals = history
         if shift is not None:
-            exc.min_newton_shift = tau * float(shift.min())
+            exc.min_newton_shift = problem.tgrid.tau * float(shift.min())
         raise
 
 
-def step_mu(epsilon: float, tau: float, rho_prev: np.ndarray,
-            rho_new: np.ndarray, mu_prev: np.ndarray, u_new: np.ndarray,
+def step_mu(problem: ProblemData, rho_prev: np.ndarray, rho_new: np.ndarray,
+            mu_prev: np.ndarray, u_new: np.ndarray,
             solves: mesh.CheckedSolves) -> np.ndarray:
     """Advance the chemical potential by one linear implicit step.
 
     The solve is handed to ``solves``, the checked solves on the grid of
     the march this step belongs to.
     """
-    diag = mu_diagonal(epsilon, tau, rho_prev, rho_new)
+    diag = mu_diagonal(problem, rho_prev, rho_new)
     lo = diag.min()
     if lo <= 0.0:
         exc = NonpositiveCoefficient(
             "potential step diagonal min %.3e is nonpositive" % lo)
-        exc.min_coefficient = tau * lo
+        exc.min_coefficient = problem.tgrid.tau * lo
         raise exc
-    rhs = u_new + mu_carry(epsilon, tau, rho_new) * mu_prev
+    rhs = u_new + mu_carry(problem, rho_new) * mu_prev
     return solves.solve(diag, rhs)
 
 
 def _diagnose(problem: ProblemData, rho: np.ndarray, mu: np.ndarray,
-              histories: list, extrapolated: list) -> Diagnostics:
+              histories: list) -> Diagnostics:
     """Diagnostics of the levels ``rho``, ``mu`` reached by the steps
-    whose NewtonHistory and starts are given, one entry per step.  A
-    step's Newton iterations count the solves of both its attempts; the
-    per-step minima are taken a block of ``mesh.block_rows`` steps."""
-    eps, tau, steps = problem.epsilon, problem.tgrid.tau, len(histories)
+    whose NewtonHistory is given, one per step.  A step's Newton
+    iterations count the solves of both its attempts; the per-step
+    minima are taken a block of ``mesh.block_rows`` steps."""
+    tau, steps = problem.tgrid.tau, len(histories)
     coeff, shift = np.empty(steps), np.empty(steps)
     for lo, hi in mesh.blocks(steps, mesh.block_rows(problem.grid)):
         new = rho[lo + 1:hi + 1]
-        coeff[lo:hi] = mu_diagonal(eps, tau, rho[lo:hi], new).min(axis=1)
-        shift[lo:hi] = newton_shift(problem.potential, problem.delta, tau,
-                                    new).min(axis=1)
+        coeff[lo:hi] = mu_diagonal(problem, rho[lo:hi], new).min(axis=1)
+        shift[lo:hi] = newton_shift(problem, new).min(axis=1)
     # Recorded in the units of epsilon: the diagonals times tau.
     coeff *= tau
     shift *= tau
@@ -382,7 +382,7 @@ def _diagnose(problem: ProblemData, rho: np.ndarray, mu: np.ndarray,
         newton_iters=[h.solves for h in histories],
         newton_residuals=[h[-1] for h in histories],
         on_floor=[h.on_floor for h in histories],
-        extrapolated=extrapolated,
+        extrapolated=[h.extrapolated for h in histories],
         fell_back=[bool(h.restart) for h in histories],
         min_coefficient=coeff.tolist(), min_newton_shift=shift.tolist(),
         rho_min=rho.min(axis=1).tolist(), rho_max=rho.max(axis=1).tolist(),
@@ -404,36 +404,32 @@ def solve_state(problem: ProblemData, u) -> StateTrajectory:
     """
     grid, tg = problem.grid, problem.tgrid
     u = check_trajectory(tg, grid, u)
-    tau = tg.tau
     rho = np.zeros((tg.N + 1, grid.num_cells))
     mu = np.zeros_like(rho)
     rho[0] = problem.rho0
     mu[0] = problem.mu0
-    histories, extrapolated = [], []
+    histories = []
     try:
         with mesh.CheckedSolves(grid, tg.N) as solves:
             for n in range(tg.N):
                 solves.step = n + 1
                 start = None
                 if n >= 2 and not histories[-1].restart:
-                    iters = len(histories[-1]) - 1
-                    if iters >= 2 or extrapolated[-1] and iters >= 1:
-                        start = _extrapolate(rho[n - 2:n + 1],
-                                             *histories[-1].bounds)
-                rho[n + 1], hist = step_rho(grid, problem.potential,
-                                            problem.delta, tau, rho[n], mu[n],
-                                            problem.solver, start)
-                mu[n + 1] = step_mu(problem.epsilon, tau, rho[n], rho[n + 1],
-                                    mu[n], u[n + 1], solves)
+                    last = histories[-1]
+                    iters = len(last) - 1
+                    if iters >= 2 or last.extrapolated and iters >= 1:
+                        start = _extrapolate(rho[n - 2:n + 1], *last.bounds)
+                rho[n + 1], hist = step_rho(problem, rho[n], mu[n], start)
+                mu[n + 1] = step_mu(problem, rho[n], rho[n + 1], mu[n],
+                                    u[n + 1], solves)
                 histories.append(hist)
-                extrapolated.append(start is not None)
     except SolverStepError as exc:
         done = exc.step - 1
         exc.diagnostics = _diagnose(problem, rho[:done + 1], mu[:done + 1],
-                                    histories[:done], extrapolated[:done])
+                                    histories[:done])
         raise
     return StateTrajectory(rho=rho, mu=mu, diagnostics=_diagnose(
-        problem, rho, mu, histories, extrapolated))
+        problem, rho, mu, histories))
 
 
 def residual_norms(problem: ProblemData, u, state: StateTrajectory) -> dict:
@@ -446,13 +442,12 @@ def residual_norms(problem: ProblemData, u, state: StateTrajectory) -> dict:
     """
     grid, tg = problem.grid, problem.tgrid
     u = check_trajectory(tg, grid, u)
-    tau, eps = tg.tau, problem.epsilon
     rho, mu = state.rho, state.mu
-    res1 = _rho_residual(grid, problem.delta, tau, rho[:-1], rho[1:],
-                         mu[:-1], problem.potential.d1(rho[1:]))
-    res2 = mu_diagonal(eps, tau, rho[:-1], rho[1:]) * mu[1:] \
+    res1 = _rho_residual(problem, rho[:-1], rho[1:], mu[:-1],
+                         problem.potential.d1(rho[1:]))
+    res2 = mu_diagonal(problem, rho[:-1], rho[1:]) * mu[1:] \
         - mesh.laplacian_apply(grid, mu[1:]) - u[1:] \
-        - mu_carry(eps, tau, rho[1:]) * mu[:-1]
+        - mu_carry(problem, rho[1:]) * mu[:-1]
     return {"rho": _level_norms(grid, res1), "mu": _level_norms(grid, res2)}
 
 

@@ -65,9 +65,10 @@ class AdjointTrajectory:
     q: np.ndarray
 
 
-def _solved(problem, state, lo, hi):
-    """The stacks (S, D, a) of steps lo..hi-1: the diagonals each step
-    inverts and their coupling.
+def _step_terms(problem, state, lo, hi):
+    """The stacks (S, D, a, C, b) of steps lo..hi-1: the diagonals each
+    step inverts, their coupling, and the weights of level n on the right
+    of step n beside d.
 
     Step n maps level n to level n+1.  Its tangent reads
 
@@ -80,18 +81,11 @@ def _solved(problem, state, lo, hi):
     ``mesh.block_rows(grid, 2)`` steps at a time, half the budget of the
     residual check, with one call of each formula over the block.
     """
-    p, tau, rho, mu = problem, problem.tgrid.tau, state.rho, state.mu
-    return (newton_shift(p.potential, p.delta, tau, rho[lo + 1:hi + 1]),
-            mu_diagonal(p.epsilon, tau, rho[lo:hi], rho[lo + 1:hi + 1]),
-            (2.0 * mu[lo:hi] - 3.0 * mu[lo + 1:hi + 1]) / tau)
-
-
-def _carried(problem, state, lo, hi):
-    """The stacks (C, b) of steps lo..hi-1: the weights of level n on the
-    right of step n, beside d."""
-    tau = problem.tgrid.tau
-    return (mu_carry(problem.epsilon, tau, state.rho[lo + 1:hi + 1]),
-            state.mu[lo + 1:hi + 1] / tau)
+    tau, rho, mu = problem.tgrid.tau, state.rho, state.mu
+    new = rho[lo + 1:hi + 1]
+    return (newton_shift(problem, new), mu_diagonal(problem, rho[lo:hi], new),
+            (2.0 * mu[lo:hi] - 3.0 * mu[lo + 1:hi + 1]) / tau,
+            mu_carry(problem, new), mu[lo + 1:hi + 1] / tau)
 
 
 def solve_tangent(problem: ProblemData, state: StateTrajectory, h
@@ -104,8 +98,7 @@ def solve_tangent(problem: ProblemData, state: StateTrajectory, h
     eta = np.zeros(h.shape)
     with mesh.CheckedSolves(grid, tg.N) as solves:
         for lo, hi in mesh.blocks(tg.N, mesh.block_rows(grid, 2)):
-            shift, diag, a = _solved(problem, state, lo, hi)
-            carry, b = _carried(problem, state, lo, hi)
+            shift, diag, a, carry, b = _step_terms(problem, state, lo, hi)
             for n in range(lo, hi):
                 i = n - lo
                 solves.step = n + 1
@@ -142,8 +135,7 @@ def _adjoint_discrete(problem, state):
     with mesh.CheckedSolves(grid, tg.N) as solves:
         for lo, hi in mesh.blocks(tg.N, mesh.block_rows(grid, 2),
                                   backward=True):
-            shift, diag, a = _solved(problem, state, lo, hi)
-            carry, b = _carried(problem, state, lo, hi)
+            shift, diag, a, carry, b = _step_terms(problem, state, lo, hi)
             for n in range(hi - 1, lo - 1, -1):
                 i = n - lo
                 solves.step = n + 1
@@ -165,11 +157,11 @@ def _pde_terms(problem, state, lo, hi):
     the carry and Newton shift at rho[n], which the march forms a block
     of ``mesh.block_rows(grid, 4)`` levels at a time."""
     tau, rho, mu = problem.tgrid.tau, state.rho, state.mu
-    carry = mu_carry(problem.epsilon, tau, rho[lo:hi])
+    carry = mu_carry(problem, rho[lo:hi])
     return (carry, 1.0 + (rho[lo + 1:hi + 1] - rho[lo:hi]) / tau,
             problem.beta1 * (mu[lo:hi] - problem.mu_target[lo:hi]),
             carry + 1.0, (mu[lo + 1:hi + 1] - mu[lo:hi]) / tau,
-            newton_shift(problem.potential, problem.delta, tau, rho[lo:hi]))
+            newton_shift(problem, rho[lo:hi]))
 
 
 def _adjoint_pde(problem, state):
@@ -193,20 +185,6 @@ def _adjoint_pde(problem, state):
                     + mu[n] * (q[n + 1] - q[n]) / tau - mu_t[i] * q[n]
                 p[n] = solves.solve(shift[i], rhs_p)
     return AdjointTrajectory(p=p, q=q)
-
-
-def adjoint_mode_gap(problem: ProblemData, state: StateTrajectory) -> float:
-    """Largest per-level cell-norm gap between the two adjoint modes.
-
-    Compared over the multiplier levels 1..N: level 0 of the discrete
-    potential adjoint is a structural zero because the first control
-    level never enters the dynamics, while the backward pde march
-    integrates to t=0.  Over the compared levels the gap shrinks first
-    order in tau on a fixed spatial grid.
-    """
-    qd = solve_adjoint(problem, state, mode="discrete").q
-    qp = solve_adjoint(problem, state, mode="pde").q
-    return float(np.max(mesh.norm_h(problem.grid, qd[1:] - qp[1:])))
 
 
 def duality_pairing(problem: ProblemData, state: StateTrajectory,

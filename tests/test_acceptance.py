@@ -12,8 +12,9 @@ from dataclasses import replace
 import numpy as np
 
 import phasectl as pc
-from phasectl import checks, sensitivity
+from phasectl import checks
 from phasectl.mesh import as_trajectory, norm_q
+from conftest import adjoint_mode_gap
 
 N_CELLS = 64
 N_STEPS = 128
@@ -150,7 +151,7 @@ def test_criterion_07_adjoint_mode_consistency():
     for N in (64, 128, 256):
         prob = base_problem(N=N, rho0=0.45, mu0=0.1)
         st = pc.solve_state(prob, 0.3)
-        gaps.append(sensitivity.adjoint_mode_gap(prob, st))
+        gaps.append(adjoint_mode_gap(prob, st))
     r1, r2 = gaps[0] / gaps[1], gaps[1] / gaps[2]
     ok = gaps[0] > gaps[1] > gaps[2] and r1 >= 1.3 and r2 >= 1.3
     gate(7, "adjoint mode consistency", ok,

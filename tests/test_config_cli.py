@@ -690,18 +690,41 @@ def test_cli_check_summary_names_degeneracy(tmp_path, capsys):
     assert "degenerate" not in capsys.readouterr().out
 
 
+def test_cli_pde_duality_on_a_zero_direction_writes_strict_json(tmp_path,
+                                                                capsys):
+    """In pde mode a zero direction leaves every refined gap 0, which has
+    no ratio: the report holds null there, and the check fails as
+    degenerate with exit 1, as in discrete mode."""
+    cfg = write(tmp_path, MINIMAL + "control: {u_max: 0.0}\n"
+                "solver: {adjoint_mode: pde}\n")
+    out = tmp_path / "out"
+    assert run_cli(["check", "duality", "--config", cfg,
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().out.startswith(
+        "check duality: FAIL (degenerate; ")
+
+    def refuse(name):
+        raise ValueError(name)
+
+    report = json.loads((out / "check_duality.json").read_text(),
+                        parse_constant=refuse)
+    assert report["metrics"]["ratios"] == [None, None]
+    assert report["metrics"]["gaps"] == [0.0, 0.0, 0.0]
+    assert report["pass"] is False
+
+
 def test_cli_check_tangent_names_failing_step(tmp_path, capsys, monkeypatch):
     """A solve failing inside the tangent march names its step: a negated
     Newton shift at step 3 is not positive definite."""
-    solved = sensitivity._solved
+    step_terms = sensitivity._step_terms
 
     def indefinite_at_step_3(problem, state, lo, hi):
-        shift, diag, a = solved(problem, state, lo, hi)
+        terms = step_terms(problem, state, lo, hi)
         if lo <= 2 < hi:
-            shift[2 - lo] = -shift[2 - lo]
-        return shift, diag, a
+            terms[0][2 - lo] = -terms[0][2 - lo]
+        return terms
 
-    monkeypatch.setattr(sensitivity, "_solved", indefinite_at_step_3)
+    monkeypatch.setattr(sensitivity, "_step_terms", indefinite_at_step_3)
     cfg = write(tmp_path, MINIMAL)
     assert run_cli(["check", "tangent", "--config", cfg,
                     "--out", str(tmp_path / "out")]) == 2

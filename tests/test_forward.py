@@ -15,11 +15,18 @@ from phasectl.errors import (DomainViolation, LinearSolveFailure,
 from conftest import build_problem, fallback_instance, spoil, traj
 
 
+def step_problem(grid, delta, tau, epsilon=0.5, **kw):
+    """A one-step instance on ``grid`` with step length ``tau``, for
+    calling the step functions on levels of its own."""
+    return pc.ProblemData(grid=grid, tgrid=pc.TimeGrid(tau, 1),
+                          epsilon=epsilon, delta=delta, **kw)
+
+
 def test_step_rho_stationary():
     g = pc.Grid(1, 8, 1.0)
     rho = np.full(8, 0.5)
-    out, hist = forward.step_rho(g, pc.Potential(), 1.0, 0.01, rho,
-                                 np.zeros(8), pc.SolverConfig())
+    out, hist = forward.step_rho(step_problem(g, 1.0, 0.01), rho,
+                                 np.zeros(8))
     np.testing.assert_array_equal(out, rho)
     assert hist == [0.0]
 
@@ -29,9 +36,8 @@ def test_step_rho_matches_scalar_root():
     g = pc.Grid(1, 8, 1.0)
     pot, delta, tau = pc.Potential(), 1.0, 0.02
     rho_prev, mu = 0.3, 0.1
-    out, _ = forward.step_rho(g, pot, delta, tau,
-                              np.full(8, rho_prev), np.full(8, mu),
-                              pc.SolverConfig())
+    out, _ = forward.step_rho(step_problem(g, delta, tau, potential=pot),
+                              np.full(8, rho_prev), np.full(8, mu))
     def residual(r):
         return delta * (r - rho_prev) / tau + pot.d1(np.array([r]))[0] - mu
     # Bisection to the last bit: the residual increases on (0, 1).
@@ -47,9 +53,8 @@ def test_step_rho_matches_scalar_root():
 
 def test_newton_residuals_quadratic():
     g = pc.Grid(1, 8, 1.0)
-    _, hist = forward.step_rho(g, pc.Potential(), 1.0, 0.05,
-                               np.full(8, 0.35), np.full(8, 0.4),
-                               pc.SolverConfig())
+    _, hist = forward.step_rho(step_problem(g, 1.0, 0.05),
+                               np.full(8, 0.35), np.full(8, 0.4))
     hist = [h for h in hist if h > 0.0]
     assert len(hist) >= 2
     ratios = [hist[i + 1] / hist[i] for i in range(len(hist) - 1)]
@@ -144,8 +149,8 @@ def test_step_mu_homogeneous():
     g = pc.Grid(1, 8, 1.0)
     rho = np.full(8, 0.4)
     with mesh.CheckedSolves(g) as solves:
-        out = forward.step_mu(0.5, 0.01, rho, rho, np.zeros(8),
-                              np.zeros(8), solves)
+        out = forward.step_mu(step_problem(g, 1.0, 0.01, 0.5), rho, rho,
+                              np.zeros(8), np.zeros(8), solves)
     np.testing.assert_array_equal(out, np.zeros(8))
 
 
@@ -154,8 +159,9 @@ def test_step_mu_uniform_closed_form():
     eps, tau = 0.5, 0.02
     rp, rn, mp, u = 0.35, 0.4, 0.25, 0.7
     with mesh.CheckedSolves(g) as solves:
-        out = forward.step_mu(eps, tau, np.full(8, rp), np.full(8, rn),
-                              np.full(8, mp), np.full(8, u), solves)
+        out = forward.step_mu(step_problem(g, 1.0, tau, eps), np.full(8, rp),
+                              np.full(8, rn), np.full(8, mp), np.full(8, u),
+                              solves)
     expect = (tau * u + (eps + 2 * rn) * mp) / (eps + 2 * rn + rn - rp)
     np.testing.assert_allclose(out, expect, rtol=1e-14)
 
@@ -163,6 +169,7 @@ def test_step_mu_uniform_closed_form():
 def test_step_mu_nonnegativity():
     """Positive diagonal makes the step an M-matrix solve."""
     g = pc.Grid(2, (5, 4), (1.0, 1.0))
+    prob = step_problem(g, 1.0, 0.01, 0.5)
     rng = np.random.default_rng(4)
     for _ in range(5):
         rp = 0.2 + 0.5 * rng.random(20)
@@ -170,7 +177,7 @@ def test_step_mu_nonnegativity():
         mu = rng.random(20)
         u = rng.random(20)
         with mesh.CheckedSolves(g) as solves:
-            out = forward.step_mu(0.5, 0.01, rp, rn, mu, u, solves)
+            out = forward.step_mu(prob, rp, rn, mu, u, solves)
         assert np.min(out) >= 0.0
 
 
@@ -178,8 +185,8 @@ def test_step_mu_rejects_nonpositive_coefficient():
     g = pc.Grid(1, 4, 1.0)
     with pytest.raises(NonpositiveCoefficient) as err, \
             mesh.CheckedSolves(g) as solves:
-        forward.step_mu(0.5, 0.01, np.full(4, 0.9), np.full(4, 0.1),
-                        np.zeros(4), np.zeros(4), solves)
+        forward.step_mu(step_problem(g, 1.0, 0.01, 0.5), np.full(4, 0.9),
+                        np.full(4, 0.1), np.zeros(4), np.zeros(4), solves)
     # In the units of Diagnostics.min_coefficient: epsilon + 3 * 0.1 - 0.9.
     assert err.value.min_coefficient == pytest.approx(-0.1, rel=1e-12)
 
@@ -223,10 +230,10 @@ def test_diagnostics_reduce_the_trajectory():
     assert d.mu_min == st.mu.min(axis=1).tolist()
     assert d.mu_max == st.mu.max(axis=1).tolist()
     coeff = [tau * float(np.min(forward.mu_diagonal(
-        prob.epsilon, tau, st.rho[n], st.rho[n + 1]))) for n in range(16)]
+        prob, st.rho[n], st.rho[n + 1]))) for n in range(16)]
     assert d.min_coefficient == coeff
-    shift = [tau * float(np.min(forward.newton_shift(
-        prob.potential, prob.delta, tau, st.rho[n + 1]))) for n in range(16)]
+    shift = [tau * float(np.min(forward.newton_shift(prob, st.rho[n + 1])))
+             for n in range(16)]
     assert d.min_newton_shift == shift
     assert d.bound_violations == 0
     assert len(d.newton_iters) == len(d.newton_residuals) == 16
@@ -422,8 +429,7 @@ def test_extrapolated_start_falls_back_to_the_previous_level():
     assert d.fell_back == [False, False, True]
     assert d.newton_iters == [7, 7, 36]
     assert max(d.newton_residuals) <= prob.solver.newton_tol
-    args = (prob.grid, prob.potential, prob.delta, prob.tgrid.tau,
-            state.rho[2], state.mu[2], prob.solver)
+    args = (prob, state.rho[2], state.mu[2])
     warm, warm_hist = forward.step_rho(*args)
     level, hist = forward.step_rho(*args, extrapolate(state.rho[:3]))
     assert np.array_equal(level, warm) and np.array_equal(level, state.rho[3])
@@ -449,7 +455,7 @@ def test_both_failed_attempts_keep_their_residuals(monkeypatch):
     newton_max times: the last iterate's residual ends it unsolved."""
     prob, u = fallback_instance()
     state = pc.solve_state(prob, u)
-    strict = pc.SolverConfig(newton_max=2)
+    strict = replace(prob, solver=pc.SolverConfig(newton_max=2))
     solve, calls = mesh.solve_shifted, []
 
     def counted(*args):
@@ -458,8 +464,7 @@ def test_both_failed_attempts_keep_their_residuals(monkeypatch):
 
     monkeypatch.setattr(mesh, "solve_shifted", counted)
     with pytest.raises(NewtonDivergence) as err:
-        forward.step_rho(prob.grid, prob.potential, prob.delta,
-                         prob.tgrid.tau, state.rho[2], state.mu[2], strict,
+        forward.step_rho(strict, state.rho[2], state.mu[2],
                          extrapolate(state.rho[:3]))
     res = err.value.newton_residuals
     assert len(res) == 6 and res.restart == 3 and len(calls) == 4
@@ -485,8 +490,7 @@ def test_extrapolated_start_reaches_the_same_level(n, delta, ratio, epsilon,
                          rho0=rng.uniform(0.2, 0.8, n),
                          mu0=rng.uniform(0.0, 1.0, n))
     state = pc.solve_state(prob, rng.uniform(0.0, 1.0, (4, n)))
-    args = (prob.grid, prob.potential, delta, prob.tgrid.tau, state.rho[2],
-            state.mu[2], prob.solver)
+    args = (prob, state.rho[2], state.mu[2])
     warm, warm_hist = forward.step_rho(*args)
     extra, extra_hist = forward.step_rho(
         *args, extrapolate(state.rho[:3]))
@@ -505,18 +509,17 @@ def test_newton_stops_on_its_rounding_floor_near_one(N, last):
     prob = build_problem(n=4, N=N, T=4.0, epsilon=1.0, delta=1.0, rho0=0.3,
                          mu0=0.0, u_max=5.0)
     state = pc.solve_state(prob, 5.0)
-    d, tau = state.diagnostics, prob.tgrid.tau
+    d = state.diagnostics
     assert d.on_floor.index(True) == last - 1
     assert 1.0 - state.rho.max() < 1e-7
     for i in range(N):
-        args = (prob.grid, prob.potential, prob.delta, tau, state.rho[i],
-                state.mu[i], prob.solver)
+        args = (prob, state.rho[i], state.mu[i])
         start = (extrapolate(state.rho[i - 2:i + 1]) if d.extrapolated[i]
                  else None)
         level, hist = forward.step_rho(*args, start)
         assert np.array_equal(level, state.rho[i + 1])
         assert hist.on_floor == d.on_floor[i]
-        shift = forward.newton_shift(prob.potential, prob.delta, tau, level)
+        shift = forward.newton_shift(prob, level)
         if hist.on_floor:
             assert prob.solver.newton_tol < hist[-1] <= forward._floor(
                 prob.grid, level, shift)
@@ -533,10 +536,8 @@ def test_newton_stalling_above_the_floor_still_fails():
     prob, u = fallback_instance()
     state = pc.solve_state(prob, u)
     with pytest.raises(NewtonDivergence) as err:
-        forward._newton(extrapolate(state.rho[:3]), prob.grid,
-                        prob.potential, prob.delta, prob.tgrid.tau,
-                        state.rho[2], state.mu[2], prob.solver,
-                        forward.NewtonHistory())
+        forward._newton(prob, extrapolate(state.rho[:3]), state.rho[2],
+                        state.mu[2], forward.NewtonHistory())
     match = re.fullmatch(r"Newton residual (\S+) above tolerance (\S+) and "
                          r"rounding floor (\S+) after 30 iterations",
                          str(err.value))
@@ -561,12 +562,13 @@ def reference_floor(grid, rho, shift):
     return forward.FLOOR_FACTOR * reference_norm(grid, np.spacing(rho) * shift)
 
 
-def reference_step_rho(grid, pot, delta, tau, rho_prev, mu_prev, cfg,
-                       start=None):
+def reference_step_rho(problem, rho_prev, mu_prev, start=None):
     """step_rho as first written: the potential's checked derivatives, the
     Newton shift and the damping each test rho apart, and the rounding
     floor is formed at every iterate above newton_tol.  An overflowing
     f'(rho) or residual ends the step, as an overflowing shift does."""
+    grid, pot, cfg = problem.grid, problem.potential, problem.solver
+    delta, tau = problem.delta, problem.tgrid.tau
     history = forward.NewtonHistory()
 
     def newton(rho):
@@ -597,7 +599,7 @@ def reference_step_rho(grid, pot, delta, tau, rho_prev, mu_prev, cfg,
                     return rho
                 with np.errstate(over="raise"):
                     try:
-                        shift = forward.newton_shift(pot, delta, tau, rho)
+                        shift = forward.newton_shift(problem, rho)
                     except FloatingPointError:
                         raise NewtonDivergence(
                             "Newton shift delta/tau + f''(rho) overflows at "
@@ -674,13 +676,14 @@ def test_fused_newton_matches_the_reference_step(n, rho, mu, start, edge,
     previous level on or next to an endpoint.  The examples end on the
     floor, in an overflowing Newton shift, in an overflowing f'(rho), and
     with an iterate rounding onto 1."""
-    grid = pc.Grid(1, n, 1.0)
-    pot = pc.Potential(c_log=c_log, c_quad=c_quad)
-    cfg = pc.SolverConfig(newton_max=newton_max)
+    problem = step_problem(
+        pc.Grid(1, n, 1.0), delta, tau,
+        potential=pc.Potential(c_log=c_log, c_quad=c_quad),
+        solver=pc.SolverConfig(newton_max=newton_max))
     rho_prev = np.array(rho[:n])
     if edge is not None:
         rho_prev[edge[0] % n] = edge[1]
-    args = (grid, pot, delta, tau, rho_prev, np.array(mu[:n]), cfg,
+    args = (problem, rho_prev, np.array(mu[:n]),
             None if start is None else np.array(start[:n]))
     with np.errstate(over="ignore", invalid="ignore"):
         assert outcome(forward.step_rho, *args) == outcome(

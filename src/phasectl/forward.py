@@ -368,23 +368,26 @@ def _diagnose(problem: ProblemData, rho: np.ndarray, mu: np.ndarray,
     """Diagnostics of the levels ``rho``, ``mu`` reached by the steps
     whose NewtonHistory is given, one per step.  A step's Newton
     iterations count the solves of both its attempts; the per-step
-    minima are taken a block of ``mesh.block_rows`` steps."""
+    minima are taken a block of ``mesh.block_rows`` steps.  A minimum
+    that is not finite, such as the overflowing shift of a step that
+    converged before Newton formed one, is recorded as None."""
     tau, steps = problem.tgrid.tau, len(histories)
     coeff, shift = np.empty(steps), np.empty(steps)
-    for lo, hi in mesh.blocks(steps, mesh.block_rows(problem.grid)):
-        new = rho[lo + 1:hi + 1]
-        coeff[lo:hi] = mu_diagonal(problem, rho[lo:hi], new).min(axis=1)
-        shift[lo:hi] = newton_shift(problem, new).min(axis=1)
+    with np.errstate(over="ignore"):
+        for lo, hi in mesh.blocks(steps, mesh.block_rows(problem.grid)):
+            new = rho[lo + 1:hi + 1]
+            coeff[lo:hi] = mu_diagonal(problem, rho[lo:hi], new).min(axis=1)
+            shift[lo:hi] = newton_shift(problem, new).min(axis=1)
     # Recorded in the units of epsilon: the diagonals times tau.
-    coeff *= tau
-    shift *= tau
+    coeff, shift = ([v if abs(v) < np.inf else None
+                     for v in (a * tau).tolist()] for a in (coeff, shift))
     return Diagnostics(
         newton_iters=[h.solves for h in histories],
         newton_residuals=[h[-1] for h in histories],
         on_floor=[h.on_floor for h in histories],
         extrapolated=[h.extrapolated for h in histories],
         fell_back=[bool(h.restart) for h in histories],
-        min_coefficient=coeff.tolist(), min_newton_shift=shift.tolist(),
+        min_coefficient=coeff, min_newton_shift=shift,
         rho_min=rho.min(axis=1).tolist(), rho_max=rho.max(axis=1).tolist(),
         mu_min=mu.min(axis=1).tolist(), mu_max=mu.max(axis=1).tolist(),
         bound_violations=out_of_bounds(rho, mu))

@@ -15,9 +15,10 @@ read-only broadcast of one new field, so that data constant in time is
 held once.
 
 ``solve_shifted`` solves the shifted Laplacian systems of every step,
-in 1D with LAPACK ``dptsv``.  That routine comes from scipy's compiled
-LAPACK module, loaded on its own (see ``_load_dptsv``), so importing
-this module imports no scipy package.  The marches hand their
+in 1D with LAPACK ``dptsv``.  That routine, and the Cholesky routines of
+the 2D solve, come from scipy's compiled LAPACK module, loaded on its
+own (see ``_load_lapack``), so importing this module imports no scipy
+package.  The marches hand their
 potential-step, tangent and adjoint solves to ``CheckedSolves``, which
 checks each residual against LINEAR_TOL with ``check_residuals`` a
 block of rows at a time: one stencil apply per block instead of one
@@ -27,12 +28,15 @@ the marches, the diagnostics and the duality pairing.  ``scaled_norm``
 forms a norm whose square overflows on the field over its largest
 entry; the Newton residual norm and ``norm_q`` go through it.
 
-In 2D the solve runs on orthonormal type-II DCT coefficients, the
-eigenbasis of the zero-flux Laplacian.  A grid caches the DCT matrix of
-each axis, and while no axis has more than DCT_MATRIX_MAX cells a
-transform is two products with them; past that ``scipy.fft`` computes
-it, since a matrix holds m^2 floats and a product costs m^3.  Only
-then is ``scipy.fft`` imported.
+In 2D the solve runs conjugate gradients on orthonormal type-II DCT
+coefficients, the eigenbasis of the zero-flux Laplacian.  The
+preconditioner solves the lowest cosine modes exactly, with the
+operator's own block there, and the others at the mean shift.  A grid
+caches the DCT matrix of each axis, and while no axis has more than
+DCT_MATRIX_MAX cells a transform is two products with them; past that
+``scipy.fft`` computes it, since a matrix holds m^2 floats and a product
+costs m^3.  Only then is ``scipy.fft`` imported.  The coarse block needs
+only the lowest DCT rows, which a grid caches on their own.
 
 Grid and TimeGrid objects are read-only after construction and safe to
 share across threads.
@@ -53,21 +57,22 @@ import numpy as np
 from .errors import (LinearSolveFailure, ShapeMismatch, SolverStepError,
                      UnsupportedDimension, require)
 
-def _load_dptsv():
-    """The f2py ``dptsv`` of scipy's compiled LAPACK module.
+def _load_lapack():
+    """scipy's compiled LAPACK module, whose f2py ``dptsv``, ``dpotrf``
+    and ``dpotrs`` the solves call.
 
-    Importing ``scipy.linalg`` for this one routine costs about 0.17 s
+    Importing ``scipy.linalg`` for these routines costs about 0.17 s
     (2-vCPU Xeon) of modules phasectl never uses, such as ``numpy.f2py``
     and ``numpy.testing``.  So the module file
     ``scipy/linalg/_flapack<suffix>`` is loaded on its own, under a
-    private name: the same compiled function, so the same results bit
+    private name: the same compiled functions, so the same results bit
     for bit.  A process that has imported ``scipy.linalg`` already holds
-    that module, and its ``dptsv`` is used instead of a second copy.
-    Without the file this falls back to ``scipy.linalg.lapack``.
+    that module, and it is used instead of a second copy.  Without the
+    file this falls back to ``scipy.linalg.lapack``.
     """
     loaded = sys.modules.get("scipy.linalg._flapack")
     if loaded is not None:
-        return loaded.dptsv
+        return loaded
     spec = importlib.util.find_spec("scipy")
     for directory in spec.submodule_search_locations if spec else ():
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
@@ -78,12 +83,13 @@ def _load_dptsv():
                 module = importlib.util.module_from_spec(
                     importlib.util.spec_from_loader(loader.name, loader))
                 loader.exec_module(module)
-                return module.dptsv
-    from scipy.linalg.lapack import dptsv
-    return dptsv
+                return module
+    import scipy.linalg.lapack
+    return scipy.linalg.lapack
 
 
-dptsv = _load_dptsv()
+_lapack = _load_lapack()
+dptsv = _lapack.dptsv
 
 # The most float64 entries numpy can index, bounding cells and time levels.
 _MAX_COUNT = np.iinfo(np.intp).max // np.dtype(float).itemsize
@@ -164,21 +170,23 @@ class Grid:
 
     @cached_property
     def _dct_matrices(self) -> tuple:
-        """The orthonormal type-II DCT matrix of each axis, read-only.
+        """The orthonormal type-II DCT matrix of each axis, read-only."""
+        return tuple(_dct_rows(m, m) for m in self.n)
 
-        Entry (k, j) of an m-cell axis is sqrt(2/m) cos(pi k (j + 1/2) / m),
-        row 0 over sqrt 2.  The angle is reduced modulo 2 pi in integers
-        before the cosine, so no entry loses accuracy to a large angle.
-        """
-        mats = []
-        for m in self.n:
-            k, j = np.ogrid[:m, :m]
-            c = np.sqrt(2.0 / m) * np.cos(
-                np.pi * (k * (2 * j + 1) % (4 * m)) / (2.0 * m))
-            c[0] /= np.sqrt(2.0)
-            c.flags.writeable = False
-            mats.append(c)
-        return tuple(mats)
+    @cached_property
+    def _coarse_modes(self) -> tuple:
+        """``(k0, k1), bb, ee``: the coarse block's mode counts per axis,
+        the lowest _CG_COARSE_MODES (at most the axis' cells), and per
+        axis the pairwise products of its first k DCT rows, read-only
+        ``(k*k, m)`` arrays whose row k*i + j is row i times row j."""
+        low = tuple(min(_CG_COARSE_MODES, m) for m in self.n)
+        products = []
+        for k, m in zip(low, self.n):
+            c = _dct_rows(m, k)
+            pp = (c[:, None] * c[None]).reshape(k * k, m)
+            pp.flags.writeable = False
+            products.append(pp)
+        return (low, *products)
 
     @cached_property
     def _ptsv_offdiagonal(self) -> np.ndarray:
@@ -208,25 +216,31 @@ def _laplacian(grid: Grid, a: np.ndarray) -> np.ndarray:
 
     Per axis, the flux across each interior face leaves one cell and
     enters its neighbour; the end faces carry none.  The first axis
-    writes every cell, so later axes accumulate onto it.  In 1D the one
-    axis is the last, indexed as it is, with the same arithmetic.
+    writes every cell, so the second accumulates onto it.  In 1D the
+    one axis is the last, indexed as it is, with the same arithmetic.
     """
-    out = np.empty_like(a)
+    out = np.empty(a.shape)
     if grid.dim == 1:
         flux = (a[..., 1:] - a[..., :-1]) / grid.h[0] ** 2
         out[..., :-1] = flux
         out[..., -1] = 0.0
         out[..., 1:] -= flux
         return out
-    for axis in range(-grid.dim, 0):
-        o, s = out.swapaxes(0, axis), a.swapaxes(0, axis)
-        flux = (s[1:] - s[:-1]) / grid.h[axis] ** 2
-        if axis == -grid.dim:
-            o[:-1] = flux
-            o[-1] = 0.0
-        else:
-            o[:-1] += flux
-        o[1:] -= flux
+    flux = (a[..., 1:, :] - a[..., :-1, :]) / grid.h[0] ** 2
+    out[..., :-1, :] = flux
+    out[..., -1, :] = 0.0
+    out[..., 1:, :] -= flux
+    # The second axis runs over each field's cells as one contiguous row.
+    # A flux across a seam between rows is no face: -0.0 and then 0.0
+    # leave each sum bit for bit as it is, signed zeros included.
+    m = grid.n[1]
+    o = out.reshape(a.shape[:-2] + (-1,))
+    s = a.reshape(o.shape)
+    flux = (s[..., 1:] - s[..., :-1]) / grid.h[1] ** 2
+    flux[..., m - 1::m] = -0.0
+    o[..., :-1] += flux
+    flux[..., m - 1::m] = 0.0
+    o[..., 1:] -= flux
     return out
 
 
@@ -235,9 +249,11 @@ def solve_shifted(grid: Grid, shift: np.ndarray, rhs: np.ndarray
     """Solve (diag(shift) - L) x = rhs for the zero-flux Laplacian L.
 
     Uses the LAPACK ``ptsv`` (LDL^T) tridiagonal solve in 1D.  In 2D it
-    runs conjugate gradients on DCT coefficients, preconditioned by the
-    exact DCT solve at the mean shift, which is already the solution
-    when the shift is constant; no stencil is applied.  In either
+    runs conjugate gradients on DCT coefficients (``_pcg``),
+    preconditioned by the operator's block on the lowest cosine modes
+    and by the exact DCT solve at the mean shift on the others, which
+    is already the solution when the shift is constant; no stencil is
+    applied.  In either
     dimension the operator must be positive definite and the solution
     finite, or LinearSolveFailure is raised.  The residual is not
     checked here: a march hands its solves to CheckedSolves, which
@@ -386,6 +402,16 @@ def blocks(count: int, rows: int, backward: bool = False):
 # 1e-8 discrete duality gate, and the iteration budget before it gives up.
 _CG_RTOL = 1e-14
 _CG_MAXITER = 500
+# Cosine modes per axis that the CG preconditioner solves exactly: the
+# lowest, which a smooth variation of the shift perturbs most.  The
+# forward, tangent and discrete adjoint of perfbench's sensitivity_2d
+# (64x64 cells, 64 steps, seed 0) took 1252 CG iterations at 1 mode (the
+# mean shift alone), 679 at 4, 515 at 6 and 339 at 10.  Against 1 mode
+# the marches took 0.80 of the time at 4 modes and 0.71-0.81 at 5 to 8,
+# where it is flat; at 10 they took 7-8% longer than at 4, the block
+# costing more to form and factor than the iterations it saves (medians
+# of alternating rounds in one process, seeds 0-2, one BLAS thread).
+_CG_COARSE_MODES = 6
 
 
 # The most cells on an axis for which the 2D transforms are products with
@@ -395,6 +421,22 @@ _CG_MAXITER = 500
 # products against 113 us at 64x64, and 365 us against 256 us at 128x128
 # (one BLAS thread).
 DCT_MATRIX_MAX = 104
+
+
+def _dct_rows(m: int, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of the orthonormal type-II DCT matrix of
+    an m-cell axis, read-only.
+
+    Entry (k, j) is sqrt(2/m) cos(pi k (j + 1/2) / m), row 0 over
+    sqrt 2.  The angle is reduced modulo 2 pi in integers before the
+    cosine, so no entry loses accuracy to a large angle.
+    """
+    k, j = np.ogrid[:rows, :m]
+    c = np.sqrt(2.0 / m) * np.cos(
+        np.pi * (k * (2 * j + 1) % (4 * m)) / (2.0 * m))
+    c[0] /= np.sqrt(2.0)
+    c.flags.writeable = False
+    return c
 
 
 def _dct(grid: Grid, a: np.ndarray) -> np.ndarray:
@@ -419,18 +461,22 @@ def _pcg(grid: Grid, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (diag(shift) - L) x = rhs on fields shaped ``grid.n``.
 
     Conjugate gradients on orthonormal type-II DCT coefficients, in
-    which m - L is the diagonal ``diag`` for the mean shift m: the
-    preconditioner divides by it, and the operator adds the transformed
-    product with shift - m, so an iteration costs one transform pair
-    (four matrix products up to DCT_MATRIX_MAX cells per axis) and no
-    stencil.  CG starts from the exact solve at the mean shift,
-    the solution when the shift is constant, and keeps its iterate in
-    real space.  The right-hand side is divided by the least power of
-    two above max|rhs| and the solution multiplied back: exact, and no
-    norm overflows or underflows to zero.  Raises LinearSolveFailure
-    when the mean shift is not positive, on a curvature breakdown (the
-    operator is not positive definite) or when the iteration budget
-    runs out; an unconverged iterate is never returned.
+    which m - L is the diagonal ``diag`` for the mean shift m, and the
+    operator adds the transformed product with shift - m, so an
+    iteration costs one transform pair (four matrix products up to
+    DCT_MATRIX_MAX cells per axis) and no stencil.  The preconditioner
+    is block diagonal: on the lowest _CG_COARSE_MODES cosine modes per
+    axis it is the operator's own (Galerkin) block, Cholesky-factored
+    once per solve with LAPACK ``dpotrf``, and on the other modes it
+    divides by ``diag``.  CG starts from the preconditioned right-hand
+    side, the solution when the shift is constant (that case returns
+    before any block is formed), and keeps its iterate in real space.
+    The right-hand side is divided by the least power of two above
+    max|rhs| and the solution multiplied back: exact, and no norm
+    overflows or underflows to zero.  Raises LinearSolveFailure when the
+    mean shift is not positive, when the coarse block or a curvature
+    shows that the operator is not positive definite, or when the
+    iteration budget runs out; an unconverged iterate is never returned.
     """
     mean = float(np.mean(shift))
 
@@ -445,18 +491,38 @@ def _pcg(grid: Grid, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     exponent = int(np.frexp(np.max(np.abs(rhs)))[1])
     rhs_hat = _dct(grid, np.ldexp(rhs, -exponent))
     diag = mean + grid._dct_eigenvalues
-    x = _idct(grid, rhs_hat / diag)
     if np.ptp(shift) == 0.0:
-        return np.ldexp(x, exponent)
+        return np.ldexp(_idct(grid, rhs_hat / diag), exponent)
     dev = shift - mean
-    r = -_dct(grid, dev * x)
+    # Entry ((i, j), (k, l)) of the block is diag there plus the sum of
+    # dev times the product of modes (i, j) and (k, l), which separates
+    # into the axes' row products.
+    (k0, k1), bb, ee = grid._coarse_modes
+    block = (bb @ dev @ ee.T).reshape(k0, k0, k1, k1).transpose(
+        0, 2, 1, 3).reshape(k0 * k1, k0 * k1)
+    block.flat[::k0 * k1 + 1] += diag[:k0, :k1].ravel()
+    factor, info = _lapack.dpotrf(block, lower=1, clean=0, overwrite_a=1)
+    if info:
+        fail("coarse block minor %d, operator not positive definite"
+             % info, 0, 1.0)
+
+    def precondition(r):
+        z = r / diag
+        low = _lapack.dpotrs(factor, r[:k0, :k1].reshape(-1, 1), lower=1)[0]
+        z[:k0, :k1] = low.reshape(k0, k1)
+        return z
+
+    x_hat = precondition(rhs_hat)
+    x = _idct(grid, x_hat)
+    r = rhs_hat - diag * x_hat
+    r -= _dct(grid, dev * x)
     scale = np.linalg.norm(rhs_hat)
     rel = np.linalg.norm(r) / scale if scale > 0.0 else 0.0
     it = 0
     while rel > _CG_RTOL:
         if it == _CG_MAXITER:
             fail("no convergence", it, rel)
-        z = r / diag
+        z = precondition(r)
         rz_new = np.vdot(r, z)
         if it:
             z += (rz_new / rz) * p

@@ -160,6 +160,29 @@ def test_overflowing_newton_shift_ends_the_step(tmp_path, capsys):
             assert len(json.load(f)["failed_newton_residuals"]) == 1, domain
 
 
+def test_overflowing_shift_of_converged_steps_is_null(tmp_path, capsys):
+    """c_log = 1e308 at rho0 = 0.5, mu0 = 0 and u = 0: every step
+    converges at its first iterate, where f' is exactly 0, without
+    forming the Newton shift, whose f'' overflows.  forward exits 0, no
+    warning escapes, and diagnostics.json is strict JSON with each such
+    minimum shift null."""
+    def strict(constant):
+        raise ValueError("%s is not JSON" % constant)
+
+    for domain in DOMAINS:
+        path, out = write_config(tmp_path / domain, domain, {
+            ("potential", "c_log"): "1.0e+308", ("init", "rho0"): "0.5",
+            ("init", "mu0"): "0.0", ("control", "u_init"): "0.0"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(path, ["forward"], out) == 0, domain
+        with open(out / "diagnostics.json") as f:
+            diag = json.load(f, parse_constant=strict)
+        assert diag["newton_iters"] == [0, 0], domain
+        assert diag["min_newton_shift"] == [None, None], domain
+        assert capsys.readouterr().err == "", domain
+
+
 @pytest.mark.parametrize("init, what", [
     ({"rho0": "0.125"}, "Newton residual term f'(rho)"),
     ({"rho0": "0.3", "mu0": "1.0e+308"}, "Newton residual")],

@@ -17,7 +17,7 @@ or class, and every method of one but the dunder methods, must be read
 by name (as a name or an attribute) somewhere in the package outside
 its own definition, or be listed in an ``__all__``.  A scipy package
 may be imported in the package only where a run needs it:
-``mesh._load_dptsv`` falls back to ``scipy.linalg.lapack`` when scipy's
+``mesh._load_lapack`` falls back to ``scipy.linalg.lapack`` when scipy's
 LAPACK module file is missing, and ``mesh._dct``/``_idct`` call
 ``scipy.fft`` on an axis past ``DCT_MATRIX_MAX`` cells.
 """
@@ -201,7 +201,7 @@ def test_no_uncalled_helpers():
 # (module, enclosing function, imported module) of each allowed import.
 SCIPY_IMPORTS = [("mesh.py", "_dct", "scipy.fft"),
                  ("mesh.py", "_idct", "scipy.fft"),
-                 ("mesh.py", "_load_dptsv", "scipy.linalg.lapack")]
+                 ("mesh.py", "_load_lapack", "scipy.linalg.lapack")]
 
 
 def scipy_imports(path):

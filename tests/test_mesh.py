@@ -128,12 +128,20 @@ def test_solve_shifted_dense_oracle():
 
 
 def reference_pcg(g, shift, rhs):
-    """Textbook real-space PCG on dense matrices, preconditioned by the
-    solve at the mean shift and started from it, with the stopping rule
-    of ``mesh._CG_RTOL``; returns the solution and the iteration count."""
+    """Textbook real-space PCG on dense matrices, started from the
+    preconditioner's solve, with the stopping rule of ``mesh._CG_RTOL``;
+    returns the solution and the iteration count.  The preconditioner is
+    the operator at the mean shift plus, on the span of the lowest
+    ``mesh._CG_COARSE_MODES`` cosine modes per axis (scipy's orthonormal
+    DCT-II), the shift's deviation from its mean."""
     lap = dense_laplacian(g)
     a = np.diag(shift) - lap
-    m = np.mean(shift) * np.eye(g.num_cells) - lap
+    low = np.kron(*[scipy.fft.dct(np.eye(m), type=2, norm="ortho", axis=0)
+                    [:min(mesh._CG_COARSE_MODES, m)] for m in g.n])
+    proj = low.T @ low
+    mean = np.mean(shift)
+    m = (mean * np.eye(g.num_cells) - lap
+         + proj @ np.diag(shift - mean) @ proj)
     x = np.linalg.solve(m, rhs)
     r = rhs - a @ x
     k = 0
@@ -148,6 +156,23 @@ def reference_pcg(g, shift, rhs):
     return x, k
 
 
+def assert_matches_reference_pcg(g, shift, rhs, monkeypatch):
+    """The solve gives reference_pcg's solution in its number of
+    iterations k: a budget of k - 1 fails, and a budget of k gives the
+    same solution bit for bit.  Returns k."""
+    ref, k = reference_pcg(g, shift, rhs)
+    x = mesh.solve_shifted(g, shift, rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if k:
+        monkeypatch.setattr(mesh, "_CG_MAXITER", k - 1)
+        with pytest.raises(LinearSolveFailure,
+                           match="no convergence after %d CG" % (k - 1)):
+            mesh.solve_shifted(g, shift, rhs)
+    monkeypatch.setattr(mesh, "_CG_MAXITER", k)
+    assert np.array_equal(mesh.solve_shifted(g, shift, rhs), x)
+    return k
+
+
 @pytest.mark.parametrize("spread", ["0.3%", "30%", "two decades"])
 def test_pcg_matches_textbook_real_space_pcg(spread, monkeypatch):
     """CG on DCT coefficients is CG in real space in another orthonormal
@@ -159,16 +184,20 @@ def test_pcg_matches_textbook_real_space_pcg(spread, monkeypatch):
              "30%": 2.0 * (1.0 + 0.15 * u),
              "two decades": 10.0 ** u}[spread]
     rhs = rng.standard_normal(g.num_cells)
-    ref, k = reference_pcg(g, shift, rhs)
-    assert k >= 2
-    x = mesh.solve_shifted(g, shift, rhs)
-    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-    monkeypatch.setattr(mesh, "_CG_MAXITER", k - 1)
-    with pytest.raises(LinearSolveFailure,
-                       match="no convergence after %d CG" % (k - 1)):
-        mesh.solve_shifted(g, shift, rhs)
-    monkeypatch.setattr(mesh, "_CG_MAXITER", k)
-    assert np.array_equal(mesh.solve_shifted(g, shift, rhs), x)
+    assert assert_matches_reference_pcg(g, shift, rhs, monkeypatch) >= 2
+
+
+@pytest.mark.parametrize("n", [(1, 5), (7, 1), (3, 4)], ids=str)
+def test_pcg_coarse_block_on_an_axis_shorter_than_its_modes(n, monkeypatch):
+    """On an axis of fewer cells than _CG_COARSE_MODES the coarse block
+    takes every mode of the axis; where it takes every mode of the grid
+    it is the operator itself, and CG takes no iteration."""
+    rng = np.random.default_rng(16)
+    g = pc.Grid(2, n, (1.0, 2.5))
+    shift = 10.0 ** rng.uniform(-1.0, 1.0, g.num_cells)
+    rhs = rng.standard_normal(g.num_cells)
+    k = assert_matches_reference_pcg(g, shift, rhs, monkeypatch)
+    assert (k == 0) == (max(n) <= mesh._CG_COARSE_MODES)
 
 
 PAST = (mesh.DCT_MATRIX_MAX + 1, 3)
@@ -197,7 +226,9 @@ def test_dct_matrices_agree_with_scipy_fft(n):
 
 def test_pcg_past_the_matrix_bound_runs_on_scipy_fft(monkeypatch):
     """Past DCT_MATRIX_MAX the solve is bit-identical to one whose
-    transforms all call scipy.fft, and passes the residual check."""
+    transforms all call scipy.fft, and passes the residual check; its
+    coarse block takes the closed-form DCT rows, so the full matrices
+    are never built."""
     rng = np.random.default_rng(15)
     g = pc.Grid(2, PAST, (1.0, 2.5))
     shift = np.exp(rng.uniform(np.log(0.1), np.log(50.0), g.num_cells))
@@ -209,7 +240,7 @@ def test_pcg_past_the_matrix_bound_runs_on_scipy_fft(monkeypatch):
     monkeypatch.setattr(mesh, "_idct", lambda grid, c: scipy.fft.idctn(
         c, type=2, norm="ortho"))
     assert np.array_equal(mesh.solve_shifted(g, shift, rhs), x)
-    assert "_dct_matrices" not in vars(g)
+    assert "_coarse_modes" in vars(g) and "_dct_matrices" not in vars(g)
 
 
 def test_solve_shifted_2d_applies_the_stencil_only_in_its_check(monkeypatch):
@@ -260,6 +291,13 @@ def test_solve_shifted_2d_rejects_indefinite():
     shift = np.ones(g.num_cells)
     shift[37] = -100.0
     with pytest.raises(LinearSolveFailure, match="not positive definite"):
+        mesh.solve_shifted(g, shift, rng.standard_normal(g.num_cells))
+    # positive mean 0.1, but the first cosine mode along x has energy
+    # 0.1 + 4 sin^2(pi / 32) - 0.5 < 0, inside the coarse block
+    x = g.cell_centers()[:, 0]
+    shift = 0.1 - np.cos(2.0 * np.pi * x / 16.0)
+    with pytest.raises(LinearSolveFailure, match=r"coarse block minor \d+, "
+                       "operator not positive definite after 0 CG"):
         mesh.solve_shifted(g, shift, rng.standard_normal(g.num_cells))
 
 
@@ -325,7 +363,7 @@ def test_dptsv_lookup_and_fallback(monkeypatch, route):
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     if route == "fallback":
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
-    loaded = mesh._load_dptsv()
+    loaded = mesh._load_lapack().dptsv
     assert loads == ([("phasectl._flapack", "_flapack")]
                      if route == "direct" else [])
     assert_same_as_lapack(loaded)
@@ -333,12 +371,11 @@ def test_dptsv_lookup_and_fallback(monkeypatch, route):
 
 def test_loading_dptsv_reuses_scipy_lapack(monkeypatch):
     """A process that has imported scipy.linalg keeps one copy of its
-    LAPACK module: the loader takes dptsv from it."""
-    assert mesh._load_dptsv() is lapack.dptsv
+    LAPACK module: the loader returns it."""
+    assert mesh._load_lapack().dptsv is lapack.dptsv
     fake = type(sys)("scipy.linalg._flapack")
-    fake.dptsv = object()
     monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", fake)
-    assert mesh._load_dptsv() is fake.dptsv
+    assert mesh._load_lapack() is fake
 
 
 def test_solve_shifted_2d_budget_exhausted(monkeypatch):
@@ -554,10 +591,12 @@ def test_laplacian_property_matches_reference_loop(g, seed, stack):
     # Exact zeros and repeated values give zero fluxes.
     a[rng.random(a.shape) < 0.2] = 0.0
     a[rng.random(a.shape) < 0.2] = 1.0
-    assert np.array_equal(mesh._laplacian(g, a), reference_laplacian(g, a))
+    # Bit patterns, so that a zero of the other sign differs.
+    ref = reference_laplacian(g, a).view(np.int64)
+    assert np.array_equal(mesh._laplacian(g, a).view(np.int64), ref)
     flat = a.reshape(stack + (g.num_cells,))
-    assert np.array_equal(mesh.laplacian_apply(g, flat),
-                          reference_laplacian(g, a).reshape(flat.shape))
+    assert np.array_equal(mesh.laplacian_apply(g, flat).view(np.int64),
+                          ref.reshape(flat.shape))
 
 
 @PROPERTY

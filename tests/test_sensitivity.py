@@ -392,6 +392,38 @@ def test_duality_discrete_exact_2d():
     assert rep["metrics"]["rel_gap"] <= 1e-8
 
 
+def test_cg_iterations_of_smooth_2d_marches(monkeypatch):
+    """A guard on the cost of the 2D solves that the host's speed does
+    not move: the CG iterations of the forward, tangent and discrete
+    adjoint marches on 32x32 cells, 32 steps, a smooth rho0 and the
+    seed-1 check instance.  Each variable-shift solve makes one inverse
+    transform at its start and one per iteration, and a constant shift
+    makes one.  Measured: 237 (54 + 159 + 24) with the coarse block of
+    _CG_COARSE_MODES = 6 modes per axis, 675 (257 + 204 + 214) with the
+    mean-shift preconditioner alone."""
+    prob = build_problem(dim=2, n=32, N=32, T=0.5)
+    x, y = prob.grid.cell_centers().T
+    prob = replace(prob, rho0=0.45 + 0.1 * np.cos(np.pi * x)
+                   * np.cos(np.pi * y))
+    u, h = checks.check_instance(prob, 1)
+    calls = {"_pcg": 0, "_idct": 0}
+
+    def counted(name):
+        func = getattr(mesh, name)
+
+        def call(*args):
+            calls[name] += 1
+            return func(*args)
+        monkeypatch.setattr(mesh, name, call)
+
+    counted("_pcg")
+    counted("_idct")
+    st = pc.solve_state(prob, u)
+    pc.solve_tangent(prob, st, h)
+    pc.solve_adjoint(prob, st, mode="discrete")
+    assert calls["_idct"] - calls["_pcg"] <= 237
+
+
 def test_duality_pde_shrinks_under_refinement():
     prob = build_problem(n=16, N=16, T=0.2)
     rep = checks.duality_gap_check(prob, seed=0, mode="pde",
